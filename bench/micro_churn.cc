@@ -1,10 +1,11 @@
 // Microbenchmark: session churn at serving scale (google-benchmark).
 //
-// The lifecycle subsystem's headline claim: a Server's memory is O(live),
-// not O(ever-admitted). BM_ChurnFlatMemory drives a sliding window of open
-// sessions through 100k and 1,000,000 logical sessions with a few-hundred
-// live budget ("bounded-live" admission + the swap tier, band_words = 2^20
-// so the 2^40 address space holds ~1M session bands) and records, per run:
+// The lifecycle subsystem's headline claim: resident sessions stay bounded
+// by the budget, not by the number ever admitted. BM_ChurnFlatMemory drives
+// a sliding window of open sessions through 100k and 1,000,000 logical
+// sessions on a 1-worker, no-LLC core::Cluster with a few-hundred live
+// budget ("bounded-live" admission + the swap tier, band_words = 2^20 so
+// the 2^40 address space holds ~1M session bands) and records, per run:
 //
 //   * peak_live            -- max resident sessions at any instant;
 //   * peak_resident_kwords -- max resident layout footprint (state + rings,
@@ -26,7 +27,7 @@
 #include <deque>
 #include <string>
 
-#include "core/server.h"
+#include "core/cluster.h"
 #include "partition/pipeline_dp.h"
 #include "workloads/arrivals.h"
 #include "workloads/pipelines.h"
@@ -46,43 +47,44 @@ constexpr std::int64_t kItemsPerBurst = 32;
 void BM_ChurnFlatMemory(benchmark::State& state) {
   const std::int64_t sessions = state.range(0);
   const auto g = workloads::uniform_pipeline(4, 48);
-  core::ServerOptions opts;
-  opts.cache = {2048, 8};
+  core::ClusterOptions opts;
+  opts.workers = 1;
+  opts.l1 = {2048, 8};
   opts.admission = "bounded-live";
   opts.budget.max_live_sessions = kLiveBudget;
   opts.swap = true;
   opts.band_words = std::int64_t{1} << 20;  // ~1M co-open session bands
   const auto p =
-      partition::pipeline_optimal_partition(g, 3 * opts.cache.capacity_words)
+      partition::pipeline_optimal_partition(g, 3 * opts.l1.capacity_words)
           .partition;
 
   session::LifecycleCounters last;
   for (auto _ : state) {
-    core::Server server(opts);
+    core::Cluster cluster(opts);
     core::StreamOptions sopts;
     sopts.engine.per_node_attribution = false;
     std::deque<core::TenantId> open;
     for (std::int64_t s = 0; s < sessions; ++s) {
       const core::TenantId id =
-          server.admit("s" + std::to_string(s), g, p, sopts);
+          cluster.admit("s" + std::to_string(s), g, p, sopts);
       open.push_back(id);
-      server.push(id, kItemsPerBurst);
-      server.run_until_idle();
+      cluster.push(id, kItemsPerBurst);
+      cluster.run_until_idle();
       if (s % 16 == 15) {
         // Revisit the window's coldest session: almost certainly swapped by
         // now, so this burst pays one rehydration.
-        server.push(open.front(), kItemsPerBurst);
-        server.run_until_idle();
+        cluster.push(open.front(), kItemsPerBurst);
+        cluster.run_until_idle();
       }
       if (static_cast<std::int64_t>(open.size()) > kWindow) {
-        server.close(open.front());
+        cluster.close(open.front());
         open.pop_front();
       }
     }
-    server.drain_all();
-    last = server.lifecycle();
+    cluster.drain_all();
+    last = cluster.lifecycle();
     while (!open.empty()) {
-      server.close(open.front());
+      cluster.close(open.front());
       open.pop_front();
     }
   }

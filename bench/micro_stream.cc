@@ -5,12 +5,13 @@
 // Engine::run replay of the materialized dynamic schedule. The batch path
 // amortizes one validation over the whole period; the stream path re-plans
 // every component execution from live state, so the gap between the two is
-// the price of true online decision making. A server regime measures the
-// added cost of multiplexing two tenants over one shared cache.
+// the price of true online decision making. A serving regime measures the
+// added cost of multiplexing two tenants over one shared cache (a 1-worker,
+// no-LLC core::Cluster).
 
 #include <benchmark/benchmark.h>
 
-#include "core/server.h"
+#include "core/cluster.h"
 #include "core/stream.h"
 #include "iomodel/cache.h"
 #include "partition/pipeline_dp.h"
@@ -79,22 +80,23 @@ void BM_ServerTwoTenants(benchmark::State& state) {
   std::int64_t firings = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    core::ServerOptions opts;
-    opts.cache = iomodel::CacheConfig{4 * kM, 8};
-    core::Server server(opts);
+    core::ClusterOptions opts;
+    opts.workers = 1;
+    opts.l1 = iomodel::CacheConfig{4 * kM, 8};
+    core::Cluster cluster(opts);
     core::StreamOptions sopts;
     sopts.engine.per_node_attribution = false;
-    server.admit("a", g, p, sopts, kM);
-    server.admit("b", g, p, sopts, kM);
+    cluster.admit("a", g, p, sopts, kM);
+    cluster.admit("b", g, p, sopts, kM);
     state.ResumeTiming();
     for (int round = 0; round < 8; ++round) {
-      for (core::TenantId t = 0; t < server.tenant_count(); ++t) {
-        server.push(t, kOutputs / 8);
+      for (core::TenantId t = 0; t < cluster.tenant_count(); ++t) {
+        cluster.push(t, kOutputs / 8);
       }
-      server.run_until_idle();
+      cluster.run_until_idle();
     }
-    server.drain_all();
-    const auto report = server.report();
+    cluster.drain_all();
+    const auto report = cluster.report();
     firings += report.aggregate.firings;
   }
   state.SetItemsProcessed(firings);

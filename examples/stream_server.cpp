@@ -3,17 +3,17 @@
 //   $ ./stream_server [--cache-words=4096] [--ticks=64] [--arrival=bursty-64]
 //                     [--tenant-policy=round-robin]
 //
-// Demonstrates: core::Server admitting multiple core::Stream sessions over
-// one shared CacheSim, tenant multiplexing policies (round-robin vs
-// miss-aware), and the cache-interference story at serving scale -- each
-// tenant's misses under contention vs the same tenant served solo on the
-// same geometry.
+// Demonstrates: a 1-worker, no-LLC core::Cluster admitting multiple
+// core::Stream sessions over one shared cache, tenant multiplexing policies
+// (round-robin vs miss-aware), and the cache-interference story at serving
+// scale -- each tenant's misses under contention vs the same tenant served
+// solo on the same geometry.
 
 #include <iostream>
 #include <vector>
 
 #include "core/planner.h"
-#include "core/server.h"
+#include "core/cluster.h"
 #include "util/args.h"
 #include "util/table.h"
 #include "workloads/arrivals.h"
@@ -28,26 +28,27 @@ struct TenantSpec {
 };
 
 /// Runs the whole serving scenario and returns the report.
-ccs::core::ServerReport serve(const std::vector<TenantSpec>& specs,
-                              const ccs::iomodel::CacheConfig& cache, std::int64_t m,
-                              const std::string& tenant_policy,
-                              const ccs::workloads::ArrivalPattern& arrival,
-                              std::int64_t ticks) {
+ccs::core::ClusterReport serve(const std::vector<TenantSpec>& specs,
+                               const ccs::iomodel::CacheConfig& cache, std::int64_t m,
+                               const std::string& tenant_policy,
+                               const ccs::workloads::ArrivalPattern& arrival,
+                               std::int64_t ticks) {
   using namespace ccs;
-  core::ServerOptions opts;
-  opts.cache = cache;
+  core::ClusterOptions opts;
+  opts.workers = 1;  // one cache, no LLC behind it
+  opts.l1 = cache;
   opts.tenant_policy = tenant_policy;
-  core::Server server(opts);
+  core::Cluster cluster(opts);
   for (const TenantSpec& spec : specs) {
-    server.admit(spec.name, spec.graph, spec.partition, {}, m);
+    cluster.admit(spec.name, spec.graph, spec.partition, {}, m);
   }
   for (std::int64_t tick = 0; tick < ticks; ++tick) {
     const std::int64_t items = arrival(tick);
-    for (core::TenantId t = 0; t < server.tenant_count(); ++t) server.push(t, items);
-    server.run_until_idle();
+    for (core::TenantId t = 0; t < cluster.tenant_count(); ++t) cluster.push(t, items);
+    cluster.run_until_idle();
   }
-  server.drain_all();
-  return server.report();
+  cluster.drain_all();
+  return cluster.report();
 }
 
 }  // namespace
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
 
     std::cout << "\naggregate: " << report.aggregate.cache.misses << " misses over "
               << report.steps << " multiplexing decisions; per-tenant counters sum to "
-              << "the shared cache's " << report.shared_cache.misses << " misses\n"
+              << "the shared cache's " << report.workers[0].l1.misses << " misses\n"
               << "Interference > 1x is the cache-contention cost of co-residency the\n"
                  "paper's single-application model abstracts away; miss-aware\n"
                  "multiplexing (--tenant-policy=miss-aware) trades fairness for it.\n";

@@ -7,7 +7,7 @@
 #include <thread>
 #include <utility>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "util/format.h"
 #include "util/stats.h"
@@ -318,6 +318,12 @@ Cluster::Cluster(ClusterOptions options, const PlacementRegistry* registry)
   cost_ctx.has_llc = options_.llc_words > 0;
   cost_model_ = latency::CostModelRegistry::global().build(options_.cost_model, cost_ctx);
   policy_ = reg.find(options_.placement).build();
+  if (options_.tenant_policy == "miss-aware") {
+    miss_aware_ = true;
+  } else if (options_.tenant_policy != "round-robin") {
+    throw Error("unknown tenant policy '" + options_.tenant_policy +
+                "'; valid tenant policies: miss-aware round-robin");
+  }
   admission_ = session::AdmissionRegistry::global().build(options_.admission,
                                                           options_.budget);
   if (options_.band_words < options_.l1.block_words ||
@@ -343,7 +349,9 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   }
   const std::int64_t effective_m = m > 0 ? m : options_.l1.capacity_words;
 
-  // Price the candidate before building anything (see Server::admit).
+  // Price the candidate before building anything: the admission decision
+  // needs its layout footprint, which is a pure function of the graph and
+  // the online policy's buffer capacities.
   schedule::OnlineContext ctx;
   ctx.m = effective_m;
   const auto pricing_policy =
@@ -361,6 +369,8 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   arequest.layout_words = layout_words;
   bool evicted_for_room = false;
   while (!admission_->admits(current_load(), arequest)) {
+    // Make room by evicting the least recently pushed or admitted idle
+    // session; a session doing work is never a victim.
     const session::SwapManager::SessionKey victim =
         options_.swap
             ? swap_.victim_if([this](session::SwapManager::SessionKey k) {
@@ -377,10 +387,10 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   }
   if (evicted_for_room) ++lifecycle_.admissions_queued;
 
-  // Same banding scheme as core::Server: each session gets a disjoint
-  // band_words-wide slab below the engines' external-stream bands, so
-  // sessions contend for cache blocks on whatever worker (and shared LLC)
-  // they meet instead of silently aliasing. Closed sessions' bands recycle.
+  // Each session gets a disjoint band_words-wide slab below the engines'
+  // external-stream bands, so sessions contend for cache blocks on whatever
+  // worker (and shared LLC) they meet instead of silently aliasing. Closed
+  // sessions' bands recycle, smallest free band first (deterministic).
   std::int64_t band;
   if (!free_bands_.empty()) {
     band = *free_bands_.begin();
@@ -414,7 +424,7 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   t.partition = p;
   t.stream_options = options;
   t.m = effective_m;
-  t.stream = std::make_unique<Stream>(g, p, pool_.worker_cache(home), effective_m,
+  t.stream = std::make_unique<Stream>(g, p, session_cache(home), effective_m,
                                       std::move(options));
   t.stream->set_cost_model(&cost_model_);
   const auto [it, inserted] = tenants_.emplace(id, std::move(t));
@@ -426,9 +436,13 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   swap_.admit(id);
   // Seed the footprint estimate from the gain-analysis layout (state plus
   // channel rings) -- the paper's working-set bound made concrete. The
-  // estimator is indexed by tenant id (monotonic, one add per admission).
-  const runtime::FootprintSample seed = it->second.stream->footprint_sample();
-  estimator_.add_session(seed.layout_words, seed.state_words);
+  // estimator is indexed by tenant id (monotonic, one add per admission)
+  // and only adaptive placement reads it, so static policies skip it and
+  // keep host memory O(live).
+  if (policy_->adaptive()) {
+    const runtime::FootprintSample seed = it->second.stream->footprint_sample();
+    estimator_.add_session(seed.layout_words, seed.state_words);
+  }
   return id;
 }
 
@@ -464,6 +478,12 @@ const Cluster::Tenant& Cluster::tenant(TenantId id) const {
   return it->second;
 }
 
+iomodel::CacheSim& Cluster::session_cache(WorkerId w) {
+  iomodel::SharedLlcCache& cache = pool_.worker_cache(w);
+  if (cache.has_llc()) return cache;
+  return cache.private_level();
+}
+
 session::AdmissionLoad Cluster::current_load() const {
   session::AdmissionLoad load;
   load.live_sessions = lifecycle_.live_sessions;
@@ -482,8 +502,9 @@ void Cluster::swap_out_tenant(TenantId id, Tenant& t) {
   snapshot.totals = state.totals;
   snapshot.steps = state.steps;
   session::SwapImage image = session::SwapImage::pack(snapshot);
-  // Same round-trip self-check as Server::swap_out_tenant: the image is the
-  // session's only copy once the host objects are freed.
+  // The packed image is the session's only copy once the host objects are
+  // freed; audit builds prove the codec round-trips this very snapshot
+  // before the originals are destroyed.
   CCS_AUDIT(image.unpack() == snapshot,
             "swap image does not round-trip the session snapshot");
   swap_.swap_out(id, std::move(image));
@@ -500,9 +521,8 @@ void Cluster::rehydrate(TenantId id, Tenant& t) {
   // Back onto the worker that last served it -- placement is pinned across
   // a swap, so swap-on and swap-off runs make identical decisions.
   StreamOptions options = t.stream_options;
-  t.stream = std::make_unique<Stream>(t.graph, t.partition,
-                                      pool_.worker_cache(t.worker), t.m,
-                                      std::move(options));
+  t.stream = std::make_unique<Stream>(t.graph, t.partition, session_cache(t.worker),
+                                      t.m, std::move(options));
   t.stream->set_cost_model(&cost_model_);
   StreamState state;
   state.engine = snapshot.engine;
@@ -597,23 +617,51 @@ std::int64_t Cluster::push(TenantId id, std::int64_t items) {
   return accepted;
 }
 
+bool Cluster::try_step(Worker& worker, Tenant& t) {
+  const StepResult r = t.stream->step();
+  if (!r.progressed()) {
+    t.idle = true;  // stays blocked until the controlling thread pushes
+    return false;
+  }
+  // Virtual time advances by the step's modeled cost (== firings under
+  // the "uniform" model, preserving the pre-latency clock bit-for-bit).
+  worker.busy += r.run.cost;
+  worker.latency.record(r.run.cost);
+  ++worker.steps;
+  t.last_miss_rate = r.run.firings > 0 ? static_cast<double>(r.run.cache.misses) /
+                                             static_cast<double>(r.run.firings)
+                                       : 0.0;
+  return true;
+}
+
 bool Cluster::worker_step(WorkerId w) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
+  if (miss_aware_) {
+    // Cache affinity: the non-idle tenant whose last step missed least per
+    // firing, ties to the lowest id. Swapped tenants are idle, so never
+    // picked; a blocked pick goes idle and the scan repeats.
+    for (;;) {
+      TenantId best_id = kNoTenant;
+      Tenant* best = nullptr;
+      for (const TenantId id : worker.tenants) {
+        Tenant& t = tenants_.at(id);
+        if (t.idle) continue;
+        if (best == nullptr || t.last_miss_rate < best->last_miss_rate ||
+            (t.last_miss_rate == best->last_miss_rate && id < best_id)) {
+          best = &t;
+          best_id = id;
+        }
+      }
+      if (best == nullptr) return false;
+      if (try_step(worker, *best)) return true;
+    }
+  }
   const std::size_t n = worker.tenants.size();
   for (std::size_t probe = 0; probe < n; ++probe) {
     const std::size_t slot = (worker.cursor + probe) % n;
     Tenant& t = tenants_.at(worker.tenants[slot]);
     if (t.idle) continue;  // swapped tenants are idle, so never stepped
-    const StepResult r = t.stream->step();
-    if (!r.progressed()) {
-      t.idle = true;  // stays blocked until the controlling thread pushes
-      continue;
-    }
-    // Virtual time advances by the step's modeled cost (== firings under
-    // the "uniform" model, preserving the pre-latency clock bit-for-bit).
-    worker.busy += r.run.cost;
-    worker.latency.record(r.run.cost);
-    ++worker.steps;
+    if (!try_step(worker, t)) continue;
     worker.cursor = (slot + 1) % n;
     return true;
   }
@@ -801,7 +849,7 @@ void Cluster::migrate(TenantId id, WorkerId target) {
   from.cursor = 0;  // keep the rotation point deterministic after the edit
   Worker& to = workers_[static_cast<std::size_t>(target)];
   to.tenants.push_back(id);
-  t.stream->migrate_cache(pool_.worker_cache(target));
+  t.stream->migrate_cache(session_cache(target));
   t.worker = target;
   ++t.migrations;
   ++migrations_;

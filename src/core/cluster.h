@@ -1,14 +1,21 @@
-// core::Cluster -- a multicore serving cluster: sharded workers with
-// affinity-aware placement over a shared cache hierarchy.
+// core::Cluster -- the serving core: Stream sessions over a pool of
+// workers, each owning a private L1, all backed by an optional shared LLC.
 //
-// Where core::Server timeshares many Stream sessions over ONE cache, a
-// Cluster spreads them over a runtime::WorkerPool: N workers, each owning a
-// private L1, all backed by an optional shared LLC. Placement -- which
-// worker serves which session -- is the multicore question the paper's §7
-// remark raises and the communication-affinity literature (Zaourar et al.,
-// Kandemir & Chen) studies: keep a session's working set on the worker
-// whose cache already holds it, because migration pays real reload misses.
-// Placement is a pluggable, string-keyed PlacementRegistry rule:
+// One worker with no LLC is the paper's model exactly: one cache, and
+// several streaming applications timesharing it. ClusterOptions::tenant_policy
+// decides which of a worker's sessions steps next (round-robin rotation, or
+// "miss-aware" cache affinity on one core -- Kandemir & Chen's
+// locality-aware process scheduling). Each cache access belongs to exactly
+// one tenant's step, so per-tenant counters always sum to the worker's L1
+// counters; the interference between tenants shows up as each tenant's
+// misses rising above its solo baseline.
+//
+// With more workers, placement -- which worker serves which session -- is
+// the multicore question the paper's §7 remark raises and the
+// communication-affinity literature (Zaourar et al., Kandemir & Chen)
+// studies: keep a session's working set on the worker whose cache already
+// holds it, because migration pays real reload misses. Placement is a
+// pluggable, string-keyed PlacementRegistry rule:
 //
 //   * "round-robin"  -- static striping at admission; never migrates.
 //   * "least-loaded" -- follow the busy-time balance; migrates freely and
@@ -49,14 +56,17 @@
 // band (ClusterOptions::band_words, default 2^36), so sessions contend for
 // cache blocks instead of aliasing, on whichever worker they land.
 //
-// Session lifecycle mirrors core::Server: admit() consults a
-// session::AdmissionPolicy, close() retires a session forever (folding its
-// totals into the report's `retired` aggregate and recycling its band), and
-// with the swap tier enabled idle sessions serialize to compact
-// session::SwapImages and rehydrate transparently on the next push --
-// always back onto the worker that last served them, so placement
-// decisions, per-tenant counters, and report JSON are bit-identical
-// between swap-on and swap-off runs.
+// Session lifecycle (src/session/): admit() consults a
+// session::AdmissionPolicy; a refusal evicts the least recently pushed or
+// admitted *idle* session to the swap tier and retries (admissions_queued),
+// and with no victim the admission is rejected (admissions_rejected,
+// kNoTenant). close() retires a session forever: its totals fold into the
+// report's `retired` aggregate, its engine is freed, its band returns to
+// the free list, and its id is rejected from then on. With the swap tier
+// enabled idle sessions serialize to compact session::SwapImages and
+// rehydrate transparently on the next push -- always back onto the worker
+// that last served them, so placement decisions, per-tenant counters, and
+// report JSON are bit-identical between swap-on and swap-off runs.
 //
 //   core::ClusterOptions copts;
 //   copts.workers = 4;
@@ -81,7 +91,6 @@
 #include <string>
 #include <vector>
 
-#include "core/server.h"
 #include "core/stream.h"
 #include "latency/cost_model.h"
 #include "latency/histogram.h"
@@ -89,9 +98,18 @@
 #include "runtime/run_result.h"
 #include "runtime/worker_pool.h"
 #include "schedule/parallel.h"
+#include "session/admission.h"
+#include "session/lifecycle.h"
+#include "session/swap.h"
 #include "util/registry.h"
 
 namespace ccs::core {
+
+/// Tenant id within one Cluster: assigned monotonically at admission and
+/// never reused, so a closed session's id stays invalid forever.
+using TenantId = std::int32_t;
+
+inline constexpr TenantId kNoTenant = -1;
 
 /// Dense worker index within one Cluster. Valid ids are 0..worker_count()-1.
 using WorkerId = std::int32_t;
@@ -187,6 +205,12 @@ struct ClusterOptions {
 
   std::string placement = "round-robin";    ///< PlacementRegistry key.
 
+  /// Which of a worker's runnable sessions steps next: "round-robin"
+  /// rotates through them in placement order; "miss-aware" picks the one
+  /// whose last progressed step missed least per firing (its working set is
+  /// the one resident), ties to the lowest id.
+  std::string tenant_policy = "round-robin";
+
   /// Automatic-migration triggers for adaptive placement keys; ignored by
   /// static policies. footprint.budget_words defaults to the L1 capacity.
   placement::AdaptiveOptions adaptive;
@@ -196,7 +220,10 @@ struct ClusterOptions {
   std::string admission = "unbounded";
   session::AdmissionBudget budget;
 
-  /// Enable the idle-session swap tier (see core::Server::swap).
+  /// Enable the idle-session swap tier: an admission the policy refuses
+  /// evicts an idle session (serialized to a session::SwapImage) and
+  /// retries; swapped sessions rehydrate transparently on their next
+  /// push(). Off, refused admissions are simply rejected.
   bool swap = false;
 
   /// Simulated address-space words reserved per open session; must be a
@@ -296,10 +323,10 @@ class Cluster {
   TenantId admit(std::string name, const sdf::SdfGraph& g, const partition::Partition& p,
                  StreamOptions options = {}, std::int64_t m = 0);
 
-  /// Retires session `id` forever (see Server::close): totals fold into
-  /// the report's `retired` aggregate, the band returns to the free list,
-  /// and the id is rejected from then on. Throws ccs::Error naming the live
-  /// tenants for an unknown or already-closed id.
+  /// Retires session `id` forever: totals fold into the report's `retired`
+  /// aggregate, the band returns to the free list, and the id is rejected
+  /// from then on. Throws ccs::Error naming the live tenants for an unknown
+  /// or already-closed id.
   void close(TenantId id);
 
   /// Convenience: admit a Planner plan (graph and partition from the plan's
@@ -399,11 +426,15 @@ class Cluster {
     std::unique_ptr<Stream> stream;  ///< Null while swapped out.
     WorkerId worker = kNoWorker;
     bool idle = false;  ///< Known-blocked until new arrivals.
+    double last_miss_rate = 0.0;  ///< Misses per firing of the last progressed
+                                  ///< step; written only by the owning worker.
     std::int64_t migrations = 0;
     std::int64_t band = 0;          ///< Address-band index.
     std::int64_t layout_words = 0;  ///< Resident footprint (state + rings).
 
-    // Rebuild inputs for rehydration (see Server::Tenant).
+    // Rebuild inputs for rehydration: a Stream is a pure function of
+    // (graph, partition, m, options) plus the mutable state in the swap
+    // image, so keeping these makes the swap tier transparent.
     sdf::SdfGraph graph;
     partition::Partition partition;
     StreamOptions stream_options;  ///< With engine.address_base baked in.
@@ -426,9 +457,15 @@ class Cluster {
   };
 
   /// THE shared code path of both execution modes: one multiplexing
-  /// decision on worker `w` -- rotate to the next non-idle tenant placed
-  /// here, step it, account the work. False when every tenant here is idle.
+  /// decision on worker `w` -- pick a non-idle tenant placed here by the
+  /// tenant policy, step it, account the work; a pick that turns out
+  /// blocked is marked idle and the pick repeats. False when every tenant
+  /// here is idle.
   bool worker_step(WorkerId w);
+
+  /// Steps `t` on `worker`: accounts a progressed step and returns true, or
+  /// marks `t` idle and returns false.
+  bool try_step(Worker& worker, Tenant& t);
 
   Tenant& tenant(TenantId id);
   const Tenant& tenant(TenantId id) const;
@@ -441,6 +478,12 @@ class Cluster {
   void rehydrate(TenantId id, Tenant& t);
 
   session::AdmissionLoad current_load() const;
+
+  /// The cache a session placed on worker `w` executes against. With no
+  /// LLC the private level is the whole hierarchy, so sessions probe it
+  /// directly instead of through the worker's forwarding view (same
+  /// object, same counters, one indirection less per access).
+  iomodel::CacheSim& session_cache(WorkerId w);
 
   PlacementRequest request_for(TenantId id) const;
   std::vector<ClusterWorkerStatus> worker_statuses() const;
@@ -463,6 +506,7 @@ class Cluster {
   runtime::WorkerPool pool_;
   latency::CostModel cost_model_;  ///< Prices every tenant step; streams point at it.
   std::unique_ptr<PlacementPolicy> policy_;
+  bool miss_aware_ = false;  ///< ClusterOptions::tenant_policy, resolved once.
   std::unique_ptr<session::AdmissionPolicy> admission_;
   std::map<TenantId, Tenant> tenants_;  ///< Open sessions only, O(live+swapped).
   TenantId next_id_ = 0;                ///< Ids are never reused.

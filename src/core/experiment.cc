@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/cluster.h"
-#include "core/server.h"
 #include "iomodel/cache.h"
 #include "schedule/schedule.h"
 #include "util/error.h"
@@ -165,11 +164,7 @@ CellResult Experiment::run_cell(const Coordinate& at) const {
   cell.t_multiplier = at.t_multiplier;
   try {
     if (at.is_online || at.is_cluster) {
-      if (at.is_online) {
-        run_online_cell(at, cell);
-      } else {
-        run_cluster_cell(at, cell);
-      }
+      run_serving_cell(at, cell);
       cell.misses_per_input = cell.run.misses_per_input();
       cell.misses_per_output = cell.run.misses_per_output();
       cell.ok = true;
@@ -247,7 +242,7 @@ CellResult Experiment::run_cell(const Coordinate& at) const {
   return cell;
 }
 
-void Experiment::run_online_cell(const Coordinate& at, CellResult& cell) const {
+void Experiment::run_serving_cell(const Coordinate& at, CellResult& cell) const {
   const sdf::SdfGraph graph = workloads_->build(at.workload);
 
   // Plan once with the "auto" partitioner; every tenant serves this plan.
@@ -264,87 +259,11 @@ void Experiment::run_online_cell(const Coordinate& at, CellResult& cell) const {
                                : at.strategy;
   cell.components = plan.partition.num_components;
   cell.bandwidth = plan.partition_bandwidth.to_double();
-  cell.schedule_name = "online:" + cell.resolved_strategy;
-
-  // Tenants share one augmented cache (same regime as the batch cells) but
-  // size their Theta(M) cross buffers for the planned M, not the shared
-  // capacity.
-  iomodel::CacheConfig sim = at.cache;
-  sim.capacity_words = std::max<std::int64_t>(
-      at.cache.block_words,
-      static_cast<std::int64_t>(std::llround(spec_.sim_capacity_factor *
-                                             static_cast<double>(at.cache.capacity_words))));
-  validate_cache_geometry(sim);
-
-  const workloads::ArrivalPattern pattern = arrivals_->build(at.arrival);
-  std::int64_t buffer_words = 0;  // per-tenant budget under the online rule
-  const auto measure = [&]() {
-    ServerOptions server_opts;
-    server_opts.cache = sim;
-    server_opts.tenant_policy = spec_.online.tenant_policy;
-    Server server(server_opts);
-    StreamOptions stream_opts;
-    stream_opts.policy = at.strategy;
-    stream_opts.engine = spec_.engine;
-    for (std::int32_t t = 0; t < at.tenants; ++t) {
-      server.admit("tenant-" + std::to_string(t), graph, plan.partition, stream_opts,
-                   at.cache.capacity_words);
-    }
-    if (server.tenant_count() > 0) {
-      buffer_words = 0;
-      for (const std::int64_t cap : server.stream(0).policy().buffer_caps()) {
-        buffer_words += cap;
-      }
-    }
-    for (std::int64_t tick = 0; tick < spec_.online.ticks; ++tick) {
-      const std::int64_t items = pattern(tick);
-      for (TenantId t = 0; t < server.tenant_count(); ++t) server.push(t, items);
-      server.run_until_idle();
-    }
-    server.drain_all();
-    return server.report();
-  };
-
-  ServerReport report = measure();
-  for (std::int32_t rep = 1; rep < spec_.repetitions; ++rep) {
-    const ServerReport again = measure();
-    bool identical = again.aggregate == report.aggregate &&
-                     again.tenants.size() == report.tenants.size();
-    for (std::size_t i = 0; identical && i < report.tenants.size(); ++i) {
-      identical = again.tenants[i].totals == report.tenants[i].totals;
-    }
-    if (!identical) {
-      throw Error("repetition " + std::to_string(rep) +
-                  " diverged from the first measurement (nondeterministic tenant "
-                  "policy or runtime)");
-    }
-  }
-  cell.run = report.aggregate;
-  cell.server_steps = report.steps;
-  cell.buffer_words = buffer_words;
-}
-
-void Experiment::run_cluster_cell(const Coordinate& at, CellResult& cell) const {
-  const sdf::SdfGraph graph = workloads_->build(at.workload);
-
-  // Plan once with the "auto" partitioner; every tenant serves this plan.
-  PlannerOptions opts;
-  opts.cache = at.cache;
-  opts.c_bound = spec_.c_bound;
-  opts.partitioner = "auto";
-  opts.exact_max_nodes = spec_.exact_max_nodes;
-  opts.seed = spec_.seed;
-  const Planner planner(graph, opts, partitioners_);
-  const Plan plan = planner.plan();
-  cell.resolved_strategy = at.strategy == "auto"
-                               ? schedule::resolve_auto_policy(graph)
-                               : at.strategy;
-  cell.components = plan.partition.num_components;
-  cell.bandwidth = plan.partition_bandwidth.to_double();
-  cell.schedule_name = "cluster:" + cell.resolved_strategy;
+  cell.schedule_name = (at.is_online ? "online:" : "cluster:") + cell.resolved_strategy;
 
   // Each worker's private L1 gets the augmented geometry (same regime as
-  // the batch/online cells); the optional shared LLC scales off it.
+  // the batch cells), but tenants size their Theta(M) cross buffers for
+  // the planned M; the optional shared LLC scales off the L1.
   iomodel::CacheConfig l1 = at.cache;
   l1.capacity_words = std::max<std::int64_t>(
       at.cache.block_words,
@@ -356,25 +275,31 @@ void Experiment::run_cluster_cell(const Coordinate& at, CellResult& cell) const 
   std::int64_t buffer_words = 0;  // per-tenant budget under the online rule
   const auto measure = [&]() {
     ClusterOptions cluster_opts;
-    cluster_opts.workers = at.workers;
     cluster_opts.l1 = l1;
-    cluster_opts.llc_words =
-        spec_.cluster.llc_factor > 0 ? spec_.cluster.llc_factor * l1.capacity_words : 0;
-    cluster_opts.llc_shards = spec_.cluster.llc_shards;
-    cluster_opts.placement = at.placement;
-    cluster_opts.cost_model = at.cost_model;
-    cluster_opts.slo_p99 = spec_.cluster.slo_p99;
-    cluster_opts.adaptive = spec_.cluster.adaptive;
-    cluster_opts.admission = spec_.cluster.admission;
-    cluster_opts.budget.max_live_sessions = spec_.cluster.max_live_sessions;
-    cluster_opts.swap = spec_.cluster.swap;
-    cluster_opts.band_words = spec_.cluster.band_words;
+    if (at.is_online) {
+      // Online cells timeshare one cache: one worker, no LLC.
+      cluster_opts.workers = 1;
+      cluster_opts.tenant_policy = spec_.online.tenant_policy;
+    } else {
+      cluster_opts.workers = at.workers;
+      cluster_opts.llc_words =
+          spec_.cluster.llc_factor > 0 ? spec_.cluster.llc_factor * l1.capacity_words : 0;
+      cluster_opts.llc_shards = spec_.cluster.llc_shards;
+      cluster_opts.placement = at.placement;
+      cluster_opts.cost_model = at.cost_model;
+      cluster_opts.slo_p99 = spec_.cluster.slo_p99;
+      cluster_opts.adaptive = spec_.cluster.adaptive;
+      cluster_opts.admission = spec_.cluster.admission;
+      cluster_opts.budget.max_live_sessions = spec_.cluster.max_live_sessions;
+      cluster_opts.swap = spec_.cluster.swap;
+      cluster_opts.band_words = spec_.cluster.band_words;
+    }
     Cluster cluster(cluster_opts);
     StreamOptions stream_opts;
     stream_opts.policy = at.strategy;
     stream_opts.engine = spec_.engine;
 
-    if (spec_.cluster.churn_sessions > 0) {
+    if (at.is_cluster && spec_.cluster.churn_sessions > 0) {
       // Churn mode: the lifecycle trace decides who opens, pushes, and
       // closes; sessions idle between their own bursts (swap-tier fodder).
       workloads::ChurnOptions churn;
@@ -434,8 +359,10 @@ void Experiment::run_cluster_cell(const Coordinate& at, CellResult& cell) const 
       }
     }
     // Deterministic virtual time; the placement policy is consulted at
-    // every tick boundary, so migration-happy policies actually migrate.
-    for (std::int64_t tick = 0; tick < spec_.cluster.ticks; ++tick) {
+    // every tick boundary, so migration-happy policies actually migrate
+    // (on one worker there is nowhere to go).
+    const std::int64_t ticks = at.is_online ? spec_.online.ticks : spec_.cluster.ticks;
+    for (std::int64_t tick = 0; tick < ticks; ++tick) {
       const std::int64_t items = pattern(tick);
       for (TenantId t = 0; t < cluster.tenant_count(); ++t) cluster.push(t, items);
       cluster.rebalance();
@@ -461,12 +388,14 @@ void Experiment::run_cluster_cell(const Coordinate& at, CellResult& cell) const 
     }
     if (!identical) {
       throw Error("repetition " + std::to_string(rep) +
-                  " diverged from the first measurement (nondeterministic placement "
+                  " diverged from the first measurement (nondeterministic tenant or placement "
                   "policy or runtime)");
     }
   }
   cell.run = report.aggregate;
   cell.server_steps = report.steps;
+  cell.buffer_words = buffer_words;
+  if (at.is_online) return;  // the cluster columns stay zero for online cells
   cell.cluster_makespan = report.makespan();
   cell.cluster_migrations = report.migrations;
   cell.cluster_auto_migrations = report.auto_migrations;
@@ -479,7 +408,6 @@ void Experiment::run_cluster_cell(const Coordinate& at, CellResult& cell) const 
       ++cell.cluster_slo_ok;
     }
   }
-  cell.buffer_words = buffer_words;
 }
 
 ExperimentResult Experiment::run(std::int32_t threads) const {

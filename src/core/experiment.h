@@ -41,13 +41,14 @@
 namespace ccs::core {
 
 /// The online-serving slice of a sweep: arrival patterns x tenant counts,
-/// each cell a multi-tenant core::Server scenario (N identical tenants of
-/// the workload on one shared cache, fed by the pattern for `ticks` ticks,
-/// then drained). Empty `arrivals` disables online cells.
+/// each cell a multi-tenant scenario on a 1-worker, no-LLC core::Cluster
+/// (N identical tenants of the workload on one shared cache, fed by the
+/// pattern for `ticks` ticks, then drained). Empty `arrivals` disables
+/// online cells.
 struct OnlineSweep {
   std::vector<std::string> arrivals;        ///< workloads::ArrivalRegistry keys.
   std::vector<std::int32_t> tenant_counts{1};
-  std::string tenant_policy = "round-robin";  ///< core::TenantRegistry key.
+  std::string tenant_policy = "round-robin";  ///< ClusterOptions::tenant_policy.
   std::string online_policy = "auto";         ///< schedule::OnlineRegistry key.
   std::int64_t ticks = 128;                   ///< Pushes per tenant.
 };
@@ -234,8 +235,9 @@ class Experiment {
 
   std::vector<Coordinate> enumerate() const;
   CellResult run_cell(const Coordinate& at) const;
-  void run_online_cell(const Coordinate& at, CellResult& cell) const;
-  void run_cluster_cell(const Coordinate& at, CellResult& cell) const;
+  /// Online and cluster cells: both serve tenants on a core::Cluster (one
+  /// worker and no LLC for online cells).
+  void run_serving_cell(const Coordinate& at, CellResult& cell) const;
 
   SweepSpec spec_;
   const workloads::Registry* workloads_;

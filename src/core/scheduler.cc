@@ -1,7 +1,7 @@
 #include "core/scheduler.h"
 
 #include "iomodel/cache.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::core {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::core {
 

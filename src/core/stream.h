@@ -25,7 +25,7 @@
 // corresponding schedule::dynamic_*_schedule counters bit-identically (the
 // golden equivalence gate in tests/core/stream_test.cc). Streams sharing
 // one CacheSim model concurrent applications contending for a cache --
-// core::Server multiplexes them.
+// core::Cluster multiplexes them (one worker = one shared cache).
 #pragma once
 
 #include <cstdint>
@@ -84,8 +84,8 @@ struct StepResult {
 
 /// One online streaming session: graph + partition + online policy + a
 /// credit-metered engine. Self-contained (the graph is copied); not
-/// thread-safe -- one session belongs to one driver (core::Server
-/// serializes access for shared-cache tenants).
+/// thread-safe -- one session belongs to one driver (a core::Cluster worker
+/// serializes access for the tenants sharing its cache).
 class Stream {
  public:
   /// Standalone session owning a fresh fully-associative LRU cache of

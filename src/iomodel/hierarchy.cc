@@ -1,6 +1,6 @@
 #include "iomodel/hierarchy.h"
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::iomodel {
 
@@ -80,6 +80,12 @@ void SharedLlcCache::access(Addr addr, AccessMode mode) {
 }
 
 void SharedLlcCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
+  // No LLC: the private level is the whole hierarchy, so its batched bulk
+  // loop applies unchanged.
+  if (!has_llc()) {
+    l1_.access_blocks(first, count, mode);
+    return;
+  }
   for (BlockId b = first, e = first + count; b != e; ++b) probe_block(b, mode);
 }
 

@@ -11,7 +11,8 @@
 //
 // Probing goes through LruCache::access_block — the non-virtual per-block
 // fast path — and the bulk override walks a span one block at a time so a
-// resident run stays inside L1's hit path.
+// resident run stays inside L1's hit path (a SharedLlcCache with no LLC
+// hands the whole span to its private LruCache's bulk loop instead).
 #pragma once
 
 #include <memory>

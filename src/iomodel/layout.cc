@@ -1,6 +1,6 @@
 #include "iomodel/layout.h"
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/int_math.h"
 
 namespace ccs::iomodel {

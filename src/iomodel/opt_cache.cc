@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::iomodel {
 

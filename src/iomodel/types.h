@@ -8,7 +8,7 @@
 
 #include <cstdint>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs::iomodel {

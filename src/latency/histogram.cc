@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs::latency {

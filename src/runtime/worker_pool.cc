@@ -1,6 +1,6 @@
 #include "runtime/worker_pool.h"
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "util/int_math.h"
 

@@ -6,7 +6,7 @@
 #include "iomodel/cache.h"
 #include "iomodel/layout.h"
 #include "sdf/topology.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "util/stats.h"
 
@@ -53,25 +53,6 @@ void touch_ring(const SharedImage& image, sdf::EdgeId e, std::int64_t from,
 }
 
 }  // namespace
-
-ParallelResult simulate_parallel_homogeneous(const sdf::SdfGraph& g,
-                                             const partition::Partition& p,
-                                             std::int64_t m, std::int64_t cache_words,
-                                             std::int64_t block_words, std::int32_t workers,
-                                             std::int64_t min_outputs) {
-  CCS_EXPECTS(workers >= 1, "need at least one worker");
-  CCS_EXPECTS(cache_words > 0 && block_words > 0,
-              "invalid parallel simulation parameters");
-  std::vector<iomodel::LruCache> caches;
-  caches.reserve(static_cast<std::size_t>(workers));
-  std::vector<iomodel::CacheSim*> views;
-  views.reserve(static_cast<std::size_t>(workers));
-  for (std::int32_t w = 0; w < workers; ++w) {
-    caches.emplace_back(iomodel::CacheConfig{cache_words, block_words});
-  }
-  for (auto& cache : caches) views.push_back(&cache);
-  return simulate_parallel_homogeneous(g, p, m, views, min_outputs);
-}
 
 ParallelResult simulate_parallel_homogeneous(const sdf::SdfGraph& g,
                                              const partition::Partition& p, std::int64_t m,

@@ -53,23 +53,15 @@ struct ParallelResult {
   double imbalance() const;
 };
 
-/// Simulates the asynchronous homogeneous schedule on `workers` workers,
-/// each with a private fully-associative LRU cache of `cache_words` /
-/// `block_words`, until the sink completes at least `min_outputs` firings.
+/// Simulates the asynchronous homogeneous schedule on caller-provided
+/// per-worker caches (one per worker, all sharing one block size, typically
+/// fresh/cold) until the sink completes at least `min_outputs` firings.
 /// Requires a homogeneous graph and a well-ordered partition whose
-/// components have state at most `cache_words`.
-ParallelResult simulate_parallel_homogeneous(const sdf::SdfGraph& g,
-                                             const partition::Partition& p,
-                                             std::int64_t m, std::int64_t cache_words,
-                                             std::int64_t block_words, std::int32_t workers,
-                                             std::int64_t min_outputs);
-
-/// The same simulator against caller-provided per-worker caches (one per
-/// worker, all sharing one block size, typically fresh/cold). This is the
-/// seam the multicore serving subsystem plugs into: a runtime::WorkerPool's
-/// private L1s stand in for the hand-rolled caches above (bit-identical
-/// per-worker counters, since a private level's behaviour is independent of
-/// any shared level behind it). The caches must outlive the call.
+/// components have state at most the worker cache size. A
+/// runtime::WorkerPool's private L1s plug in through
+/// core::simulate_parallel_on_pool (bit-identical per-worker counters,
+/// since a private level's behaviour is independent of any shared level
+/// behind it). The caches must outlive the call.
 ParallelResult simulate_parallel_homogeneous(const sdf::SdfGraph& g,
                                              const partition::Partition& p, std::int64_t m,
                                              std::span<iomodel::CacheSim* const> worker_caches,

@@ -4,7 +4,7 @@
 
 #include "sdf/repetition.h"
 #include "sdf/topology.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/int_math.h"
 
 namespace ccs::schedule {

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs::sdf {
 

@@ -1,6 +1,6 @@
 // Session lifecycle accounting: sessions as a managed, bounded resource.
 //
-// The serving layers (core::Server, core::Cluster) historically held every
+// The serving layer (core::Cluster) historically held every
 // admitted Stream's engine, channels, and queues live forever -- memory was
 // O(ever-admitted), which caps the "millions of users" goal. This layer
 // names the lifecycle states a session moves through and counts them, so
@@ -40,8 +40,7 @@ enum class SessionState : std::uint8_t {
 /// Human-readable state name ("live", "idle", "swapped", "closed").
 std::string to_string(SessionState state);
 
-/// Lifecycle counters for one serving endpoint (a Server, or a Cluster's
-/// aggregate). All counts are exact and deterministic; the report JSON
+/// Lifecycle counters for one serving endpoint (a Cluster's aggregate). All counts are exact and deterministic; the report JSON
 /// writes them verbatim, so repeat-run byte-diffs cover them.
 struct LifecycleCounters {
   std::int64_t sessions_opened = 0;  ///< admit() calls that produced a session.

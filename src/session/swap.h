@@ -13,7 +13,8 @@
 // the invariant tests/session/swap_roundtrip_test.cc gates.
 //
 // SwapManager is the eviction policy: an LRU over resident sessions
-// (touched on every push/step) choosing victims at quiescent points, plus
+// (touched on admit and on every accepted push; steps run on worker
+// threads and do not touch it) choosing victims at quiescent points, plus
 // the image store -- modeled on buffer-cache write-behind (evict lazily,
 // only when admission needs room) and read-ahead's inverse (rehydrate
 // transparently on the next push).
@@ -95,8 +96,8 @@ class SwapManager {
   /// The key must not already be tracked or swapped.
   void admit(SessionKey key);
 
-  /// Refreshes a resident session's recency (it just made progress or
-  /// received a push). No-op for keys that are not tracked.
+  /// Refreshes a resident session's recency (it just received a push).
+  /// No-op for keys that are not tracked.
   void touch(SessionKey key);
 
   /// Stops tracking a session entirely (close()): drops residency and any

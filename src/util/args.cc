@@ -3,7 +3,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs {
@@ -63,12 +63,24 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       if (i + 1 >= argc) throw Error("flag --" + name + " needs a value");
       value = argv[++i];
     }
-    // Validate numeric flags eagerly so errors point at the flag.
-    try {
-      if (spec.kind == Kind::kInt) (void)std::stoll(*value);
-      if (spec.kind == Kind::kDouble) (void)std::stod(*value);
-    } catch (const std::exception&) {
-      throw Error("flag --" + name + " expects a number, got '" + *value + "'");
+    // Validate numeric flags eagerly so errors point at the flag. The whole
+    // value must parse: "4x" or "4096.9" on an int flag is an error, not 4.
+    if (spec.kind == Kind::kInt || spec.kind == Kind::kDouble) {
+      bool whole = false;
+      try {
+        std::size_t consumed = 0;
+        if (spec.kind == Kind::kInt) {
+          (void)std::stoll(*value, &consumed);
+        } else {
+          (void)std::stod(*value, &consumed);
+        }
+        whole = consumed == value->size();
+      } catch (const std::exception&) {
+        // No digits at all, or out of range: `whole` stays false.
+      }
+      if (!whole) {
+        throw Error("flag --" + name + " expects a number, got '" + *value + "'");
+      }
     }
     spec.value = *value;
   }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs {
 

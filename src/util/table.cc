@@ -5,7 +5,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 
 namespace ccs {
 

@@ -55,9 +55,11 @@ ClusterOptions small_cluster(std::int32_t workers, const std::string& placement)
 /// Serves the scenario for 6 bursty ticks with a rebalance every other
 /// tick; `threads` picks the execution mode, `llc_shards` the LLC backend.
 ClusterReport serve(const Scenario& s, std::int32_t workers, const std::string& placement,
-                    bool threads, std::int32_t llc_shards = 0) {
+                    bool threads, std::int32_t llc_shards = 0,
+                    const std::string& tenant_policy = "round-robin") {
   ClusterOptions opts = small_cluster(workers, placement);
   opts.llc_shards = llc_shards;
+  opts.tenant_policy = tenant_policy;
   Cluster cluster(opts);
   for (std::size_t i = 0; i < s.tenants.size(); ++i) {
     cluster.admit(s.tenants[i].first, s.tenants[i].second, s.partitions[i], {}, 1024);
@@ -102,27 +104,74 @@ TEST(Cluster, ThreadModePerTenantResultsSumToVirtualTimeAggregates) {
   const Scenario s = four_tenant_scenario();
   // 8 and 16 cover the oversubscribed tail: more workers than tenants, so
   // some workers idle -- determinism must not depend on every worker having
-  // work (and on this host, on threads exceeding physical cores).
-  for (const std::int32_t workers : {1, 2, 4, 8, 16}) {
-    const ClusterReport virtual_time = serve(s, workers, "round-robin", false);
-    const ClusterReport threaded = serve(s, workers, "round-robin", true);
-    ASSERT_EQ(virtual_time.tenants.size(), threaded.tenants.size());
-    runtime::RunResult virtual_sum;
-    runtime::RunResult threaded_sum;
-    for (std::size_t i = 0; i < virtual_time.tenants.size(); ++i) {
-      // Stronger than the sum property: each tenant's counters match
-      // bit-for-bit, because both modes run the identical per-worker step
-      // sequence against single-owner private caches.
-      EXPECT_EQ(virtual_time.tenants[i].totals, threaded.tenants[i].totals)
-          << workers << " workers, tenant " << virtual_time.tenants[i].name;
-      virtual_sum += virtual_time.tenants[i].totals;
-      threaded_sum += threaded.tenants[i].totals;
+  // work (and on this host, on threads exceeding physical cores). The
+  // miss-aware pick reads counters each worker thread writes for its own
+  // tenants only, so it must hold the same gate.
+  for (const std::string tenant_policy : {"round-robin", "miss-aware"}) {
+    for (const std::int32_t workers : {1, 2, 4, 8, 16}) {
+      const ClusterReport virtual_time =
+          serve(s, workers, "round-robin", false, 0, tenant_policy);
+      const ClusterReport threaded = serve(s, workers, "round-robin", true, 0, tenant_policy);
+      ASSERT_EQ(virtual_time.tenants.size(), threaded.tenants.size());
+      runtime::RunResult virtual_sum;
+      runtime::RunResult threaded_sum;
+      for (std::size_t i = 0; i < virtual_time.tenants.size(); ++i) {
+        // Stronger than the sum property: each tenant's counters match
+        // bit-for-bit, because both modes run the identical per-worker step
+        // sequence against single-owner private caches.
+        EXPECT_EQ(virtual_time.tenants[i].totals, threaded.tenants[i].totals)
+            << tenant_policy << ", " << workers << " workers, tenant "
+            << virtual_time.tenants[i].name;
+        virtual_sum += virtual_time.tenants[i].totals;
+        threaded_sum += threaded.tenants[i].totals;
+      }
+      EXPECT_EQ(virtual_sum, threaded_sum) << tenant_policy << " " << workers;
+      EXPECT_EQ(threaded.aggregate, virtual_time.aggregate) << tenant_policy << " " << workers;
+      // Total LLC probes equal summed private misses in both modes, even
+      // though the hit/miss split may differ under real interleaving.
+      EXPECT_EQ(threaded.llc.accesses, virtual_time.llc.accesses)
+          << tenant_policy << " " << workers;
     }
-    EXPECT_EQ(virtual_sum, threaded_sum) << workers;
-    EXPECT_EQ(threaded.aggregate, virtual_time.aggregate) << workers;
-    // Total LLC probes equal summed private misses in both modes, even
-    // though the hit/miss split may differ under real interleaving.
-    EXPECT_EQ(threaded.llc.accesses, virtual_time.llc.accesses) << workers;
+  }
+}
+
+TEST(Cluster, MissAwarePicksTheLowestLastMissRate) {
+  // One worker, two tenants: a tiny-state pipeline that barely misses and
+  // a fat one that misses on every state reload. Once both have a last
+  // step on record, miss-aware keeps picking the tiny one while it is
+  // runnable; round-robin alternates regardless.
+  const auto tiny = workloads::uniform_pipeline(4, 16);
+  const auto fat = workloads::uniform_pipeline(8, 900);
+  const auto p_tiny = partition::pipeline_optimal_partition(tiny, 3 * 1024).partition;
+  const auto p_fat = partition::pipeline_optimal_partition(fat, 3 * 1024).partition;
+  for (const std::string policy : {"miss-aware", "round-robin"}) {
+    ClusterOptions opts;
+    opts.workers = 1;
+    opts.l1 = CacheConfig{2048, 8};
+    opts.tenant_policy = policy;
+    Cluster cluster(opts);
+    const TenantId fat_id = cluster.admit("fat", fat, p_fat, {}, 1024);
+    const TenantId tiny_id = cluster.admit("tiny", tiny, p_tiny, {}, 1024);
+    // Both rates start at 0.0, so the first two picks are id order: fat,
+    // then tiny. Afterwards each tenant's rate is its last step's.
+    const auto step_and_name = [&] {
+      const std::int64_t tiny_steps = cluster.stream(tiny_id).steps();
+      EXPECT_EQ(cluster.step_round(), 1);
+      return cluster.stream(tiny_id).steps() > tiny_steps ? tiny_id : fat_id;
+    };
+    std::vector<TenantId> picks;
+    for (int i = 0; i < 6; ++i) {
+      cluster.push(fat_id, 64);
+      cluster.push(tiny_id, 64);
+      picks.push_back(step_and_name());
+    }
+    if (policy == "miss-aware") {
+      EXPECT_EQ(picks, (std::vector<TenantId>{fat_id, tiny_id, tiny_id, tiny_id, tiny_id,
+                                              tiny_id}));
+    } else {
+      EXPECT_EQ(picks, (std::vector<TenantId>{fat_id, tiny_id, fat_id, tiny_id, fat_id,
+                                              tiny_id}));
+    }
   }
 }
 
@@ -286,6 +335,16 @@ TEST(Cluster, RejectsBadConfigurationsWithActionableErrors) {
     FAIL() << "expected ccs::Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("valid placement policies"), std::string::npos);
+  }
+  ClusterOptions bad_pick = small_cluster(2, "round-robin");
+  bad_pick.tenant_policy = "fifo";
+  try {
+    Cluster cluster(bad_pick);
+    FAIL() << "expected ccs::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("valid tenant policies: miss-aware round-robin"),
+              std::string::npos)
+        << e.what();
   }
   Cluster cluster(small_cluster(2, "round-robin"));
   cluster.admit("a", g, p);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/error.h"
 
@@ -238,6 +241,35 @@ TEST(Experiment, OnlineCellFailuresAreRecordedNotThrown) {
   for (const CellResult& cell : result.cells) {
     EXPECT_FALSE(cell.ok);
     EXPECT_NE(cell.error.find("no online rule applies"), std::string::npos);
+  }
+}
+
+/// The online grid whose CSV is recorded under tests/golden/: three
+/// workload shapes x two caches x four arrival patterns x 1-3 tenants.
+SweepSpec golden_online_spec(const std::string& tenant_policy) {
+  SweepSpec spec;
+  spec.workloads = {"uniform-pipeline", "heavy-tail-pipeline", "layered-dag"};
+  spec.caches = {{1024, 8}, {4096, 8}};
+  spec.online.arrivals = {"steady-16", "bursty-64", "on-off-8x8", "bursty-64-shift-8"};
+  spec.online.tenant_counts = {1, 2, 3};
+  spec.online.ticks = 32;
+  spec.online.tenant_policy = tenant_policy;
+  return spec;
+}
+
+TEST(Experiment, OnlineCellsMatchTheRecordedGoldens) {
+  // Byte-identity of the online cells' CSV rows, under both tenant
+  // policies, against the files recorded in tests/golden/.
+  for (const std::string policy : {"round-robin", "miss-aware"}) {
+    std::string file = policy;
+    std::replace(file.begin(), file.end(), '-', '_');
+    std::ifstream in(std::string(CCS_GOLDEN_DIR) + "/online_cells_" + file + ".csv");
+    ASSERT_TRUE(in) << "missing golden for " << policy;
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    std::ostringstream csv;
+    Experiment(golden_online_spec(policy)).run(1).write_csv(csv);
+    EXPECT_EQ(csv.str(), golden.str()) << policy;
   }
 }
 

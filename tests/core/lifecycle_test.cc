@@ -1,6 +1,7 @@
-// Session lifecycle on core::Server and core::Cluster: close() semantics,
-// band recycling, admission control under pressure, and the swap tier's
-// headline guarantee -- a swap-on run is bit-identical to a swap-off run.
+// Session lifecycle on core::Cluster: close() semantics, band recycling,
+// admission control under pressure, and the swap tier's headline guarantee
+// -- a swap-on run is bit-identical to a swap-off run, under both tenant
+// policies.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +9,9 @@
 #include <vector>
 
 #include "core/cluster.h"
-#include "core/server.h"
 #include "partition/pipeline_dp.h"
 #include "session/lifecycle.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "workloads/pipelines.h"
 
@@ -49,74 +49,54 @@ std::string error_of(const std::function<void()>& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Server: close() contract and O(live) bookkeeping.
+// One cache (1 worker, no LLC): ids, retirement, bands, and the swap tier.
+// The suite keeps the name "ServerLifecycle" it had when a separate class
+// implemented this configuration.
 
-TEST(ServerLifecycle, CloseRejectsTheIdForeverNamingLiveTenants) {
-  ServerOptions o;
-  o.cache = {2048, 8};
-  Server server(o);
-  const Workload w = small_workload(o.cache.capacity_words);
-  const TenantId a = server.admit("alpha", w.graph, w.partition);
-  const TenantId b = server.admit("beta", w.graph, w.partition);
-  ASSERT_EQ(server.tenant_count(), 2);
-
-  server.close(a);
-  EXPECT_EQ(server.tenant_count(), 1);
-  EXPECT_EQ(error_of([&] { server.close(a); }),
-            "unknown tenant id 0; live tenants: 1 'beta'");
-  EXPECT_EQ(error_of([&] { server.push(a, 1); }),
-            "unknown tenant id 0; live tenants: 1 'beta'");
-
-  server.close(b);
-  EXPECT_EQ(error_of([&] { server.close(b); }),
-            "unknown tenant id 1; live tenants: (none)");
-  EXPECT_EQ(server.lifecycle().sessions_opened, 2);
-  EXPECT_EQ(server.lifecycle().sessions_closed, 2);
-  EXPECT_EQ(server.lifecycle().live_sessions, 0);
-  EXPECT_EQ(server.lifecycle().resident_words, 0);
+/// One worker, no LLC, a 2048-word cache.
+ClusterOptions one_cache() {
+  ClusterOptions o;
+  o.workers = 1;
+  o.l1 = {2048, 8};
+  return o;
 }
 
 TEST(ServerLifecycle, IdsAreNeverReused) {
-  ServerOptions o;
-  o.cache = {2048, 8};
-  Server server(o);
-  const Workload w = small_workload(o.cache.capacity_words);
+  Cluster cluster(one_cache());
+  const Workload w = small_workload(2048);
   std::vector<TenantId> seen;
   for (int i = 0; i < 6; ++i) {
-    const TenantId id =
-        server.admit(numbered("t", i), w.graph, w.partition);
+    const TenantId id = cluster.admit(numbered("t", i), w.graph, w.partition);
     for (const TenantId old : seen) EXPECT_NE(id, old);
     seen.push_back(id);
-    server.close(id);  // the slot frees but the id must not come back
+    cluster.close(id);  // the slot frees but the id must not come back
   }
 }
 
 TEST(ServerLifecycle, ClosedTotalsFoldIntoRetiredAndTheAggregate) {
-  ServerOptions o;
-  o.cache = {2048, 8};
-  Server server(o);
-  const Workload w = small_workload(o.cache.capacity_words);
-  const TenantId a = server.admit("alpha", w.graph, w.partition);
-  const TenantId b = server.admit("beta", w.graph, w.partition);
-  server.push(a, 256);
-  server.push(b, 256);
-  server.run_until_idle();
-  server.drain_all();
+  Cluster cluster(one_cache());
+  const Workload w = small_workload(2048);
+  const TenantId a = cluster.admit("alpha", w.graph, w.partition);
+  const TenantId b = cluster.admit("beta", w.graph, w.partition);
+  cluster.push(a, 256);
+  cluster.push(b, 256);
+  cluster.run_until_idle();
+  cluster.drain_all();
 
-  const runtime::RunResult a_totals = server.stream(a).stats();
+  const runtime::RunResult a_totals = cluster.stream(a).stats();
   ASSERT_GT(a_totals.cache.accesses, 0);
-  server.close(a);
-  server.push(b, 128);
-  server.run_until_idle();
-  server.drain_all();
+  cluster.close(a);
+  cluster.push(b, 128);
+  cluster.run_until_idle();
+  cluster.drain_all();
 
-  const ServerReport report = server.report();
+  const ClusterReport report = cluster.report();
   EXPECT_EQ(report.retired, a_totals);
   EXPECT_EQ(report.retired_sessions, 1);
   ASSERT_EQ(report.tenants.size(), 1u);
-  // Closing loses no work: open rows + retired still equal the shared
-  // cache's own ground-truth counters.
-  EXPECT_EQ(report.aggregate.cache, report.shared_cache);
+  // Closing loses no work: open rows + retired still equal the cache's own
+  // ground-truth counters.
+  EXPECT_EQ(report.aggregate.cache, report.workers[0].l1);
   runtime::RunResult sum = report.retired;
   sum += report.tenants[0].totals;
   EXPECT_EQ(sum, report.aggregate);
@@ -124,140 +104,152 @@ TEST(ServerLifecycle, ClosedTotalsFoldIntoRetiredAndTheAggregate) {
 
 TEST(ServerLifecycle, BandsRecycleAndExhaustionThrows) {
   // The default 2^36-word band splits the 2^40 space into exactly 16 bands.
-  ServerOptions o;
-  o.cache = {2048, 8};
-  Server server(o);
-  const Workload w = small_workload(o.cache.capacity_words);
+  Cluster cluster(one_cache());
+  const Workload w = small_workload(2048);
   std::vector<TenantId> open;
   for (int i = 0; i < 16; ++i)
-    open.push_back(server.admit(numbered("t", i), w.graph, w.partition));
+    open.push_back(cluster.admit(numbered("t", i), w.graph, w.partition));
 
   const std::string err =
-      error_of([&] { server.admit("one-too-many", w.graph, w.partition); });
+      error_of([&] { cluster.admit("one-too-many", w.graph, w.partition); });
   EXPECT_NE(err.find("address space exhausted"), std::string::npos) << err;
   EXPECT_NE(err.find("16"), std::string::npos) << err;
 
-  server.close(open[5]);  // frees a band mid-range...
-  const TenantId again = server.admit("reuses-band", w.graph, w.partition);
+  cluster.close(open[5]);  // frees a band mid-range...
+  const TenantId again = cluster.admit("reuses-band", w.graph, w.partition);
   EXPECT_NE(again, kNoTenant);  // ...and the next admit picks it up
-  EXPECT_EQ(server.tenant_count(), 16);
+  EXPECT_EQ(cluster.tenant_count(), 16);
 }
 
 TEST(ServerLifecycle, BandWordsMustAlignToTheBlockSize) {
-  ServerOptions o;
-  o.cache = {2048, 8};
+  ClusterOptions o = one_cache();
   o.band_words = (std::int64_t{1} << 20) + 4;  // not a multiple of 8
-  EXPECT_THROW(Server{o}, Error);
-}
-
-// ---------------------------------------------------------------------------
-// Server: admission control and the swap tier.
-
-TEST(ServerLifecycle, BoundedLiveRejectsWhenSwapIsOff) {
-  ServerOptions o;
-  o.cache = {2048, 8};
-  o.admission = "bounded-live";
-  o.budget.max_live_sessions = 2;
-  Server server(o);
-  const Workload w = small_workload(o.cache.capacity_words);
-  EXPECT_NE(server.admit("a", w.graph, w.partition), kNoTenant);
-  EXPECT_NE(server.admit("b", w.graph, w.partition), kNoTenant);
-  EXPECT_EQ(server.admit("c", w.graph, w.partition), kNoTenant);
-  EXPECT_EQ(server.lifecycle().admissions_rejected, 1);
-  EXPECT_EQ(server.lifecycle().admissions_queued, 0);
-  EXPECT_EQ(server.tenant_count(), 2);
-
-  const ServerReport report = server.report();
-  EXPECT_EQ(report.lifecycle.peak_live, 2);
+  EXPECT_THROW(Cluster{o}, Error);
 }
 
 TEST(ServerLifecycle, AdmissionPressureEvictsTheColdestIdleSession) {
-  ServerOptions o;
-  o.cache = {2048, 8};
+  ClusterOptions o = one_cache();
   o.admission = "bounded-live";
   o.budget.max_live_sessions = 2;
   o.swap = true;
-  Server server(o);
-  const Workload w = small_workload(o.cache.capacity_words);
-  const TenantId a = server.admit("a", w.graph, w.partition);
-  const TenantId b = server.admit("b", w.graph, w.partition);
-  server.push(a, 64);
-  server.push(b, 64);
-  server.run_until_idle();  // both idle -> both are eviction candidates
+  Cluster cluster(o);
+  const Workload w = small_workload(2048);
+  const TenantId a = cluster.admit("a", w.graph, w.partition);
+  const TenantId b = cluster.admit("b", w.graph, w.partition);
+  cluster.push(a, 64);
+  cluster.push(b, 64);
+  cluster.run_until_idle();  // both idle -> both are eviction candidates
 
-  const TenantId c = server.admit("c", w.graph, w.partition);
+  const TenantId c = cluster.admit("c", w.graph, w.partition);
   EXPECT_NE(c, kNoTenant);
-  EXPECT_EQ(server.lifecycle().admissions_queued, 1);
-  EXPECT_EQ(server.lifecycle().admissions_rejected, 0);
-  // `a` was touched before `b`, so it is the least-recently-active victim.
-  EXPECT_TRUE(server.swapped(a));
-  EXPECT_EQ(server.state_of(a), SessionState::kSwapped);
-  EXPECT_FALSE(server.swapped(b));
-  EXPECT_EQ(server.lifecycle().swap_outs, 1);
-  EXPECT_EQ(server.lifecycle().swapped_sessions, 1);
-  EXPECT_EQ(server.lifecycle().live_sessions, 2);  // b + c resident
+  EXPECT_EQ(cluster.lifecycle().admissions_queued, 1);
+  EXPECT_EQ(cluster.lifecycle().admissions_rejected, 0);
+  // `a` was pushed before `b`, so it is the least-recently-active victim.
+  EXPECT_TRUE(cluster.swapped(a));
+  EXPECT_EQ(cluster.state_of(a), SessionState::kSwapped);
+  EXPECT_FALSE(cluster.swapped(b));
+  EXPECT_EQ(cluster.lifecycle().swap_outs, 1);
+  EXPECT_EQ(cluster.lifecycle().swapped_sessions, 1);
+  EXPECT_EQ(cluster.lifecycle().live_sessions, 2);  // b + c resident
 
   // The next push rehydrates `a` transparently -- but the budget still
   // holds, so someone else must go cold first.
-  server.push(b, 64);
-  server.push(c, 64);
-  server.run_until_idle();
-  const runtime::RunResult before = server.report().aggregate;
-  server.swap_out(b);
-  EXPECT_EQ(server.push(a, 64), 64);
-  EXPECT_FALSE(server.swapped(a));
-  EXPECT_EQ(server.lifecycle().swap_ins, 1);
-  server.run_until_idle();
-  EXPECT_GT(server.report().aggregate.cache.accesses, before.cache.accesses);
+  cluster.push(b, 64);
+  cluster.push(c, 64);
+  cluster.run_until_idle();
+  const runtime::RunResult before = cluster.report().aggregate;
+  cluster.swap_out(b);
+  EXPECT_EQ(cluster.push(a, 64), 64);
+  EXPECT_FALSE(cluster.swapped(a));
+  EXPECT_EQ(cluster.lifecycle().swap_ins, 1);
+  cluster.run_until_idle();
+  EXPECT_GT(cluster.report().aggregate.cache.accesses, before.cache.accesses);
+}
+
+TEST(ServerLifecycle, CloseRejectsTheIdForeverNamingLiveTenants) {
+  Cluster cluster(one_cache());
+  const Workload w = small_workload(2048);
+  const TenantId a = cluster.admit("alpha", w.graph, w.partition);
+  const TenantId b = cluster.admit("beta", w.graph, w.partition);
+  ASSERT_EQ(cluster.tenant_count(), 2);
+
+  cluster.close(a);
+  EXPECT_EQ(cluster.tenant_count(), 1);
+  EXPECT_EQ(error_of([&] { cluster.close(a); }),
+            "unknown tenant id 0; live tenants: 1 'beta'");
+  EXPECT_EQ(error_of([&] { cluster.push(a, 1); }),
+            "unknown tenant id 0; live tenants: 1 'beta'");
+
+  cluster.close(b);
+  EXPECT_EQ(error_of([&] { cluster.close(b); }),
+            "unknown tenant id 1; live tenants: (none)");
+  EXPECT_EQ(cluster.lifecycle().sessions_opened, 2);
+  EXPECT_EQ(cluster.lifecycle().sessions_closed, 2);
+  EXPECT_EQ(cluster.lifecycle().live_sessions, 0);
+  EXPECT_EQ(cluster.lifecycle().resident_words, 0);
+}
+
+TEST(ServerLifecycle, BoundedLiveRejectsWhenSwapIsOff) {
+  ClusterOptions o = one_cache();
+  o.admission = "bounded-live";
+  o.budget.max_live_sessions = 2;
+  Cluster cluster(o);
+  const Workload w = small_workload(2048);
+  EXPECT_NE(cluster.admit("a", w.graph, w.partition), kNoTenant);
+  EXPECT_NE(cluster.admit("b", w.graph, w.partition), kNoTenant);
+  EXPECT_EQ(cluster.admit("c", w.graph, w.partition), kNoTenant);
+  EXPECT_EQ(cluster.lifecycle().admissions_rejected, 1);
+  EXPECT_EQ(cluster.lifecycle().admissions_queued, 0);
+  EXPECT_EQ(cluster.tenant_count(), 2);
+  EXPECT_EQ(cluster.report().lifecycle.peak_live, 2);
 }
 
 TEST(ServerLifecycle, SwapOutRequiresAnIdleResidentSessionAndSwapMode) {
-  ServerOptions off;
-  off.cache = {2048, 8};
-  Server no_swap(off);
-  const Workload w = small_workload(off.cache.capacity_words);
+  Cluster no_swap(one_cache());
+  const Workload w = small_workload(2048);
   const TenantId t = no_swap.admit("t", w.graph, w.partition);
   EXPECT_THROW(no_swap.swap_out(t), ContractViolation);
 
-  ServerOptions on = off;
+  ClusterOptions on = one_cache();
   on.swap = true;
-  Server server(on);
-  const TenantId u = server.admit("u", w.graph, w.partition);
-  server.push(u, 16);  // live (has pending arrivals) -> not evictable
-  EXPECT_THROW(server.swap_out(u), Error);
-  server.run_until_idle();
-  server.swap_out(u);
-  EXPECT_THROW(server.swap_out(u), Error);  // already swapped
+  Cluster cluster(on);
+  const TenantId u = cluster.admit("u", w.graph, w.partition);
+  cluster.push(u, 16);  // live (has pending arrivals) -> not evictable
+  EXPECT_THROW(cluster.swap_out(u), Error);
+  cluster.run_until_idle();
+  cluster.swap_out(u);
+  EXPECT_THROW(cluster.swap_out(u), Error);  // already swapped
 }
 
-/// Drives one server through a fixed multi-round schedule; with `swap`, every
-/// quiescent point evicts ALL idle sessions, so the next round's pushes all
-/// rehydrate. Returns the final report (post-drain).
-ServerReport drive_server(bool swap) {
-  ServerOptions o;
-  o.cache = {4096, 8};
-  o.tenant_policy = "miss-aware";  // decisions depend on counters -> a real gate
+/// Drives one 4096-word cache through a fixed multi-round schedule under
+/// "miss-aware" (its picks depend on counters, so this is a real gate);
+/// with `swap`, every quiescent point evicts all idle sessions, so the next
+/// round's pushes all rehydrate. Returns the final report (post-drain).
+ClusterReport drive_one_cache(bool swap) {
+  ClusterOptions o = one_cache();
+  o.l1 = {4096, 8};
+  o.tenant_policy = "miss-aware";
   o.swap = swap;
-  Server server(o);
-  const Workload wa = small_workload(o.cache.capacity_words, 64);
-  const Workload wb = small_workload(o.cache.capacity_words, 96);
-  const TenantId a = server.admit("alpha", wa.graph, wa.partition);
-  const TenantId b = server.admit("beta", wb.graph, wb.partition);
+  Cluster cluster(o);
+  const Workload wa = small_workload(o.l1.capacity_words, 64);
+  const Workload wb = small_workload(o.l1.capacity_words, 96);
+  const TenantId a = cluster.admit("alpha", wa.graph, wa.partition);
+  const TenantId b = cluster.admit("beta", wb.graph, wb.partition);
   for (int round = 0; round < 5; ++round) {
-    server.push(a, 96);
-    server.push(b, 64);
-    server.run_until_idle();
+    cluster.push(a, 96);
+    cluster.push(b, 64);
+    cluster.run_until_idle();
     if (swap) {
-      EXPECT_EQ(server.swap_out_idle(), 2);
+      EXPECT_EQ(cluster.swap_out_idle(), 2);
     }
   }
-  server.drain_all();
-  return server.report();
+  cluster.drain_all();
+  return cluster.report();
 }
 
 TEST(ServerLifecycle, SwapOnRunIsBitIdenticalToSwapOff) {
-  const ServerReport off = drive_server(false);
-  const ServerReport on = drive_server(true);
+  const ClusterReport off = drive_one_cache(false);
+  const ClusterReport on = drive_one_cache(true);
   ASSERT_EQ(off.tenants.size(), on.tenants.size());
   for (std::size_t i = 0; i < off.tenants.size(); ++i) {
     EXPECT_EQ(off.tenants[i].id, on.tenants[i].id);
@@ -267,7 +259,8 @@ TEST(ServerLifecycle, SwapOnRunIsBitIdenticalToSwapOff) {
     EXPECT_EQ(off.tenants[i].outputs, on.tenants[i].outputs) << i;
   }
   EXPECT_EQ(off.aggregate, on.aggregate);
-  EXPECT_EQ(off.shared_cache, on.shared_cache);  // not one extra cache access
+  ASSERT_EQ(off.workers.size(), 1u);
+  EXPECT_EQ(off.workers[0].l1, on.workers[0].l1);  // not one extra cache access
   EXPECT_EQ(off.steps, on.steps);
   // ...and the swap-on run really did round-trip everything, repeatedly.
   EXPECT_EQ(on.lifecycle.swap_outs, 10);
@@ -301,9 +294,14 @@ TEST(ClusterLifecycle, CloseRejectsTheIdForeverNamingLiveTenants) {
   sum += report.tenants[0].totals;
   EXPECT_EQ(sum, report.aggregate);
 
+  EXPECT_EQ(error_of([&] { cluster.push(a, 1); }),
+            "unknown tenant id 0; live tenants: 1 'beta'");
+
   cluster.close(b);
   EXPECT_EQ(error_of([&] { cluster.close(b); }),
             "unknown tenant id 1; live tenants: (none)");
+  EXPECT_EQ(cluster.lifecycle().sessions_opened, 2);
+  EXPECT_EQ(cluster.lifecycle().sessions_closed, 2);
   EXPECT_EQ(cluster.lifecycle().live_sessions, 0);
   EXPECT_EQ(cluster.lifecycle().resident_words, 0);
 }
@@ -321,17 +319,22 @@ TEST(ClusterLifecycle, BoundedLiveCountsRejections) {
               kNoTenant);
   EXPECT_EQ(cluster.admit("overflow", w.graph, w.partition), kNoTenant);
   EXPECT_EQ(cluster.lifecycle().admissions_rejected, 1);
+  EXPECT_EQ(cluster.lifecycle().admissions_queued, 0);  // swap is off: no victim
+  EXPECT_EQ(cluster.tenant_count(), 3);
   EXPECT_EQ(cluster.report().lifecycle.peak_live, 3);
 }
 
 /// Drives one cluster through a fixed schedule over 2 workers; with `swap`,
-/// every quiescent point evicts all idle sessions.
-ClusterReport drive_cluster(bool swap) {
+/// every quiescent point evicts all idle sessions, so the next round's
+/// pushes all rehydrate. "miss-aware" picks depend on counters, which makes
+/// it a real gate on the swapped sessions' state.
+ClusterReport drive_cluster(bool swap, const std::string& tenant_policy) {
   ClusterOptions o;
   o.workers = 2;
   o.l1 = {2048, 8};
   o.llc_words = 16 * 1024;
   o.placement = "affinity";
+  o.tenant_policy = tenant_policy;
   o.swap = swap;
   Cluster cluster(o);
   const Workload wa = small_workload(o.l1.capacity_words, 64);
@@ -356,29 +359,36 @@ ClusterReport drive_cluster(bool swap) {
 }
 
 TEST(ClusterLifecycle, SwapOnRunIsBitIdenticalToSwapOff) {
-  const ClusterReport off = drive_cluster(false);
-  const ClusterReport on = drive_cluster(true);
-  ASSERT_EQ(off.tenants.size(), on.tenants.size());
-  for (std::size_t i = 0; i < off.tenants.size(); ++i) {
-    EXPECT_EQ(off.tenants[i].id, on.tenants[i].id);
-    EXPECT_EQ(off.tenants[i].totals, on.tenants[i].totals) << i;
-    EXPECT_EQ(off.tenants[i].steps, on.tenants[i].steps) << i;
-    EXPECT_EQ(off.tenants[i].outputs, on.tenants[i].outputs) << i;
-    // Swapped sessions stay pinned, so placement history is identical too.
-    EXPECT_EQ(off.tenants[i].worker, on.tenants[i].worker) << i;
-    EXPECT_EQ(off.tenants[i].migrations, on.tenants[i].migrations) << i;
+  for (const std::string policy : {"round-robin", "miss-aware"}) {
+    const ClusterReport off = drive_cluster(false, policy);
+    const ClusterReport on = drive_cluster(true, policy);
+    ASSERT_EQ(off.tenants.size(), on.tenants.size()) << policy;
+    for (std::size_t i = 0; i < off.tenants.size(); ++i) {
+      EXPECT_EQ(off.tenants[i].id, on.tenants[i].id) << policy;
+      EXPECT_EQ(off.tenants[i].state, on.tenants[i].state) << policy << " " << i;
+      EXPECT_EQ(off.tenants[i].totals, on.tenants[i].totals) << policy << " " << i;
+      EXPECT_EQ(off.tenants[i].steps, on.tenants[i].steps) << policy << " " << i;
+      EXPECT_EQ(off.tenants[i].outputs, on.tenants[i].outputs) << policy << " " << i;
+      // Swapped sessions stay pinned, so placement history is identical too.
+      EXPECT_EQ(off.tenants[i].worker, on.tenants[i].worker) << policy << " " << i;
+      EXPECT_EQ(off.tenants[i].migrations, on.tenants[i].migrations) << policy << " " << i;
+    }
+    ASSERT_EQ(off.workers.size(), on.workers.size()) << policy;
+    for (std::size_t wi = 0; wi < off.workers.size(); ++wi) {
+      // Not one extra cache access on any worker.
+      EXPECT_EQ(off.workers[wi].l1, on.workers[wi].l1) << policy << " " << wi;
+      EXPECT_EQ(off.workers[wi].busy, on.workers[wi].busy) << policy << " " << wi;
+      EXPECT_EQ(off.workers[wi].steps, on.workers[wi].steps) << policy << " " << wi;
+    }
+    EXPECT_EQ(off.aggregate, on.aggregate) << policy;
+    EXPECT_EQ(off.llc, on.llc) << policy;
+    EXPECT_EQ(off.steps, on.steps) << policy;
+    EXPECT_EQ(off.makespan(), on.makespan()) << policy;
+    // ...and the swap-on run really did round-trip everything, repeatedly.
+    EXPECT_EQ(on.lifecycle.swap_outs, 16) << policy;
+    EXPECT_EQ(on.lifecycle.swap_ins, 16) << policy;  // 3 rounds + drain_all, x4
+    EXPECT_EQ(off.lifecycle.swap_outs, 0) << policy;
   }
-  ASSERT_EQ(off.workers.size(), on.workers.size());
-  for (std::size_t wi = 0; wi < off.workers.size(); ++wi) {
-    EXPECT_EQ(off.workers[wi].l1, on.workers[wi].l1) << wi;
-    EXPECT_EQ(off.workers[wi].busy, on.workers[wi].busy) << wi;
-    EXPECT_EQ(off.workers[wi].steps, on.workers[wi].steps) << wi;
-  }
-  EXPECT_EQ(off.aggregate, on.aggregate);
-  EXPECT_EQ(off.llc, on.llc);
-  EXPECT_EQ(off.makespan(), on.makespan());
-  EXPECT_EQ(on.lifecycle.swap_outs, 16);
-  EXPECT_EQ(off.lifecycle.swap_outs, 0);
 }
 
 TEST(ClusterLifecycle, ConstStreamAccessOfASwappedTenantThrows) {

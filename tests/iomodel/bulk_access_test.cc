@@ -22,7 +22,7 @@
 #include "iomodel/hierarchy.h"
 #include "iomodel/sharded_cache.h"
 #include "iomodel/trace.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/rng.h"
 
 namespace ccs::iomodel {
@@ -84,6 +84,13 @@ std::vector<CachePair> make_pairs(std::int64_t capacity_words) {
       {"sharded4",
        std::make_unique<ShardedLruCache>(CacheConfig{capacity_words, kBlock}, 4),
        std::make_unique<ShardedLruCache>(CacheConfig{capacity_words, kBlock}, 4)});
+  // A worker cache with no LLC behind it forwards spans to its private
+  // LruCache's bulk loop; it must match a scalar flat LruCache exactly.
+  pairs.push_back(
+      {"worker-no-llc-vs-flat",
+       std::make_unique<SharedLlcCache>(CacheConfig{capacity_words, kBlock}, nullptr,
+                                        nullptr),
+       std::make_unique<LruCache>(CacheConfig{capacity_words, kBlock})});
   return pairs;
 }
 

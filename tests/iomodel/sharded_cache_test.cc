@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/rng.h"
 
 namespace ccs::iomodel {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "iomodel/cache.h"
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs::latency {

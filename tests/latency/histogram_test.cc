@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "util/rng.h"
 

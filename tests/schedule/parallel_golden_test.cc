@@ -3,10 +3,9 @@
 // L1s in production), and every path must reproduce the pre-refactor
 // implementation bit-for-bit. The constants below were captured from the
 // original hand-rolled-cache implementation (PR 4 tree) for the exact E14
-// configuration and the parallel_test fixtures; all three entry points --
-// the legacy signature, the span-of-caches overload, and the pool-backed
-// core::simulate_parallel_on_pool (with and without a shared LLC) -- must
-// hit them exactly.
+// configuration and the parallel_test fixtures; both entry points -- the
+// span-of-caches simulator and the pool-backed core::simulate_parallel_on_pool
+// (with and without a shared LLC) -- must hit them exactly.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +46,15 @@ void expect_matches(const ParallelResult& r, const Golden& g, const std::string&
   EXPECT_EQ(r.worker_batches, g.worker_batches) << tag;
 }
 
+/// The simulator on a fresh pool of `workers` flat `cache_words`-word
+/// caches (B = 8, no shared LLC).
+ParallelResult simulate_on_pool(const sdf::SdfGraph& g, const partition::Partition& p,
+                                std::int64_t m, std::int64_t cache_words,
+                                std::int32_t workers, std::int64_t min_outputs) {
+  runtime::WorkerPool pool(runtime::WorkerPoolOptions{workers, {cache_words, 8}, 0});
+  return core::simulate_parallel_on_pool(g, p, m, pool, min_outputs);
+}
+
 sdf::SdfGraph e14_graph() {
   Rng rng(1414);
   workloads::LayeredSpec spec;
@@ -84,11 +92,14 @@ const std::vector<Golden>& e14_goldens() {
   return goldens;
 }
 
+// The (cache_words, workers) call shape that the removed convenience
+// overload offered now lives in simulate_on_pool, which the fixture goldens
+// below and parallel_test.cc go through; it must still hit E14 exactly.
 TEST(ParallelGolden, LegacySignatureReproducesE14) {
   const auto g = e14_graph();
   const auto p = partition::dag_greedy_partition(g, 900);
   for (const Golden& golden : e14_goldens()) {
-    const auto r = simulate_parallel_homogeneous(g, p, 128, 4096, 8, golden.workers, 4096);
+    const auto r = simulate_on_pool(g, p, 128, 4096, golden.workers, 4096);
     expect_matches(r, golden, "legacy workers=" + std::to_string(golden.workers));
   }
 }
@@ -150,9 +161,9 @@ TEST(ParallelGolden, ParallelTestFixturesStayBitIdentical) {
     spec.state_hi = 200;
     const auto g = workloads::layered_homogeneous_dag(spec, rng);
     const auto p = partition::dag_greedy_partition(g, 600);
-    expect_matches(simulate_parallel_homogeneous(g, p, 64, 4096, 8, 1, 512),
+    expect_matches(simulate_on_pool(g, p, 64, 4096, 1, 512),
                    {1, 9664, 3378, 9920, 512, {3378}, {9920}, {43}}, "wide1");
-    expect_matches(simulate_parallel_homogeneous(g, p, 64, 4096, 8, 3, 512),
+    expect_matches(simulate_on_pool(g, p, 64, 4096, 3, 512),
                    {3, 4288, 970, 10176, 512, {514, 340, 116}, {4288, 3840, 2048},
                     {19, 17, 8}},
                    "wide3");
@@ -160,7 +171,7 @@ TEST(ParallelGolden, ParallelTestFixturesStayBitIdentical) {
   {
     const auto g = workloads::uniform_pipeline(12, 100);
     const auto p = partition::dag_greedy_partition(g, 400);
-    expect_matches(simulate_parallel_homogeneous(g, p, 64, 4096, 8, 4, 512),
+    expect_matches(simulate_on_pool(g, p, 64, 4096, 4, 512),
                    {4, 2560, 356, 6912, 512, {173, 122, 61, 0}, {2560, 2304, 2048, 0},
                     {10, 9, 8, 0}},
                    "pipe4");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "iomodel/cache.h"
 #include "partition/dag_greedy.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -11,6 +14,20 @@
 
 namespace ccs::schedule {
 namespace {
+
+/// The simulator on `workers` fresh flat LRU caches of `cache_words` words
+/// (B = 8).
+ParallelResult simulate(const sdf::SdfGraph& g, const partition::Partition& p,
+                        std::int64_t m, std::int64_t cache_words, std::int32_t workers,
+                        std::int64_t min_outputs) {
+  std::vector<iomodel::LruCache> caches;
+  caches.reserve(static_cast<std::size_t>(workers));
+  std::vector<iomodel::CacheSim*> views;
+  for (std::int32_t w = 0; w < workers; ++w) {
+    views.push_back(&caches.emplace_back(iomodel::CacheConfig{cache_words, 8}));
+  }
+  return simulate_parallel_homogeneous(g, p, m, views, min_outputs);
+}
 
 workloads::LayeredSpec wide_spec() {
   workloads::LayeredSpec spec;
@@ -25,7 +42,7 @@ TEST(Parallel, SingleWorkerCompletesTarget) {
   Rng rng(1);
   const auto g = workloads::layered_homogeneous_dag(wide_spec(), rng);
   const auto p = partition::dag_greedy_partition(g, 600);
-  const auto r = simulate_parallel_homogeneous(g, p, 64, 4096, 8, 1, 512);
+  const auto r = simulate(g, p, 64, 4096, 1, 512);
   EXPECT_GE(r.outputs, 512);
   EXPECT_GT(r.total_misses, 0);
   EXPECT_GT(r.makespan, 0);
@@ -40,8 +57,8 @@ TEST(Parallel, MoreWorkersShrinkMakespan) {
   Rng rng(2);
   const auto g = workloads::layered_homogeneous_dag(wide_spec(), rng);
   const auto p = partition::dag_greedy_partition(g, 400);  // more, smaller components
-  const auto r1 = simulate_parallel_homogeneous(g, p, 64, 4096, 8, 1, 1024);
-  const auto r4 = simulate_parallel_homogeneous(g, p, 64, 4096, 8, 4, 1024);
+  const auto r1 = simulate(g, p, 64, 4096, 1, 1024);
+  const auto r4 = simulate(g, p, 64, 4096, 4, 1024);
   EXPECT_LT(r4.makespan, r1.makespan);
 }
 
@@ -51,8 +68,8 @@ TEST(Parallel, TotalMissesNearUniprocessor) {
   Rng rng(3);
   const auto g = workloads::layered_homogeneous_dag(wide_spec(), rng);
   const auto p = partition::dag_greedy_partition(g, 600);
-  const auto r1 = simulate_parallel_homogeneous(g, p, 64, 4096, 8, 1, 1024);
-  const auto r4 = simulate_parallel_homogeneous(g, p, 64, 4096, 8, 4, 1024);
+  const auto r1 = simulate(g, p, 64, 4096, 1, 1024);
+  const auto r4 = simulate(g, p, 64, 4096, 4, 1024);
   EXPECT_LT(static_cast<double>(r4.total_misses),
             3.0 * static_cast<double>(r1.total_misses) + 1000.0);
 }
@@ -61,7 +78,7 @@ TEST(Parallel, WorkerAccountingConsistent) {
   Rng rng(4);
   const auto g = workloads::layered_homogeneous_dag(wide_spec(), rng);
   const auto p = partition::dag_greedy_partition(g, 600);
-  const auto r = simulate_parallel_homogeneous(g, p, 64, 4096, 8, 3, 512);
+  const auto r = simulate(g, p, 64, 4096, 3, 512);
   std::int64_t busy = 0;
   std::int64_t misses = 0;
   std::int64_t batches = 0;
@@ -79,7 +96,7 @@ TEST(Parallel, WorkerAccountingConsistent) {
 TEST(Parallel, RejectsMultirateGraphs) {
   const auto g = workloads::filter_bank(4);
   const auto p = partition::dag_greedy_partition(g, 100000);
-  EXPECT_THROW(simulate_parallel_homogeneous(g, p, 64, 4096, 8, 2, 100), Error);
+  EXPECT_THROW(simulate(g, p, 64, 4096, 2, 100), Error);
 }
 
 TEST(Parallel, RejectsNonWellOrderedPartition) {
@@ -93,7 +110,7 @@ TEST(Parallel, RejectsNonWellOrderedPartition) {
   g.add_edge(1, 3, 1, 1);
   g.add_edge(2, 3, 1, 1);
   const auto bad = partition::Partition::from_components(g, {{0, 3}, {1}, {2}});
-  EXPECT_THROW(simulate_parallel_homogeneous(g, bad, 16, 1024, 8, 2, 64), Error);
+  EXPECT_THROW(simulate(g, bad, 16, 1024, 2, 64), Error);
 }
 
 TEST(Parallel, PipelineGetsOnlyPipelineParallelism) {
@@ -103,8 +120,8 @@ TEST(Parallel, PipelineGetsOnlyPipelineParallelism) {
   // of components and can never exceed worker count.
   const auto g = workloads::uniform_pipeline(12, 100);
   const auto p = partition::dag_greedy_partition(g, 400);  // 3 segments
-  const auto r1 = simulate_parallel_homogeneous(g, p, 64, 4096, 8, 1, 512);
-  const auto r4 = simulate_parallel_homogeneous(g, p, 64, 4096, 8, 4, 512);
+  const auto r1 = simulate(g, p, 64, 4096, 1, 512);
+  const auto r4 = simulate(g, p, 64, 4096, 4, 512);
   EXPECT_LE(r4.makespan, r1.makespan);
   EXPECT_GE(static_cast<double>(r4.makespan),
             static_cast<double>(r1.makespan) / 4.0);

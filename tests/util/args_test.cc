@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 
 namespace ccs {
@@ -59,6 +61,28 @@ TEST(Args, NonNumericValueThrows) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--n=abc"};
   EXPECT_THROW(p.parse(2, argv), Error);
+}
+
+TEST(Args, NumbersMustParseWhole) {
+  // std::stoll/std::stod stop at the first bad character; the parser must
+  // reject the value instead of silently truncating it.
+  for (const char* arg : {"--n=4x", "--n=1e3", "--n=4096.9", "--n=", "--ratio=0.5x",
+                          "--ratio="}) {
+    auto p = make_parser();
+    const char* argv[] = {"prog", arg};
+    try {
+      p.parse(2, argv);
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("expects a number"), std::string::npos) << arg;
+    }
+  }
+  // Signs and exponents are part of a whole number, not trailing junk.
+  auto p = make_parser();
+  const char* argv[] = {"prog", "--n=-12", "--ratio=1e-3"};
+  EXPECT_TRUE(p.parse(3, argv));
+  EXPECT_EQ(p.get_int("n"), -12);
+  EXPECT_DOUBLE_EQ(p.get_double("ratio"), 1e-3);
 }
 
 TEST(Args, FlagWithValueThrows) {

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "util/contracts.h"
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs::workloads {
