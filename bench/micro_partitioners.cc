@@ -3,10 +3,13 @@
 // The paper argues partitioning happens at compile time, so even the
 // exponential exact solver is acceptable on small graphs. These benches
 // put numbers on that: the pipeline DP is quadratic, the greedy linear-ish,
-// refinement a few sweeps, exact exponential in width.
+// refinement a few sweeps, exact exponential in width. BM_PlannerCompare
+// times the whole experiment-loop step on top of them: every applicable
+// partitioner, each distinct partition's schedule, and the lower bound.
 
 #include <benchmark/benchmark.h>
 
+#include "core/planner.h"
 #include "partition/dag_exact.h"
 #include "partition/dag_greedy.h"
 #include "partition/dag_refine.h"
@@ -15,6 +18,7 @@
 #include "util/rng.h"
 #include "workloads/pipelines.h"
 #include "workloads/random_dag.h"
+#include "workloads/streamit.h"
 
 namespace {
 
@@ -78,6 +82,25 @@ void BM_DagExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DagExact)->Arg(2)->Arg(3)->Arg(4);
+
+/// Planner::compare() on FM radio (range 0 = 0) or DES (= 1) at M =
+/// range(1) words; reports compared rows per second.
+void BM_PlannerCompare(benchmark::State& state) {
+  core::PlannerOptions opts;
+  opts.cache = {state.range(1), 8};
+  const core::Planner planner(state.range(0) == 0 ? workloads::fm_radio() : workloads::des(),
+                              opts);
+  std::int64_t rows = 0;
+  for (auto _ : state) {
+    const auto compared = planner.compare();
+    rows += static_cast<std::int64_t>(compared.size());
+    benchmark::DoNotOptimize(compared.data());
+  }
+  state.SetLabel(state.range(0) == 0 ? "FMRadio" : "DES");
+  state.counters["rows_per_s"] =
+      benchmark::Counter(static_cast<double>(rows), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PlannerCompare)->ArgsProduct({{0, 1}, {512, 2048}})->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -64,9 +64,12 @@ Plan Planner::plan() const { return plan(options_.partitioner); }
 
 Plan Planner::plan(const std::string& partitioner) const {
   const std::string name = partitioner == "auto" ? resolve_auto() : partitioner;
+  return finish_plan(registry_->build(name, graph_, strategy_context()), name);
+}
 
+Plan Planner::finish_plan(partition::Partition partition, const std::string& name) const {
   Plan out;
-  out.partition = registry_->build(name, graph_, strategy_context());
+  out.partition = std::move(partition);
   out.partitioner_name = name;
 
   schedule::PartitionedOptions sched;
@@ -74,7 +77,7 @@ Plan Planner::plan(const std::string& partitioner) const {
   sched.t_multiplier = options_.t_multiplier;
   out.batch_t = schedule::compute_batch_t(graph_, sched);
   out.schedule = schedule::partitioned_schedule(graph_, out.partition, sched);
-  out.schedule.name = "partitioned/" + out.partitioner_name;
+  out.schedule.name = "partitioned/" + name;
 
   out.partition_bandwidth = partition::bandwidth(graph_, gains_, out.partition);
   out.predicted = analysis::predict_partitioned_cost(graph_, out.partition, out.batch_t,
@@ -83,9 +86,25 @@ Plan Planner::plan(const std::string& partitioner) const {
 }
 
 std::vector<Plan> Planner::plan_all() const {
+  const partition::StrategyContext ctx = strategy_context();
   std::vector<Plan> out;
-  for (const std::string& name : registry_->applicable_keys(graph_, strategy_context())) {
-    out.push_back(plan(name));
+  for (const std::string& name : registry_->applicable_keys(graph_, ctx)) {
+    partition::Partition partition = registry_->build(name, graph_, ctx);
+    // Everything past the partition is a pure function of (graph, partition,
+    // options), so a strategy that returned an earlier row's exact partition
+    // shares that row's schedule build and only takes its own name.
+    const auto same = std::find_if(out.begin(), out.end(), [&](const Plan& earlier) {
+      return earlier.partition.num_components == partition.num_components &&
+             earlier.partition.assignment == partition.assignment;
+    });
+    if (same == out.end()) {
+      out.push_back(finish_plan(std::move(partition), name));
+      continue;
+    }
+    Plan shared = *same;
+    shared.partitioner_name = name;
+    shared.schedule.name = "partitioned/" + name;
+    out.push_back(std::move(shared));
   }
   return out;
 }

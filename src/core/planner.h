@@ -94,6 +94,9 @@ class Planner {
   Plan plan(const std::string& partitioner) const;
 
   /// Plans with every strategy applicable to this graph, in key order.
+  /// Each row equals plan(key), but a strategy whose partition is identical
+  /// to an earlier row's (same component count and assignment) shares that
+  /// row's schedule build instead of generating the same schedule again.
   std::vector<Plan> plan_all() const;
 
   /// plan_all() folded against the lower bound: one row per applicable
@@ -110,6 +113,10 @@ class Planner {
   partition::StrategyContext strategy_context() const;
 
  private:
+  /// Schedule, batch, bandwidth and prediction for a strategy's partition:
+  /// everything plan() and plan_all() derive once the partition is built.
+  Plan finish_plan(partition::Partition partition, const std::string& name) const;
+
   /// Lower-bound bandwidth (Theorems 3/7/10), computed once on demand.
   std::optional<Rational> lower_bound_bandwidth() const;
 

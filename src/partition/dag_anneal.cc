@@ -67,12 +67,13 @@ Partition anneal_partition(const sdf::SdfGraph& g, const Partition& start,
   double best_bw = cur_bw;
   double temp = options.initial_temp * mean_gain;
 
+  std::vector<std::int32_t> targets;
   for (std::int32_t it = 0; it < options.iterations; ++it, temp *= options.cooling) {
     const auto v = static_cast<sdf::NodeId>(rng.uniform(0, g.node_count() - 1));
     const std::int32_t from = cur.comp(v);
     // Candidate targets: neighbor components, or a fresh singleton (which
     // only makes sense if v is not already alone).
-    std::vector<std::int32_t> targets;
+    targets.clear();
     for (const sdf::EdgeId e : g.in_edges(v)) targets.push_back(cur.comp(g.edge(e).src));
     for (const sdf::EdgeId e : g.out_edges(v)) targets.push_back(cur.comp(g.edge(e).dst));
     if (states[static_cast<std::size_t>(from)] > g.node(v).state) {
@@ -90,15 +91,18 @@ Partition anneal_partition(const sdf::SdfGraph& g, const Partition& start,
     if (delta > 0 && (temp <= 0 || rng.uniform01() >= std::exp(-delta / temp))) {
       continue;  // uphill move rejected
     }
-    Partition trial = cur;
-    trial.assignment[static_cast<std::size_t>(v)] = target;
-    if (fresh) ++trial.num_components;
-    if (!is_well_ordered(g, trial)) continue;
+    // Make the move in place; undo it if it breaks well-ordering.
+    cur.assignment[static_cast<std::size_t>(v)] = target;
+    if (fresh) ++cur.num_components;
+    if (!is_well_ordered(g, cur)) {
+      cur.assignment[static_cast<std::size_t>(v)] = from;
+      if (fresh) --cur.num_components;
+      continue;
+    }
 
     states[static_cast<std::size_t>(from)] -= g.node(v).state;
     if (fresh) states.push_back(g.node(v).state);
     else states[static_cast<std::size_t>(target)] += g.node(v).state;
-    cur = std::move(trial);
     cur_bw += delta;
     if (cur_bw < best_bw - 1e-12) {
       best = cur;

@@ -83,7 +83,9 @@ void register_builtin_partitioners(Registry& r) {
            // Strategies are self-contained pure functions (so sweep cells
            // stay hermetic), which means this rebuilds the refined start
            // instead of sharing dag-refined's work when both run in one
-           // plan_all(); annealing dominates the cost anyway.
+           // plan_all(); annealing dominates the cost anyway. When the
+           // anneal ends where it started, plan_all() reuses dag-refined's
+           // schedule for it rather than building the same one again.
            AnnealOptions anneal;
            anneal.state_bound = ctx.state_bound;
            anneal.seed = ctx.seed;

@@ -43,9 +43,8 @@ Schedule kohli_schedule(const sdf::SdfGraph& g, std::int64_t m) {
         limit = source_target - sim.fired(v);
         if (limit <= 0) continue;
       }
-      const std::int64_t batch = sim.max_batch(v, limit);
+      const std::int64_t batch = sim.fire_up_to(v, limit);
       if (batch > 0) {
-        sim.fire(v, batch);
         out.period.insert(out.period.end(), static_cast<std::size_t>(batch), v);
       }
     }
@@ -56,9 +55,8 @@ Schedule kohli_schedule(const sdf::SdfGraph& g, std::int64_t m) {
     progressed = false;
     for (const sdf::NodeId v : chain) {
       if (v == chain.front()) continue;
-      const std::int64_t batch = sim.max_batch(v, reps.total_firings());
+      const std::int64_t batch = sim.fire_up_to(v, reps.total_firings());
       if (batch > 0) {
-        sim.fire(v, batch);
         out.period.insert(out.period.end(), static_cast<std::size_t>(batch), v);
         progressed = true;
       }

@@ -68,11 +68,14 @@ Schedule partitioned_schedule(const sdf::SdfGraph& g, const partition::Partition
 
   // Per-batch firing target of every module: T * gain(v).
   std::vector<std::int64_t> target(static_cast<std::size_t>(g.node_count()));
+  std::int64_t period_length = 0;
   for (sdf::NodeId v = 0; v < g.node_count(); ++v) {
     const Rational f = gains.node_gain(v) * Rational(t);
     CCS_CHECK(f.is_integer(), "T was chosen to make firing counts integral");
     target[static_cast<std::size_t>(v)] = f.num();
+    period_length = checked_add(period_length, f.num());
   }
+  out.period.reserve(static_cast<std::size_t>(period_length));
 
   // Generate one batch: components in topological order; inside a component,
   // repeated topological sweeps with maximal batching until every member
@@ -98,9 +101,8 @@ Schedule partitioned_schedule(const sdf::SdfGraph& g, const partition::Partition
       for (const sdf::NodeId v : order) {
         const std::int64_t want = target[static_cast<std::size_t>(v)] - sim.fired(v);
         if (want <= 0) continue;
-        const std::int64_t batch = sim.max_batch(v, want);
+        const std::int64_t batch = sim.fire_up_to(v, want);
         if (batch <= 0) continue;
-        sim.fire(v, batch);
         out.period.insert(out.period.end(), static_cast<std::size_t>(batch), v);
         outstanding -= batch;
         progressed = true;

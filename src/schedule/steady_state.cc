@@ -21,9 +21,8 @@ std::vector<sdf::NodeId> demand_driven_iteration(const sdf::SdfGraph& g,
     for (const sdf::NodeId v : topo) {
       const std::int64_t want = reps.count(v) - sim.fired(v);
       if (want <= 0) continue;
-      const std::int64_t batch = sim.max_batch(v, want);
+      const std::int64_t batch = sim.fire_up_to(v, want);
       if (batch <= 0) continue;
-      sim.fire(v, batch);
       out.insert(out.end(), static_cast<std::size_t>(batch), v);
       outstanding -= batch;
       progressed = true;

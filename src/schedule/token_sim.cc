@@ -21,21 +21,21 @@ TokenSim::TokenSim(const sdf::SdfGraph& g, std::span<const std::int64_t> caps)
   tokens_.assign(static_cast<std::size_t>(g.edge_count()), 0);
   peak_.assign(static_cast<std::size_t>(g.edge_count()), 0);
   fired_.assign(static_cast<std::size_t>(g.node_count()), 0);
+
+  // Flatten the adjacency once so probing and firing never walk the graph.
+  spans_.resize(static_cast<std::size_t>(g.node_count()));
+  ports_.reserve(2 * static_cast<std::size_t>(g.edge_count()));
+  for (sdf::NodeId v = 0; v < g.node_count(); ++v) {
+    PortSpan& span = spans_[static_cast<std::size_t>(v)];
+    span.in_begin = static_cast<std::int32_t>(ports_.size());
+    for (const sdf::EdgeId e : g.in_edges(v)) ports_.push_back(Port{e, g.edge(e).in_rate});
+    span.out_begin = static_cast<std::int32_t>(ports_.size());
+    for (const sdf::EdgeId e : g.out_edges(v)) ports_.push_back(Port{e, g.edge(e).out_rate});
+    span.end = static_cast<std::int32_t>(ports_.size());
+  }
 }
 
 bool TokenSim::can_fire(sdf::NodeId v) const { return max_batch(v, 1) >= 1; }
-
-std::int64_t TokenSim::max_batch(sdf::NodeId v, std::int64_t limit) const {
-  CCS_EXPECTS(v >= 0 && v < graph_->node_count(), "node id out of range");
-  std::int64_t batch = limit;
-  for (const sdf::EdgeId e : graph_->in_edges(v)) {
-    batch = std::min(batch, tokens(e) / graph_->edge(e).in_rate);
-  }
-  for (const sdf::EdgeId e : graph_->out_edges(v)) {
-    batch = std::min(batch, space(e) / graph_->edge(e).out_rate);
-  }
-  return std::max<std::int64_t>(batch, 0);
-}
 
 void TokenSim::fire(sdf::NodeId v, std::int64_t count) {
   CCS_EXPECTS(count >= 0, "negative firing count");
@@ -43,15 +43,7 @@ void TokenSim::fire(sdf::NodeId v, std::int64_t count) {
     throw ScheduleError("module '" + graph_->node(v).name + "' cannot fire " +
                         std::to_string(count) + " time(s)");
   }
-  for (const sdf::EdgeId e : graph_->in_edges(v)) {
-    tokens_[static_cast<std::size_t>(e)] -= count * graph_->edge(e).in_rate;
-  }
-  for (const sdf::EdgeId e : graph_->out_edges(v)) {
-    auto& t = tokens_[static_cast<std::size_t>(e)];
-    t += count * graph_->edge(e).out_rate;
-    peak_[static_cast<std::size_t>(e)] = std::max(peak_[static_cast<std::size_t>(e)], t);
-  }
-  fired_[static_cast<std::size_t>(v)] += count;
+  fire_unchecked(v, count);
 }
 
 bool TokenSim::drained() const {

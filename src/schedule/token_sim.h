@@ -6,15 +6,20 @@
 // the measured cache, and the engine never needs scheduling logic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "sdf/graph.h"
+#include "util/contract.h"
 
 namespace ccs::schedule {
 
-/// Channel token counts + firing bookkeeping for one graph.
+/// Channel token counts + firing bookkeeping for one graph. Each module's
+/// ports are flattened into one array at construction; the probe/fire path
+/// (max_batch, fire_up_to) is defined inline below because schedule
+/// generation runs it once per firing.
 class TokenSim {
  public:
   /// Starts with all channels empty under the given per-edge capacities
@@ -30,6 +35,11 @@ class TokenSim {
 
   /// Fires v exactly `count` times. Throws ScheduleError on violation.
   void fire(sdf::NodeId v, std::int64_t count = 1);
+
+  /// Fires v max_batch(v, limit) times in one step -- the probe is the
+  /// feasibility check, so nothing is re-probed -- and returns that count
+  /// (0 when v cannot fire). The batch generators' inner loop.
+  std::int64_t fire_up_to(sdf::NodeId v, std::int64_t limit);
 
   /// Tokens currently queued on edge e.
   std::int64_t tokens(sdf::EdgeId e) const {
@@ -59,11 +69,64 @@ class TokenSim {
   const sdf::SdfGraph& graph() const noexcept { return *graph_; }
 
  private:
+  /// One channel connection of a module, flattened for the probe/fire loop.
+  struct Port {
+    sdf::EdgeId edge;
+    std::int64_t rate;  ///< Tokens moved per firing.
+  };
+  /// Module v's ports: inputs in [in_begin, out_begin), outputs in
+  /// [out_begin, end) of ports_.
+  struct PortSpan {
+    std::int32_t in_begin = 0, out_begin = 0, end = 0;
+  };
+
+  /// Moves `count` firings' tokens through v's ports (no feasibility check).
+  void fire_unchecked(sdf::NodeId v, std::int64_t count);
+
   const sdf::SdfGraph* graph_;
+  std::vector<Port> ports_;       // all ports, grouped by node
+  std::vector<PortSpan> spans_;   // per node
   std::vector<std::int64_t> caps_;
   std::vector<std::int64_t> tokens_;
   std::vector<std::int64_t> peak_;
   std::vector<std::int64_t> fired_;
 };
+
+inline std::int64_t TokenSim::max_batch(sdf::NodeId v, std::int64_t limit) const {
+  CCS_EXPECTS(v >= 0 && v < graph_->node_count(), "node id out of range");
+  const PortSpan& span = spans_[static_cast<std::size_t>(v)];
+  std::int64_t batch = limit;
+  for (std::int32_t i = span.in_begin; i < span.out_begin; ++i) {
+    const Port& p = ports_[static_cast<std::size_t>(i)];
+    batch = std::min(batch, tokens(p.edge) / p.rate);
+  }
+  for (std::int32_t i = span.out_begin; i < span.end; ++i) {
+    const Port& p = ports_[static_cast<std::size_t>(i)];
+    batch = std::min(batch, space(p.edge) / p.rate);
+  }
+  return std::max<std::int64_t>(batch, 0);
+}
+
+inline std::int64_t TokenSim::fire_up_to(sdf::NodeId v, std::int64_t limit) {
+  const std::int64_t count = max_batch(v, limit);
+  if (count > 0) fire_unchecked(v, count);
+  return count;
+}
+
+inline void TokenSim::fire_unchecked(sdf::NodeId v, std::int64_t count) {
+  const PortSpan& span = spans_[static_cast<std::size_t>(v)];
+  for (std::int32_t i = span.in_begin; i < span.out_begin; ++i) {
+    const Port& p = ports_[static_cast<std::size_t>(i)];
+    tokens_[static_cast<std::size_t>(p.edge)] -= count * p.rate;
+  }
+  for (std::int32_t i = span.out_begin; i < span.end; ++i) {
+    const Port& p = ports_[static_cast<std::size_t>(i)];
+    auto& t = tokens_[static_cast<std::size_t>(p.edge)];
+    t += count * p.rate;
+    auto& peak = peak_[static_cast<std::size_t>(p.edge)];
+    peak = std::max(peak, t);
+  }
+  fired_[static_cast<std::size_t>(v)] += count;
+}
 
 }  // namespace ccs::schedule

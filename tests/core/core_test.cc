@@ -130,6 +130,72 @@ TEST(Planner, PlanAllCoversEveryApplicableStrategy) {
   }
 }
 
+/// Field-for-field equality of two plans, down to every period firing.
+void expect_same_plan(const Plan& a, const Plan& b) {
+  const std::string& tag = a.partitioner_name;
+  EXPECT_EQ(a.partitioner_name, b.partitioner_name);
+  EXPECT_EQ(a.partition.num_components, b.partition.num_components) << tag;
+  EXPECT_EQ(a.partition.assignment, b.partition.assignment) << tag;
+  EXPECT_EQ(a.schedule.name, b.schedule.name) << tag;
+  EXPECT_EQ(a.schedule.period, b.schedule.period) << tag;
+  EXPECT_EQ(a.schedule.buffer_caps, b.schedule.buffer_caps) << tag;
+  EXPECT_EQ(a.schedule.inputs_per_period, b.schedule.inputs_per_period) << tag;
+  EXPECT_EQ(a.schedule.outputs_per_period, b.schedule.outputs_per_period) << tag;
+  EXPECT_EQ(a.batch_t, b.batch_t) << tag;
+  EXPECT_EQ(a.partition_bandwidth, b.partition_bandwidth) << tag;
+  EXPECT_EQ(a.predicted.state_term, b.predicted.state_term) << tag;
+  EXPECT_EQ(a.predicted.buffer_term, b.predicted.buffer_term) << tag;
+  EXPECT_EQ(a.predicted.cross_term, b.predicted.cross_term) << tag;
+  EXPECT_EQ(a.predicted.misses_per_batch, b.predicted.misses_per_batch) << tag;
+  EXPECT_EQ(a.predicted.misses_per_input, b.predicted.misses_per_input) << tag;
+}
+
+/// Number of distinct partitions among `plans`.
+std::size_t distinct_partitions(const std::vector<Plan>& plans) {
+  std::vector<std::vector<std::int32_t>> seen;
+  for (const Plan& plan : plans) {
+    if (std::find(seen.begin(), seen.end(), plan.partition.assignment) == seen.end()) {
+      seen.push_back(plan.partition.assignment);
+    }
+  }
+  return seen.size();
+}
+
+TEST(Planner, PlanAllRowsEqualPerStrategyPlans) {
+  // plan_all() builds a schedule once per distinct partition and shares it
+  // between strategies that agree; every row must still be exactly what
+  // plan(key) builds on its own.
+  auto opts = small_cache();
+  const auto check_rows = [](const Planner& planner) {
+    const auto rows = planner.plan_all();
+    for (const Plan& row : rows) expect_same_plan(row, planner.plan(row.partitioner_name));
+    return rows;
+  };
+
+  // FM radio at M = 2048: every strategy returns the one-component partition.
+  opts.cache.capacity_words = 2048;
+  const auto shared = check_rows(Planner(ccs::workloads::fm_radio(), opts));
+  ASSERT_GT(shared.size(), 1u);
+  EXPECT_EQ(distinct_partitions(shared), 1u);
+
+  // Filter bank at M = 512: some strategies agree, some do not.
+  opts.cache.capacity_words = 512;
+  const auto mixed = check_rows(Planner(ccs::workloads::filter_bank(), opts));
+  EXPECT_GT(distinct_partitions(mixed), 1u);
+  EXPECT_LT(distinct_partitions(mixed), mixed.size());
+
+  // The same cell seen through two strategies that disagree: nothing shared.
+  partition::Registry builtins;
+  partition::register_builtin_partitioners(builtins);
+  partition::Registry disjoint;
+  for (const std::string key : {"dag-greedy", "dag-greedy-gain"}) {
+    disjoint.add(key, builtins.find(key));
+  }
+  const auto apart = check_rows(Planner(ccs::workloads::filter_bank(), opts, &disjoint));
+  ASSERT_EQ(apart.size(), 2u);
+  EXPECT_EQ(distinct_partitions(apart), 2u);
+}
+
 TEST(Planner, CompareReportsLowerBoundOnPipelines) {
   const auto g = ccs::workloads::uniform_pipeline(16, 200);
   const Planner planner(g, small_cache());
