@@ -9,6 +9,7 @@
 #include <iostream>
 #include <string>
 
+#include "core/planner.h"
 #include "core/scheduler.h"
 #include "schedule/schedule.h"
 #include "util/table.h"

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     core::PlannerOptions opts;
     opts.cache.capacity_words = m;
     opts.cache.block_words = b;
-    const auto plan = core::plan(g, opts);
+    const auto plan = core::Planner(g, opts).plan();
     const std::int64_t outputs = 4 * plan.schedule.outputs_per_period;
     const auto r_part = bench::run(g, plan.schedule, 8 * m, b, outputs);
     const auto naive = schedule::naive_minimal_buffer_schedule(g);

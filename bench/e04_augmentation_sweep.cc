@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = m;
   opts.cache.block_words = b;
-  const auto plan_pipe = core::plan(pipe, opts);
-  const auto plan_dag = core::plan(dag, opts);
+  const auto plan_pipe = core::Planner(pipe, opts).plan();
+  const auto plan_dag = core::Planner(dag, opts).plan();
 
   Table t("E4: partitioned misses/output vs cache augmentation factor (M=512, B=8)");
   t.set_header({"cache factor", "pipeline 24x256", "FMRadio dag"});

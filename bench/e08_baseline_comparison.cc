@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     core::PlannerOptions opts;
     opts.cache.capacity_words = m;
     opts.cache.block_words = b;
-    const auto plan = core::plan(g, opts);
+    const auto plan = core::Planner(g, opts).plan();
     const auto r_naive =
         bench::run(g, schedule::naive_minimal_buffer_schedule(g), 4 * m, b, outputs);
     const auto r_scaled = bench::run(g, schedule::scaled_schedule(g, m), 4 * m, b, outputs);

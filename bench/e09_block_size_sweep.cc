@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     core::PlannerOptions opts;
     opts.cache.capacity_words = m;
     opts.cache.block_words = b;
-    const auto plan = core::plan(g, opts);
+    const auto plan = core::Planner(g, opts).plan();
     const auto r = bench::run(g, plan.schedule, 4 * m, b, outputs);
     t.add_row({Table::num(b), Table::num(r.misses_per_output(), 3),
                Table::num(r.misses_per_output() * static_cast<double>(b), 2)});

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = l2 / 4;  // partition for (a fraction of) L2
   opts.cache.block_words = b;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const auto naive = schedule::naive_minimal_buffer_schedule(g);
 
   Table t("E13: L1/L2 hierarchy (L1=256, L2=2048 words, B=8)");

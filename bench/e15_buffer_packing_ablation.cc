@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = m;
   opts.cache.block_words = b;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
 
   Table t("E15: buffer layout ablation on FFT (M=" + std::to_string(m) +
           ", B=8, sim 4M)");

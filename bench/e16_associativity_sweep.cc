@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = m;
   opts.cache.block_words = b;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const auto naive = schedule::naive_minimal_buffer_schedule(g);
 
   auto run_with = [&](const schedule::Schedule& s, std::int32_t ways) {

@@ -8,22 +8,23 @@
 // after the first pass the steady state is pure L1-miss -> LLC-hit traffic:
 // the probe itself is cheap and the lock protocol dominates.
 //
-// BM_LlcContention sweeps workers x backend:
-//   * shards == 0  -- the original flat LruCache behind one pool-wide mutex:
-//                     every probe from every worker serializes on one lock;
-//   * shards == 16 -- address-striped ShardedLruCache: consecutive blocks
-//                     rotate through the 16 stripes, so two workers collide
-//                     on a stripe lock only ~1/16 of the time.
+// BM_LlcContention sweeps workers x LLC stripe count:
+//   * shards == 1  -- one global-LRU stripe behind one lock: every probe
+//                     from every worker serializes on it;
+//   * shards == 16 -- consecutive blocks rotate through the 16 stripes, so
+//                     two workers collide on a stripe lock only ~1/16 of
+//                     the time.
 //
 // items/s counts LLC probes (== L1 misses) completed per wall-clock second
-// across all workers. Rows land in BENCH_PR7.json; the trajectory CI
-// artifact tracks the sharded-vs-mutex ratio per worker count. Note the
-// ratio is parallelism-bound: on a single-CPU host threads timeshare, real
-// lock overlap is preemption-bounded, and both backends pay one uncontended
-// atomic per probe, so the gap only opens with physical cores.
+// across all workers; the 16-vs-1 ratio per worker count is what striping
+// buys. (BENCH_PR7.json recorded the earlier single-mutex flat LLC in the
+// 1-lock rows.) Note the ratio is parallelism-bound: on a single-CPU host
+// threads timeshare, real lock overlap is preemption-bounded, and both
+// configurations pay one uncontended atomic per probe, so the gap only
+// opens with physical cores.
 //
 // BM_LlcProbeSerial is the same loop without threads (one worker, driver
-// thread): the uncontended per-probe floor for both backends.
+// thread): the uncontended per-probe floor for both stripe counts.
 
 #include <benchmark/benchmark.h>
 
@@ -45,7 +46,7 @@ constexpr std::int64_t kLlcWords = 64 * 1024;       // holds every band resident
 
 /// One worker thread's share: sweep its private band kPasses times through
 /// its worker cache. Every block access misses the 8-block L1 (the band is
-/// 32x larger) and probes the LLC under the backend's lock.
+/// 32x larger) and probes the LLC under its stripe's lock.
 void hammer(runtime::WorkerPool& pool, std::int32_t w) {
   auto& cache = pool.worker_cache(w);
   const iomodel::BlockId base = static_cast<iomodel::BlockId>(w) * kBandBlocks;
@@ -74,26 +75,26 @@ void BM_LlcContention(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(probes);
-  state.SetLabel(shards == 0 ? "single-mutex" : "sharded-" + std::to_string(shards));
+  state.SetLabel("sharded-" + std::to_string(shards));
   state.counters["workers"] = static_cast<double>(workers);
   state.counters["llc_shards"] = static_cast<double>(shards);
 }
 BENCHMARK(BM_LlcContention)
-    ->Args({1, 0})
+    ->Args({1, 1})
     ->Args({1, 16})
-    ->Args({2, 0})
+    ->Args({2, 1})
     ->Args({2, 16})
-    ->Args({4, 0})
+    ->Args({4, 1})
     ->Args({4, 16})
-    ->Args({8, 0})
+    ->Args({8, 1})
     ->Args({8, 16})
-    ->Args({16, 0})
+    ->Args({16, 1})
     ->Args({16, 16})
     ->UseRealTime();
 
 /// Uncontended floor: the same probe stream issued from the driver thread
-/// against a one-worker pool, per backend. Any gap between the two rows is
-/// pure lock-protocol cost, not contention.
+/// against a one-worker pool, per stripe count. Any gap between the two
+/// rows is stripe-routing cost, not contention.
 void BM_LlcProbeSerial(benchmark::State& state) {
   const auto shards = static_cast<std::int32_t>(state.range(0));
   runtime::WorkerPool pool(
@@ -103,10 +104,10 @@ void BM_LlcProbeSerial(benchmark::State& state) {
     cache.access_blocks(0, kBandBlocks, iomodel::AccessMode::kRead);
   }
   state.SetItemsProcessed(state.iterations() * kBandBlocks);
-  state.SetLabel(shards == 0 ? "single-mutex" : "sharded-" + std::to_string(shards));
+  state.SetLabel("sharded-" + std::to_string(shards));
   state.counters["llc_shards"] = static_cast<double>(shards);
 }
-BENCHMARK(BM_LlcProbeSerial)->Arg(0)->Arg(16);
+BENCHMARK(BM_LlcProbeSerial)->Arg(1)->Arg(16);
 
 }  // namespace
 

@@ -2,7 +2,7 @@
 // caches with affinity-aware placement.
 //
 //   $ ./cluster_server [--workers=2] [--tenants=4] [--placement=affinity]
-//                      [--l1-words=4096] [--llc-words=32768] [--llc-shards=0]
+//                      [--l1-words=4096] [--llc-words=32768] [--llc-shards=1]
 //                      [--ticks=64] [--arrival=bursty-64]
 //                      [--rebalance-every=8] [--mode=both]
 //                      [--cost-model=uniform] [--slo-p99=0]
@@ -139,8 +139,7 @@ int main(int argc, char** argv) {
                   "placement policy (round-robin, least-loaded, affinity, adaptive)");
   args.add_int("l1-words", 4096, "per-worker private cache size in words");
   args.add_int("llc-words", 32768, "shared LLC size in words (0 = none)");
-  args.add_int("llc-shards", 0,
-               "LLC lock stripes (power of two; 0 = single-mutex flat LLC)");
+  args.add_int("llc-shards", 1, "shared LLC lock stripes (power of two >= 1)");
   args.add_int("plan-words", 1024, "cache share M each tenant plans for");
   args.add_int("ticks", 64, "arrival ticks to serve");
   args.add_string("arrival", "bursty-64", "arrival pattern (ArrivalRegistry key)");

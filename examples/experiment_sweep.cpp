@@ -72,8 +72,7 @@ int main(int argc, char** argv) {
   args.add_int("cluster-ticks", 64, "arrival ticks per cluster cell");
   args.add_int("cluster-llc-factor", 8,
                "shared LLC as a multiple of the per-worker L1 (0 = no LLC)");
-  args.add_int("cluster-llc-shards", 0,
-               "LLC stripes (power of two; 0 = single-mutex flat LLC)");
+  args.add_int("cluster-llc-shards", 1, "shared LLC lock stripes (power of two >= 1)");
   args.add_int("cluster-churn", 0,
                "churn mode: logical sessions per cluster cell (0 = steady "
                "tick loop; > 0 replaces it with an open/push/close trace)");

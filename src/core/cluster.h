@@ -196,12 +196,12 @@ struct ClusterOptions {
   iomodel::CacheConfig l1{4096, 8};         ///< Per-worker private cache.
   std::int64_t llc_words = 0;               ///< Shared LLC; 0 = none.
 
-  /// LLC lock strategy (runtime::WorkerPoolOptions::llc_shards): 0 = flat
-  /// LruCache behind one mutex; >= 1 = address-striped ShardedLruCache with
-  /// per-stripe locks (power of two). Model counters are unaffected at 1
-  /// stripe and per-tenant counters are unaffected at any stripe count;
-  /// wall-clock thread-mode throughput is what sharding buys at 8+ workers.
-  std::int32_t llc_shards = 0;
+  /// Lock stripes of the shared LLC (runtime::WorkerPoolOptions::llc_shards):
+  /// a power of two >= 1; 0 or a non-power throws. 1 stripe is one global
+  /// LRU; per-tenant counters are unaffected at any stripe count, and
+  /// wall-clock thread-mode throughput is what more stripes buy at 8+
+  /// workers.
+  std::int32_t llc_shards = 1;
 
   std::string placement = "round-robin";    ///< PlacementRegistry key.
 
@@ -277,7 +277,7 @@ struct ClusterReport {
   std::int64_t swap_stored_bytes = 0;        ///< Swap-tier footprint right now.
   std::int64_t swap_peak_stored_bytes = 0;
   iomodel::CacheStats llc;                   ///< Shared-LLC counters (zero when absent).
-  std::int32_t llc_shards = 0;               ///< LLC stripes (0 = single-mutex backend).
+  std::int32_t llc_shards = 0;               ///< LLC stripes (0 = no shared LLC).
   std::string placement;                     ///< Policy key the cluster ran.
   std::string cost_model;                    ///< Cost-model key pricing the steps.
   std::int64_t slo_p99 = 0;                  ///< Target p99 (0 = no SLO set).

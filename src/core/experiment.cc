@@ -16,6 +16,7 @@
 #include "schedule/schedule.h"
 #include "util/error.h"
 #include "util/format.h"
+#include "util/int_math.h"
 
 namespace ccs::core {
 
@@ -428,8 +429,8 @@ ExperimentResult Experiment::run(std::int32_t threads) const {
     if (spec_.cluster.llc_factor < 0) {
       throw Error("cluster sweep needs llc_factor >= 0");
     }
-    if (spec_.cluster.llc_shards < 0) {
-      throw Error("cluster sweep needs llc_shards >= 0");
+    if (spec_.cluster.llc_shards < 1 || !is_pow2(spec_.cluster.llc_shards)) {
+      throw Error("cluster sweep needs llc_shards to be a power of two >= 1");
     }
     if (spec_.cluster.churn_sessions < 0) {
       throw Error("cluster sweep needs churn_sessions >= 0");

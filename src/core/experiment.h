@@ -70,10 +70,9 @@ struct ClusterSweep {
   /// 0 runs the workers on independent flat caches.
   std::int64_t llc_factor = 8;
 
-  /// LLC lock strategy for every cluster cell: 0 = single-mutex flat LLC,
-  /// >= 1 = address-striped ShardedLruCache with that many stripes (power
-  /// of two). Ignored when llc_factor == 0. See WorkerPoolOptions.
-  std::int32_t llc_shards = 0;
+  /// Shared-LLC lock stripes for every cluster cell: a power of two >= 1.
+  /// No effect when llc_factor == 0. See WorkerPoolOptions.
+  std::int32_t llc_shards = 1;
 
   std::int64_t ticks = 128;                   ///< Pushes per tenant.
 

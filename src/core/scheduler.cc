@@ -1,13 +1,10 @@
 #include "core/scheduler.h"
 
+#include "core/planner.h"
 #include "iomodel/cache.h"
 #include "util/contract.h"
 
 namespace ccs::core {
-
-Plan plan(const sdf::SdfGraph& g, const PlannerOptions& options) {
-  return Planner(g, options).plan();
-}
 
 runtime::RunResult simulate(const sdf::SdfGraph& g, const schedule::Schedule& s,
                             const iomodel::CacheConfig& cache_config,

@@ -1,21 +1,18 @@
-// Legacy one-call facade over the session API.
+// Single-run measurement primitive.
 //
-// The supported public surface is the session API in this directory:
+// The public planning surface is the session API in this directory:
 //   core::Planner     (core/planner.h)    -- plan one graph, one session
 //   core::Experiment  (core/experiment.h) -- sweep scenario grids in parallel
 //   partition::Registry / schedule::Registry / workloads::Registry
 //                                         -- name-addressed strategies
 //
-// The free functions below predate it. `core::plan` survives as a thin shim
-// over `Planner` for one-shot callers; prefer constructing a Planner when
-// you plan the same graph more than once (construction caches validation and
-// the gain analysis). `core::simulate` remains the single-run measurement
-// primitive (Experiment uses it per sweep cell).
+// `core::simulate` replays any scheduler's schedule on a fresh cache and is
+// what Experiment runs per sweep cell:
 //
 //   using namespace ccs;
 //   core::PlannerOptions opts;
 //   opts.cache.capacity_words = 32 * 1024;
-//   core::Plan plan = core::plan(graph, opts);   // == Planner(graph, opts).plan()
+//   const core::Plan plan = core::Planner(graph, opts).plan();
 //   runtime::RunResult r = core::simulate(graph, plan.schedule, opts.cache,
 //                                         /*target_outputs=*/100000);
 //   std::cout << r.misses_per_input() << " vs predicted "
@@ -24,7 +21,6 @@
 
 #include <cstdint>
 
-#include "core/planner.h"
 #include "iomodel/types.h"
 #include "runtime/engine.h"
 #include "runtime/run_result.h"
@@ -33,17 +29,10 @@
 
 namespace ccs::core {
 
-/// Legacy shim: builds a complete plan in one call, equal in every field to
-/// `Planner(g, options).plan()`. Throws GraphError/RateError for graphs
-/// outside the paper's model, MemoryError for a degenerate cache geometry,
-/// ccs::Error for an unknown partitioner name (the message lists the valid
-/// registry keys) and when no c-bounded partition exists.
-Plan plan(const sdf::SdfGraph& g, const PlannerOptions& options);
-
 /// Executes a schedule (any scheduler's) on a fresh fully-associative LRU
 /// cache of the given geometry until at least `target_outputs` sink firings,
 /// returning accumulated counters. Throws MemoryError for a degenerate
-/// cache geometry (same check as plan).
+/// cache geometry (the same check Planner applies).
 runtime::RunResult simulate(const sdf::SdfGraph& g, const schedule::Schedule& s,
                             const iomodel::CacheConfig& cache_config,
                             std::int64_t target_outputs,

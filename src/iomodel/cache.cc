@@ -204,7 +204,9 @@ void LruCache::access(Addr addr, AccessMode mode) {
   }
 }
 
-void LruCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
+template <bool kNoteMisses>
+void LruCache::bulk_loop(BlockId first, std::int64_t count, AccessMode mode,
+                         std::vector<BlockId>* misses) {
   const bool write = mode == AccessMode::kWrite;
   std::int64_t hits = 0;
   // Keep the MRU head in a register across the span: the per-block relink
@@ -237,6 +239,7 @@ void LruCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mo
       slab_[0].next = head;
       touch_block(b, write);
       head = slab_[0].next;
+      if constexpr (kNoteMisses) misses->push_back(b);
     }
   };
 
@@ -303,6 +306,20 @@ void LruCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mo
   stats_.hits += hits;
   stats_.misses += count - hits;
   CCS_AUDIT_BLOCK(if ((++audit_tick_ & 63) == 0) audit_invariants(););
+}
+
+void LruCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
+  bulk_loop<false>(first, count, mode, nullptr);
+}
+
+void LruCache::access_blocks_noting_misses(BlockId first, std::int64_t count,
+                                           AccessMode mode, std::vector<BlockId>* misses) {
+  CCS_EXPECTS(first >= 0 && count >= 0, "negative block range");
+  if (misses != nullptr) {
+    bulk_loop<true>(first, count, mode, misses);
+  } else {
+    bulk_loop<false>(first, count, mode, nullptr);
+  }
 }
 
 void LruCache::flush() {

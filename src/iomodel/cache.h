@@ -17,7 +17,10 @@
 // through their non-virtual per-block fast path; the default falls back to
 // one access() per block. Bulk and per-access paths produce bit-identical
 // CacheStats and replacement state (tests/iomodel/bulk_access_test.cc checks
-// this differentially).
+// this differentially). LruCache additionally exposes its bulk loop as
+// access_blocks_noting_misses(), which reports the span's missed blocks in
+// order -- how a two-level worker cache runs whole spans through its private
+// level and forwards only the misses to the shared level.
 #pragma once
 
 #include <cstdint>
@@ -132,6 +135,14 @@ class LruCache final : public CacheSim {
     return hit;
   }
 
+  /// Non-virtual, unpriced bulk entry: touches `count` consecutive blocks
+  /// from `first` exactly as access_blocks() does (same loop, counters and
+  /// replacement order) and, when `misses` is non-null, appends each missed
+  /// block id to it in access order. SharedLlcCache passes a buffer to
+  /// learn which blocks to forward to its shared LLC.
+  void access_blocks_noting_misses(BlockId first, std::int64_t count, AccessMode mode,
+                                   std::vector<BlockId>* misses);
+
   /// Blocks currently resident (for tests).
   std::int64_t resident_blocks() const { return size_; }
 
@@ -172,6 +183,15 @@ class LruCache final : public CacheSim {
   /// misses counters (callers batch those so span loops are not serialized
   /// on read-modify-write chains). Returns true on a hit.
   bool touch_block(BlockId block, bool write);
+
+  /// The one bulk loop behind do_access_blocks() and
+  /// access_blocks_noting_misses(). kNoteMisses only decides whether missed
+  /// ids are appended to `misses`, so the no-buffer instantiation carries
+  /// no per-miss test.
+  template <bool kNoteMisses>
+  void bulk_loop(BlockId first, std::int64_t count, AccessMode mode,
+                 std::vector<BlockId>* misses);
+
   void move_to_front(std::int32_t idx);
   std::size_t find_slot(BlockId block) const;
   void erase_slot(std::size_t slot);

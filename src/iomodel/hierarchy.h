@@ -9,10 +9,10 @@
 // experiment E13 shows partitioning built for the L2 size removes L2/memory
 // traffic while leaving L1 behaviour unchanged.
 //
-// Probing goes through LruCache::access_block — the non-virtual per-block
-// fast path — and the bulk override walks a span one block at a time so a
-// resident run stays inside L1's hit path (a SharedLlcCache with no LLC
-// hands the whole span to its private LruCache's bulk loop instead).
+// HierarchyCache probes through LruCache::access_block — the non-virtual
+// per-block fast path — one block at a time; it is the N-level reference.
+// SharedLlcCache, the two-level worker cache, runs whole spans through its
+// private level's batched bulk loop and forwards only the misses.
 #pragma once
 
 #include <memory>
@@ -20,8 +20,6 @@
 
 #include "iomodel/cache.h"
 #include "iomodel/sharded_cache.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace ccs::iomodel {
 
@@ -51,6 +49,9 @@ class HierarchyCache final : public CacheSim {
   /// Capacity of one level, in words.
   std::int64_t level_words(std::size_t level) const;
 
+  /// One level's cache, read-only (per-level residency probes).
+  const LruCache& level(std::size_t i) const;
+
  protected:
   void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) override;
 
@@ -73,28 +74,23 @@ class HierarchyCache final : public CacheSim {
 /// contains(), and replacement state are the private level's, so per-worker
 /// counters are independent of who else shares the LLC. A private miss
 /// additionally probes-and-installs the shared LLC (inclusive, like
-/// HierarchyCache); that probe is the only synchronization a pool of worker
-/// threads needs, because private levels are single-owner by construction.
-/// Two shared-LLC backends are supported:
+/// HierarchyCache). The LLC is an address-striped ShardedLruCache that
+/// locks only the stripe owning the missed block, so that probe is the only
+/// synchronization a pool of worker threads needs: private levels are
+/// single-owner by construction.
 ///
-///  * a flat LruCache guarded by a pool-wide `llc_mutex` (the original
-///    single-mutex design -- every cross-worker miss serializes), or
-///  * a ShardedLruCache, which locks only the stripe owning the missed
-///    block internally, so workers missing on different stripes proceed in
-///    parallel.
+/// A bulk span runs the private level's batched loop over the whole span,
+/// collecting its misses, then forwards those misses to the LLC in the same
+/// order. Private replacement never depends on the LLC and the LLC sees the
+/// same ordered block sequence as a per-block walk, so this is bit-identical
+/// to probing level by level per block whenever one worker probes at a time.
 ///
 /// With a null LLC the class degenerates to a plain private LRU, so one
-/// worker type covers the flat-cache and both shared-LLC configurations.
+/// worker type covers the flat-cache and shared-LLC configurations.
 class SharedLlcCache final : public CacheSim {
  public:
-  /// `llc` and `llc_mutex` must either both be provided (and outlive this
-  /// cache) or both be null; the LLC must share the private block size and
-  /// be strictly larger than the private level.
-  SharedLlcCache(const CacheConfig& private_config, LruCache* llc, Mutex* llc_mutex);
-
-  /// Sharded backend: `llc` (may be null for no LLC) locks per stripe
-  /// internally, so no pool-wide mutex exists at all. Same geometry
-  /// requirements as the single-mutex ctor.
+  /// `llc` (may be null for no LLC) must outlive this cache, share the
+  /// private block size and be strictly larger than the private level.
   SharedLlcCache(const CacheConfig& private_config, ShardedLruCache* llc);
 
   void access(Addr addr, AccessMode mode) override;
@@ -105,7 +101,7 @@ class SharedLlcCache final : public CacheSim {
   const CacheStats& stats() const override { return l1_.stats(); }
   const CacheConfig& config() const override { return l1_.config(); }
 
-  bool has_llc() const noexcept { return llc_ != nullptr || sharded_llc_ != nullptr; }
+  bool has_llc() const noexcept { return llc_ != nullptr; }
 
   /// Resident blocks in the private level (for placement-affinity probes).
   LruCache& private_level() noexcept { return l1_; }
@@ -115,23 +111,9 @@ class SharedLlcCache final : public CacheSim {
   void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) override;
 
  private:
-  /// Private probe; on a miss, forwards to the shared LLC -- under the
-  /// pool-wide mutex (flat backend) or the owning stripe's internal lock
-  /// (sharded backend).
-  void probe_block(BlockId block, AccessMode mode) {
-    if (l1_.access_block(block, mode)) return;
-    if (sharded_llc_ != nullptr) {
-      sharded_llc_->access_block(block, mode);
-    } else if (llc_ != nullptr) {
-      const MutexLock lock(*llc_mutex_);
-      llc_->access_block(block, mode);
-    }
-  }
-
   LruCache l1_;
-  LruCache* llc_ CCS_PT_GUARDED_BY(llc_mutex_);  ///< Pointee guarded by the pool mutex.
-  Mutex* llc_mutex_;
-  ShardedLruCache* sharded_llc_ = nullptr;
+  ShardedLruCache* llc_;
+  std::vector<BlockId> misses_;  ///< Bulk-span miss buffer, reused across calls.
 };
 
 }  // namespace ccs::iomodel

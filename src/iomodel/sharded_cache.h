@@ -1,8 +1,8 @@
-// Address-striped sharded LRU -- the contention-free shared-LLC backend.
+// Address-striped sharded LRU -- the shared last-level cache behind every
+// runtime::WorkerPool with an LLC.
 //
-// A SharedLlcCache/WorkerPool configuration with one flat LruCache behind
-// one mutex serializes every private-level miss of every worker; model
-// counters still scale (BENCH_PR5), but wall-clock stops right where the
+// One LRU behind one lock would serialize every private-level miss of every
+// worker; model counters still scale, but wall-clock stops right where the
 // paper's §7 multicore analysis begins. ShardedLruCache splits the flat-slab
 // LruCache design into `shards` independent stripes -- block id -> stripe by
 // low bits (`block & (shards-1)`, the way real LLC slices stripe physical
@@ -12,17 +12,18 @@
 // trivially deadlock-free (one lock held at a time, ever).
 //
 // Semantics and determinism:
-//  * `shards == 1` is bit-identical to a plain LruCache of the same
-//    geometry -- stats, residency, and replacement order (the differential
-//    gate in tests/iomodel/bulk_access_test.cc). This is the configuration
-//    the thread-mode ≡ virtual-time cluster gates re-use unchanged.
+//  * `shards == 1` (the WorkerPool default) is bit-identical to a plain
+//    LruCache of the same geometry -- stats, residency, and replacement
+//    order (the differential gates in tests/iomodel/bulk_access_test.cc and
+//    sharded_cache_test.cc).
 //  * `shards > 1` replaces global LRU with per-stripe LRU (capacity is
 //    divided evenly across stripes), which is what hardware sliced LLCs do.
 //    The stripe function is a pure function of the block id, so per-shard
 //    counters -- and their sum -- are bit-identical across repeat runs under
 //    a serialized (virtual-time) driver; under real threads the aggregate
 //    access count still equals the summed private misses, and the hit/miss
-//    split is interleaving-dependent exactly as for the single-mutex LLC.
+//    split is interleaving-dependent (whichever worker's miss installs a
+//    block first decides who later hits on it).
 //  * The CacheSim bulk path walks each stripe's sub-sequence in ascending
 //    block order under one lock acquisition per stripe; stripes are
 //    independent, so this is bit-identical to the per-block scalar order.
@@ -65,7 +66,7 @@ class ShardedLruCache final : public CacheSim {
 
   /// Touches one whole block under its stripe's lock; returns true on a
   /// hit. This is the thread-safe probe SharedLlcCache forwards private
-  /// misses to -- no pool-wide mutex required.
+  /// misses to, in order -- no pool-wide mutex required.
   bool access_block(BlockId block, AccessMode mode) {
     Shard& s = shard(shard_of(block));
     const MutexLock lock(s.mutex);

@@ -11,12 +11,13 @@ namespace {
 
 /// Deterministic contenders-per-stripe estimate for the llc-shared model:
 /// of `workers` cores, up to workers - 1 others can collide with a given
-/// miss, spread over the LLC's lock stripes (a flat single-mutex backend is
-/// one stripe). Pure configuration -- measured stripe occupancy would vary
-/// with thread interleaving and break the determinism gates.
+/// miss, spread over the LLC's lock stripes. Pure configuration -- measured
+/// stripe occupancy would vary with thread interleaving and break the
+/// determinism gates.
 std::int64_t contenders_per_stripe(const CostContext& ctx) {
+  CCS_EXPECTS(ctx.llc_shards >= 1, "LLC needs at least one stripe");
   const std::int64_t others = std::max(0, ctx.workers - 1);
-  const std::int64_t stripes = std::max(1, ctx.llc_shards);
+  const std::int64_t stripes = ctx.llc_shards;
   return (others + stripes - 1) / stripes;
 }
 

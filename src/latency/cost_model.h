@@ -35,8 +35,7 @@
 //                     writeback burst.
 //   * "llc-shared" -- "two-level" plus a deterministic contention surcharge
 //                     per L1 miss: ceil((workers - 1) / shards) expected
-//                     contenders per LLC stripe, a few cycles each (a flat
-//                     single-mutex LLC is one stripe).
+//                     contenders per LLC stripe, a few cycles each.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +62,7 @@ struct LevelCost {
 /// -- never measured occupancy -- so built models are deterministic.
 struct CostContext {
   std::int32_t workers = 1;    ///< Worker (core) count sharing the LLC.
-  std::int32_t llc_shards = 0; ///< LLC lock stripes; 0 = flat single-mutex.
+  std::int32_t llc_shards = 1; ///< LLC lock stripes (a power of two >= 1).
   bool has_llc = false;        ///< Whether a shared LLC exists at all.
 };
 

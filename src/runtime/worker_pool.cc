@@ -15,34 +15,22 @@ WorkerPool::WorkerPool(WorkerPoolOptions options) : options_(options) {
     throw MemoryError("worker cache must hold at least one block");
   }
   if (options_.llc_words < 0) throw Error("shared LLC capacity must be non-negative");
-  if (options_.llc_shards < 0) throw Error("LLC shard count must be non-negative");
+  if (options_.llc_shards < 1 || !is_pow2(options_.llc_shards)) {
+    throw Error("LLC shard count must be a power of two >= 1");
+  }
   if (options_.llc_words > 0) {
     if (options_.llc_words <= options_.l1.capacity_words) {
       throw Error("shared LLC must be strictly larger than a worker's private cache");
     }
     const iomodel::CacheConfig llc_config{options_.llc_words, options_.l1.block_words};
-    if (options_.llc_shards >= 1) {
-      if (!is_pow2(options_.llc_shards)) {
-        throw Error("LLC shard count must be a power of two");
-      }
-      if (llc_config.capacity_blocks() < options_.llc_shards) {
-        throw Error("LLC too small: every shard needs at least one block");
-      }
-      sharded_llc_ =
-          std::make_unique<iomodel::ShardedLruCache>(llc_config, options_.llc_shards);
-    } else {
-      llc_ = std::make_unique<iomodel::LruCache>(llc_config);
+    if (llc_config.capacity_blocks() < options_.llc_shards) {
+      throw Error("LLC too small: every shard needs at least one block");
     }
+    llc_ = std::make_unique<iomodel::ShardedLruCache>(llc_config, options_.llc_shards);
   }
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (std::int32_t w = 0; w < options_.workers; ++w) {
-    if (sharded_llc_ != nullptr) {
-      workers_.push_back(
-          std::make_unique<iomodel::SharedLlcCache>(options_.l1, sharded_llc_.get()));
-    } else {
-      workers_.push_back(std::make_unique<iomodel::SharedLlcCache>(
-          options_.l1, llc_.get(), llc_ != nullptr ? &llc_mutex_ : nullptr));
-    }
+    workers_.push_back(std::make_unique<iomodel::SharedLlcCache>(options_.l1, llc_.get()));
   }
 }
 
@@ -58,10 +46,6 @@ const iomodel::SharedLlcCache& WorkerPool::worker_cache(std::int32_t w) const {
 
 const iomodel::CacheStats& WorkerPool::llc_stats() const {
   CCS_EXPECTS(has_llc(), "pool has no shared LLC");
-  if (sharded_llc_ != nullptr) return sharded_llc_->stats();
-  // The flat backend's counters live inside the mutex-guarded cache; take
-  // the lock for the read so a stats poll never races an in-flight probe.
-  const MutexLock lock(llc_mutex_);
   return llc_->stats();
 }
 

@@ -11,16 +11,15 @@
 // reload misses when it migrates to another worker.
 //
 // Concurrency contract: a worker's private cache is single-owner (exactly
-// one thread may drive worker w at a time); the shared LLC is probed only
-// on private-level misses, under either the pool's single mutex
-// (llc_shards == 0, the original design) or the owning stripe's lock of an
-// address-striped iomodel::ShardedLruCache (llc_shards >= 1), where misses
-// on different stripes never contend. Private per-worker counters are
-// deterministic for a fixed per-worker access stream regardless of how
-// other workers interleave -- and independent of the LLC backend, since the
-// shared level never feeds back into L1 replacement; the shared LLC's
-// hit/miss split is deterministic only under a serialized (virtual-time)
-// driver, while its access total always equals the summed private misses.
+// one thread may drive worker w at a time); the shared LLC is an
+// address-striped iomodel::ShardedLruCache probed only on private-level
+// misses, under the owning stripe's lock, so misses on different stripes
+// never contend. Private per-worker counters are deterministic for a fixed
+// per-worker access stream regardless of how other workers interleave --
+// and independent of the stripe count, since the shared level never feeds
+// back into L1 replacement; the shared LLC's hit/miss split is
+// deterministic only under a serialized (virtual-time) driver, while its
+// access total always equals the summed private misses.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +29,6 @@
 #include "iomodel/cache.h"
 #include "iomodel/hierarchy.h"
 #include "iomodel/layout.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace ccs::runtime {
 
@@ -45,13 +42,11 @@ struct WorkerPoolOptions {
   /// strictly larger than l1 when non-zero.
   std::int64_t llc_words = 0;
 
-  /// LLC lock strategy: 0 keeps the original flat LruCache behind one
-  /// pool-wide mutex; >= 1 backs the LLC with an address-striped
-  /// ShardedLruCache of that many stripes (power of two), each behind its
-  /// own lock. 1 stripe is bit-identical to the single-mutex cache (same
-  /// global LRU) while already routing through the sharded code path.
-  /// Ignored when llc_words == 0.
-  std::int32_t llc_shards = 0;
+  /// Stripes of the shared LLC, each an LRU behind its own lock: a power of
+  /// two >= 1 (anything else throws). 1 stripe is one global LRU; more
+  /// stripes split the capacity evenly, trading global LRU for per-stripe
+  /// LRU and less lock contention. Has no effect when llc_words == 0.
+  std::int32_t llc_shards = 1;
 };
 
 /// N private worker caches over an optional shared LLC.
@@ -73,18 +68,18 @@ class WorkerPool {
     return worker_cache(w).stats();
   }
 
-  bool has_llc() const noexcept { return llc_ != nullptr || sharded_llc_ != nullptr; }
+  bool has_llc() const noexcept { return llc_ != nullptr; }
 
-  /// Stripes backing the shared LLC (0 = single-mutex flat backend).
+  /// Stripes backing the shared LLC (0 = no LLC).
   std::int32_t llc_shards() const noexcept {
-    return sharded_llc_ != nullptr ? sharded_llc_->shard_count() : 0;
+    return llc_ != nullptr ? llc_->shard_count() : 0;
   }
 
   /// Shared-LLC counters. Requires has_llc(). Every private-level miss of
   /// every worker is one LLC access, so under a serialized driver
-  /// llc_stats().accesses == sum of worker_stats(w).misses. With a sharded
-  /// backend the reference is a per-call aggregate snapshot (re-call for
-  /// fresh counters); call it from the controlling thread while quiescent.
+  /// llc_stats().accesses == sum of worker_stats(w).misses. The reference
+  /// is a per-call aggregate snapshot (re-call for fresh counters); call it
+  /// from the controlling thread while quiescent.
   const iomodel::CacheStats& llc_stats() const;
 
   /// Blocks of [region.base, region.end()) resident in worker w's private
@@ -105,11 +100,7 @@ class WorkerPool {
 
  private:
   WorkerPoolOptions options_;
-  /// Single-mutex backend (llc_shards == 0): the pointee -- not the pointer,
-  /// which is set once at construction -- is guarded by llc_mutex_.
-  std::unique_ptr<iomodel::LruCache> llc_ CCS_PT_GUARDED_BY(llc_mutex_);
-  mutable Mutex llc_mutex_;
-  std::unique_ptr<iomodel::ShardedLruCache> sharded_llc_;  ///< Striped backend (locks per stripe).
+  std::unique_ptr<iomodel::ShardedLruCache> llc_;  ///< Null without an LLC.
   std::vector<std::unique_ptr<iomodel::SharedLlcCache>> workers_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/planner.h"
 #include "core/scheduler.h"
 #include "workloads/pipelines.h"
 
@@ -13,7 +14,7 @@ TEST(Profile, SharesSumToOneAndCoverAllModules) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = 512;
   opts.cache.block_words = 8;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const auto r = core::simulate(g, plan.schedule,
                                 iomodel::CacheConfig{4 * 512, 8},
                                 plan.schedule.outputs_per_period);

@@ -53,9 +53,9 @@ ClusterOptions small_cluster(std::int32_t workers, const std::string& placement)
 }
 
 /// Serves the scenario for 6 bursty ticks with a rebalance every other
-/// tick; `threads` picks the execution mode, `llc_shards` the LLC backend.
+/// tick; `threads` picks the execution mode, `llc_shards` the LLC stripes.
 ClusterReport serve(const Scenario& s, std::int32_t workers, const std::string& placement,
-                    bool threads, std::int32_t llc_shards = 0,
+                    bool threads, std::int32_t llc_shards = 1,
                     const std::string& tenant_policy = "round-robin") {
   ClusterOptions opts = small_cluster(workers, placement);
   opts.llc_shards = llc_shards;
@@ -110,8 +110,8 @@ TEST(Cluster, ThreadModePerTenantResultsSumToVirtualTimeAggregates) {
   for (const std::string tenant_policy : {"round-robin", "miss-aware"}) {
     for (const std::int32_t workers : {1, 2, 4, 8, 16}) {
       const ClusterReport virtual_time =
-          serve(s, workers, "round-robin", false, 0, tenant_policy);
-      const ClusterReport threaded = serve(s, workers, "round-robin", true, 0, tenant_policy);
+          serve(s, workers, "round-robin", false, 1, tenant_policy);
+      const ClusterReport threaded = serve(s, workers, "round-robin", true, 1, tenant_policy);
       ASSERT_EQ(virtual_time.tenants.size(), threaded.tenants.size());
       runtime::RunResult virtual_sum;
       runtime::RunResult threaded_sum;
@@ -192,23 +192,6 @@ TEST(Cluster, ShardedLlcKeepsThreadVirtualDeterminism) {
     EXPECT_EQ(threaded.llc.accesses, virtual_time.llc.accesses) << workers;
     EXPECT_EQ(virtual_time.llc_shards, 4) << workers;
   }
-}
-
-TEST(Cluster, OneShardLlcIsBitIdenticalToFlatLlc) {
-  // llc_shards = 1 is the flat LruCache geometry behind a different lock:
-  // a virtual-time run must match the single-mutex backend counter-for-
-  // counter, down to the shared-LLC hit/miss split.
-  const Scenario s = four_tenant_scenario();
-  const ClusterReport flat = serve(s, 4, "affinity", false, 0);
-  const ClusterReport one_shard = serve(s, 4, "affinity", false, 1);
-  ASSERT_EQ(flat.tenants.size(), one_shard.tenants.size());
-  for (std::size_t i = 0; i < flat.tenants.size(); ++i) {
-    EXPECT_EQ(flat.tenants[i].totals, one_shard.tenants[i].totals)
-        << flat.tenants[i].name;
-  }
-  EXPECT_EQ(flat.aggregate, one_shard.aggregate);
-  EXPECT_EQ(flat.llc, one_shard.llc);
-  EXPECT_EQ(flat.makespan(), one_shard.makespan());
 }
 
 TEST(Cluster, RoundRobinStripesAdmissionsAcrossWorkers) {

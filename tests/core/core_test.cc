@@ -25,7 +25,7 @@ PlannerOptions small_cache() {
 
 TEST(Planner, AutoPicksPipelineDpForPipelines) {
   const auto g = ccs::workloads::uniform_pipeline(12, 200);
-  const auto plan = core::plan(g, small_cache());
+  const auto plan = core::Planner(g, small_cache()).plan();
   EXPECT_EQ(plan.partitioner_name, "pipeline-dp");
   EXPECT_TRUE(schedule::check_schedule(g, plan.schedule).ok);
   EXPECT_GT(plan.batch_t, 0);
@@ -39,7 +39,7 @@ TEST(Planner, AutoPicksExactForSmallDags) {
   spec.state_lo = 50;
   spec.state_hi = 120;
   const auto g = layered_homogeneous_dag(spec, rng);
-  const auto plan = core::plan(g, small_cache());
+  const auto plan = core::Planner(g, small_cache()).plan();
   EXPECT_EQ(plan.partitioner_name, "exact");
   EXPECT_TRUE(schedule::check_schedule(g, plan.schedule).ok);
 }
@@ -48,7 +48,7 @@ TEST(Planner, AutoPicksRefinedForLargeDags) {
   const auto g = ccs::workloads::fm_radio(10);  // 25 nodes > exact threshold
   auto opts = small_cache();
   opts.cache.capacity_words = 1024;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   EXPECT_EQ(plan.partitioner_name, "dag-refined");
   EXPECT_TRUE(schedule::check_schedule(g, plan.schedule).ok);
 }
@@ -60,7 +60,7 @@ TEST(Planner, AllExplicitPartitionersWork) {
         "anneal", "agglomerative", "exact"}) {
     auto opts = small_cache();
     opts.partitioner = name;
-    const auto plan = core::plan(g, opts);
+    const auto plan = core::Planner(g, opts).plan();
     EXPECT_EQ(plan.partitioner_name, name);
     EXPECT_TRUE(schedule::check_schedule(g, plan.schedule).ok) << "partitioner " << name;
     EXPECT_TRUE(partition::is_well_ordered(g, plan.partition)) << "partitioner " << name;
@@ -72,7 +72,7 @@ TEST(Planner, UnknownPartitionerNameListsValidKeys) {
   auto opts = small_cache();
   opts.partitioner = "no-such-strategy";
   try {
-    core::plan(g, opts);
+    core::Planner(g, opts).plan();
     FAIL() << "expected ccs::Error";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -95,15 +95,6 @@ TEST(Planner, SessionPlansAreReusableAndDeterministic) {
   const auto greedy = planner.plan("dag-greedy");
   EXPECT_EQ(greedy.partitioner_name, "dag-greedy");
   EXPECT_TRUE(schedule::check_schedule(planner.graph(), greedy.schedule).ok);
-}
-
-TEST(Planner, ShimMatchesSession) {
-  const auto g = ccs::workloads::uniform_pipeline(12, 200);
-  const auto via_shim = core::plan(g, small_cache());
-  const auto via_session = Planner(g, small_cache()).plan();
-  EXPECT_EQ(via_shim.partition.assignment, via_session.partition.assignment);
-  EXPECT_EQ(via_shim.schedule.period, via_session.schedule.period);
-  EXPECT_EQ(via_shim.batch_t, via_session.batch_t);
 }
 
 TEST(Planner, PlanAllCoversEveryApplicableStrategy) {
@@ -226,13 +217,13 @@ TEST(Planner, CompareReportsLowerBoundOnPipelines) {
 
 TEST(Planner, RejectsInvalidGraphs) {
   sdf::SdfGraph empty;
-  EXPECT_THROW(core::plan(empty, small_cache()), GraphError);
+  EXPECT_THROW(core::Planner(empty, small_cache()).plan(), GraphError);
 
   sdf::SdfGraph oversized;
   oversized.add_node("a", 100000);
   oversized.add_node("b", 8);
   oversized.add_edge(0, 1, 1, 1);
-  EXPECT_THROW(core::plan(oversized, small_cache()), GraphError);
+  EXPECT_THROW(core::Planner(oversized, small_cache()).plan(), GraphError);
 }
 
 TEST(Planner, RejectsRateMismatchedGraph) {
@@ -248,20 +239,20 @@ TEST(Planner, RejectsRateMismatchedGraph) {
   g.add_edge(a, c, 1, 1);
   g.add_edge(b, d, 1, 1);
   g.add_edge(c, d, 2, 1);
-  EXPECT_THROW(core::plan(g, small_cache()), GraphError);
+  EXPECT_THROW(core::Planner(g, small_cache()).plan(), GraphError);
 }
 
 TEST(Planner, RejectsZeroCapacityCache) {
   const auto g = ccs::workloads::uniform_pipeline(4, 64);
   auto opts = small_cache();
   opts.cache.capacity_words = 0;
-  EXPECT_THROW(core::plan(g, opts), MemoryError);
+  EXPECT_THROW(core::Planner(g, opts).plan(), MemoryError);
   opts.cache.capacity_words = -64;
-  EXPECT_THROW(core::plan(g, opts), MemoryError);
+  EXPECT_THROW(core::Planner(g, opts).plan(), MemoryError);
   // A cache smaller than one block is equally degenerate.
   opts.cache.capacity_words = 4;
   opts.cache.block_words = 8;
-  EXPECT_THROW(core::plan(g, opts), MemoryError);
+  EXPECT_THROW(core::Planner(g, opts).plan(), MemoryError);
 }
 
 TEST(Simulate, RejectsZeroCapacityCache) {
@@ -282,7 +273,7 @@ TEST(Simulate, RejectsNonPositiveOutputTarget) {
 
 TEST(Planner, PredictionPopulated) {
   const auto g = ccs::workloads::uniform_pipeline(12, 200);
-  const auto plan = core::plan(g, small_cache());
+  const auto plan = core::Planner(g, small_cache()).plan();
   EXPECT_GT(plan.predicted.misses_per_input, 0.0);
   EXPECT_GE(plan.partition_bandwidth, Rational(0));
 }
@@ -300,7 +291,7 @@ TEST(Simulate, PartitionedBeatsNaiveWhenStateExceedsCache) {
   // cache: naive reloads everything every iteration, partitioned amortizes.
   const auto g = ccs::workloads::uniform_pipeline(16, 200);
   const auto opts = small_cache();
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const auto naive = schedule::naive_minimal_buffer_schedule(g);
 
   // Partitioned runs on the augmented cache (c * M), per Theorem 5's
@@ -337,7 +328,7 @@ TEST(RunResult, PlusOperatorsAccumulate) {
 
 TEST(Planner, ExplainMentionsEveryComponentAndModule) {
   const auto g = ccs::workloads::uniform_pipeline(8, 200);
-  const auto plan = core::plan(g, small_cache());
+  const auto plan = core::Planner(g, small_cache()).plan();
   const auto text = core::explain(g, plan);
   EXPECT_NE(text.find("partitioner : pipeline-dp"), std::string::npos);
   EXPECT_NE(text.find("batch T"), std::string::npos);
@@ -352,7 +343,7 @@ TEST(Planner, ExplainMentionsEveryComponentAndModule) {
 TEST(Simulate, MeasuredCostNearPrediction) {
   const auto g = ccs::workloads::uniform_pipeline(16, 200);
   const auto opts = small_cache();
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const iomodel::CacheConfig sim_cache{4 * opts.cache.capacity_words,
                                        opts.cache.block_words};
   const auto r = core::simulate(g, plan.schedule, sim_cache, 2048);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/lower_bound.h"
+#include "core/planner.h"
 #include "core/scheduler.h"
 #include "schedule/kohli.h"
 #include "schedule/naive.h"
@@ -22,7 +23,7 @@ TEST(EndToEnd, PlanAndSimulateEveryStreamItApp) {
     core::PlannerOptions opts;
     opts.cache.capacity_words = std::max<std::int64_t>(app.graph.max_state() * 2, 1024);
     opts.cache.block_words = 8;
-    const auto plan = core::plan(app.graph, opts);
+    const auto plan = core::Planner(app.graph, opts).plan();
     ASSERT_TRUE(schedule::check_schedule(app.graph, plan.schedule).ok) << app.name;
     const iomodel::CacheConfig sim{4 * opts.cache.capacity_words, 8};
     const auto r = core::simulate(app.graph, plan.schedule, sim,
@@ -46,7 +47,7 @@ TEST(EndToEnd, LowerBoundHoldsForAllSchedulersOnPipelines) {
     core::PlannerOptions opts;
     opts.cache.capacity_words = m;
     opts.cache.block_words = b;
-    const auto plan = core::plan(g, opts);
+    const auto plan = core::Planner(g, opts).plan();
 
     std::vector<schedule::Schedule> schedules;
     schedules.push_back(plan.schedule);
@@ -78,7 +79,7 @@ TEST(EndToEnd, PartitionedWithinConstantOfLowerBound) {
     core::PlannerOptions opts;
     opts.cache.capacity_words = m;
     opts.cache.block_words = b;
-    const auto plan = core::plan(g, opts);
+    const auto plan = core::Planner(g, opts).plan();
     const iomodel::CacheConfig sim{8 * m, b};  // O(1) augmentation
     const auto r = core::simulate(g, plan.schedule, sim, 4 * plan.schedule.outputs_per_period);
     const double lb = bound.misses(r.source_firings, b);
@@ -96,8 +97,8 @@ TEST(EndToEnd, SerializationRoundTripsThroughPlanning) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = 1024;
   opts.cache.block_words = 8;
-  const auto plan1 = core::plan(g, opts);
-  const auto plan2 = core::plan(parsed, opts);
+  const auto plan1 = core::Planner(g, opts).plan();
+  const auto plan2 = core::Planner(parsed, opts).plan();
   EXPECT_EQ(plan1.partition.assignment, plan2.partition.assignment);
   EXPECT_EQ(plan1.schedule.period, plan2.schedule.period);
 }
@@ -115,7 +116,7 @@ TEST(EndToEnd, HomogeneousDagPartitionedVsNaive) {
   opts.cache.capacity_words = 512;
   opts.cache.block_words = 8;
   opts.partitioner = "dag-refined";
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const auto naive = schedule::naive_minimal_buffer_schedule(g);
 
   const iomodel::CacheConfig sim{4 * 512, 8};
@@ -132,7 +133,7 @@ TEST(EndToEnd, SetAssociativeCacheShowsSameOrdering) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = 512;
   opts.cache.block_words = 8;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const auto naive = schedule::naive_minimal_buffer_schedule(g);
 
   const iomodel::CacheConfig geometry{2048, 8};

@@ -2,6 +2,7 @@
 // rather than produce silently-wrong schedules or measurements.
 #include <gtest/gtest.h>
 
+#include "core/planner.h"
 #include "core/scheduler.h"
 #include "schedule/naive.h"
 #include "schedule/partitioned.h"
@@ -33,7 +34,7 @@ TEST(Failure, CyclicGraphRejectedEverywhere) {
   g.add_edge(c, a, 1, 1);
   EXPECT_THROW((void)sdf::topological_sort(g), GraphError);
   EXPECT_THROW((void)sdf::GainMap{g}, GraphError);
-  EXPECT_THROW(core::plan(g, planner_512()), GraphError);
+  EXPECT_THROW(core::Planner(g, planner_512()).plan(), GraphError);
 }
 
 TEST(Failure, RateMismatchRejectedByPlanner) {
@@ -46,12 +47,12 @@ TEST(Failure, RateMismatchRejectedByPlanner) {
   g.add_edge(s, y, 1, 1);
   g.add_edge(x, t, 1, 1);
   g.add_edge(y, t, 1, 1);
-  EXPECT_THROW(core::plan(g, planner_512()), GraphError);
+  EXPECT_THROW(core::Planner(g, planner_512()).plan(), GraphError);
 }
 
 TEST(Failure, ModuleLargerThanCacheRejected) {
   const auto g = ccs::workloads::uniform_pipeline(4, 600);
-  EXPECT_THROW(core::plan(g, planner_512()), GraphError);
+  EXPECT_THROW(core::Planner(g, planner_512()).plan(), GraphError);
 }
 
 TEST(Failure, SimulateDemandsPositiveTarget) {
@@ -109,7 +110,7 @@ TEST(Failure, FeasibleBuffersRejectNonRateMatched) {
 
 TEST(Failure, EmptyGraphHasNoPlanOrStats) {
   sdf::SdfGraph g;
-  EXPECT_THROW(core::plan(g, planner_512()), GraphError);
+  EXPECT_THROW(core::Planner(g, planner_512()).plan(), GraphError);
   EXPECT_FALSE(sdf::validate(g, sdf::ValidationOptions{}).empty());
 }
 
@@ -120,7 +121,7 @@ TEST(Failure, MultiSourceGraphsNeedExplicitOptOut) {
   const auto t = g.add_node("t", 8);
   g.add_edge(0, t, 1, 1);
   g.add_edge(1, t, 1, 1);
-  EXPECT_THROW(core::plan(g, planner_512()), GraphError);
+  EXPECT_THROW(core::Planner(g, planner_512()).plan(), GraphError);
 }
 
 }  // namespace

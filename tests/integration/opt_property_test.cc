@@ -3,7 +3,7 @@
 // between the engine's LRU misses and Belady OPT on the same trace.
 #include <gtest/gtest.h>
 
-#include "core/scheduler.h"
+#include "core/planner.h"
 #include "iomodel/opt_cache.h"
 #include "iomodel/trace.h"
 #include "runtime/engine.h"
@@ -44,7 +44,7 @@ TEST(OptProperty, LruWithDoubleCacheWithinTwoXOfOpt) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = 256;
   opts.cache.block_words = 8;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const std::int64_t k_blocks = 128;  // OPT's capacity (in blocks)
   const auto [trace, lru_misses] = record_run(g, plan.schedule, 2 * k_blocks * 8, 3);
   const auto opt = iomodel::opt_misses(trace, k_blocks);
@@ -60,7 +60,7 @@ TEST(OptProperty, PartitionedScheduleTraceNearOptimalForItsCache) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = 256;
   opts.cache.block_words = 8;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const std::int64_t cache_words = 4 * 256;
   const auto [trace, lru_misses] = record_run(g, plan.schedule, cache_words, 3);
   const auto opt = iomodel::opt_misses(trace, cache_words / 8);

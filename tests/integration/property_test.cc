@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/lower_bound.h"
+#include "core/planner.h"
 #include "core/scheduler.h"
 #include "partition/dag_exact.h"
 #include "partition/dag_greedy.h"
@@ -171,7 +172,7 @@ TEST_P(GeometrySweep, PartitionedBeatsNaiveWheneverStateExceedsCache) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = m;
   opts.cache.block_words = b;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const auto naive = schedule::naive_minimal_buffer_schedule(g);
   const iomodel::CacheConfig sim{4 * m, b};
   const std::int64_t target = 2 * plan.schedule.outputs_per_period;

@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "core/planner.h"
 #include "core/scheduler.h"
 #include "schedule/validate.h"
 #include "workloads/pipelines.h"
@@ -24,7 +25,7 @@ TEST_P(PlannerGrid, PlansValidateAndSimulate) {
   opts.cache.block_words = b;
   opts.c_bound = c_bound;
   opts.t_multiplier = t_mult;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
 
   EXPECT_TRUE(partition::is_well_ordered(g, plan.partition));
   EXPECT_LE(partition::max_component_state(g, plan.partition),
@@ -55,7 +56,7 @@ TEST_P(SuiteSweep, EveryAppPlansAndClassifiesCoherently) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = std::max<std::int64_t>(g.max_state(), g.total_state() / 4);
   opts.cache.block_words = 8;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   EXPECT_TRUE(schedule::check_schedule(g, plan.schedule).ok) << app.name;
   const auto r = core::simulate(g, plan.schedule,
                                 iomodel::CacheConfig{4 * opts.cache.capacity_words, 8},

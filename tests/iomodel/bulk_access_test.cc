@@ -1,11 +1,14 @@
 // Differential property tests for the block-granular bulk cache API.
 //
-// Two invariants, checked on randomized traces across every cache model:
+// Three invariants, checked on randomized traces across every cache model:
 //  1. Bulk path == per-access reference: access_span / access_blocks must
 //     produce exactly the same CacheStats and residency as issuing one
 //     access() per touched block, on random spans, streaming scans, and
 //     wrapping-ring (channel-shaped) patterns.
-//  2. Flat LRU == textbook LRU: the intrusive-slab LruCache must behave
+//  2. Two-level bulk == per-block hierarchy: a worker cache over a shared
+//     LLC, driven in bulk, matches the reference level for level --
+//     counters and residency of both the private level and the LLC.
+//  3. Flat LRU == textbook LRU: the intrusive-slab LruCache must behave
 //     bit-identically to a straightforward std::list + std::unordered_map
 //     implementation on random word traces with eviction pressure.
 #include <gtest/gtest.h>
@@ -88,8 +91,7 @@ std::vector<CachePair> make_pairs(std::int64_t capacity_words) {
   // LruCache's bulk loop; it must match a scalar flat LruCache exactly.
   pairs.push_back(
       {"worker-no-llc-vs-flat",
-       std::make_unique<SharedLlcCache>(CacheConfig{capacity_words, kBlock}, nullptr,
-                                        nullptr),
+       std::make_unique<SharedLlcCache>(CacheConfig{capacity_words, kBlock}, nullptr),
        std::make_unique<LruCache>(CacheConfig{capacity_words, kBlock})});
   return pairs;
 }
@@ -100,30 +102,77 @@ void check_residency(const CachePair& pair, Addr max_addr, const std::string& wh
   }
 }
 
+// --- Trace drivers ---------------------------------------------------------
+//
+// Each drives `bulk` through access_span and `ref` through reference_span
+// (one access() per block) on the same pattern, and returns one past the
+// highest word it touched (the residency-check bound).
+
+/// Random spans with heavy eviction pressure, 30% writes.
+Addr random_spans(CacheSim& bulk, CacheSim& ref) {
+  Rng rng(101);
+  const Addr space = 4096;
+  for (int step = 0; step < 3000; ++step) {
+    const std::int64_t words = rng.uniform(0, 100);
+    const Addr addr = rng.uniform(0, space - 1);
+    const AccessMode mode = rng.bernoulli(0.3) ? AccessMode::kWrite : AccessMode::kRead;
+    bulk.access_span(addr, words, mode);
+    reference_span(ref, addr, words, mode);
+  }
+  return space + 128;
+}
+
+/// An unaligned write-only streaming scan.
+Addr streaming_scan(CacheSim& bulk, CacheSim& ref) {
+  Addr a = 3;  // deliberately unaligned
+  for (int step = 0; step < 2000; ++step) {
+    bulk.access_span(a, 37, AccessMode::kWrite);
+    reference_span(ref, a, 37, AccessMode::kWrite);
+    a += 37;
+  }
+  return a;
+}
+
+/// A channel-shaped pattern: pushes and pops against a ring whose spans
+/// split in two at the wrap point, exactly as runtime::Channel issues them.
+Addr wrapping_ring(CacheSim& bulk, CacheSim& ref) {
+  const std::int64_t ring_cap = 50;  // not block-aligned on purpose
+  const Addr base = 13;
+  Rng rng(202);
+  std::int64_t head = 0, size = 0;
+  auto ring_touch = [&](std::int64_t offset, std::int64_t count, AccessMode mode) {
+    const std::int64_t run = std::min(count, ring_cap - offset);
+    if (run > 0) bulk.access_span(base + offset, run, mode);
+    if (count > run) bulk.access_span(base, count - run, mode);
+    reference_span(ref, base + offset, run, mode);
+    if (count > run) reference_span(ref, base, count - run, mode);
+  };
+  for (int step = 0; step < 4000; ++step) {
+    if (rng.bernoulli(0.5)) {
+      const std::int64_t n = rng.uniform(0, ring_cap - size);
+      ring_touch((head + size) % ring_cap, n, AccessMode::kWrite);
+      size += n;
+    } else {
+      const std::int64_t n = rng.uniform(0, size);
+      ring_touch(head, n, AccessMode::kRead);
+      head = (head + n) % ring_cap;
+      size -= n;
+    }
+  }
+  return base + ring_cap + kBlock;
+}
+
 TEST(BulkAccess, RandomSpansMatchPerAccessReference) {
   for (auto& pair : make_pairs(512)) {  // 64 blocks; heavy eviction pressure
-    Rng rng(101);
-    const Addr space = 4096;
-    for (int step = 0; step < 3000; ++step) {
-      const std::int64_t words = rng.uniform(0, 100);
-      const Addr addr = rng.uniform(0, space - 1);
-      const AccessMode mode = rng.bernoulli(0.3) ? AccessMode::kWrite : AccessMode::kRead;
-      pair.bulk->access_span(addr, words, mode);
-      reference_span(*pair.ref, addr, words, mode);
-    }
+    const Addr end = random_spans(*pair.bulk, *pair.ref);
     expect_stats_eq(pair.bulk->stats(), pair.ref->stats(), pair.name + " random spans");
-    check_residency(pair, space + 128, pair.name + " random spans");
+    check_residency(pair, end, pair.name + " random spans");
   }
 }
 
 TEST(BulkAccess, StreamingScanMatchesPerAccessReference) {
   for (auto& pair : make_pairs(256)) {
-    Addr a = 3;  // deliberately unaligned
-    for (int step = 0; step < 2000; ++step) {
-      pair.bulk->access_span(a, 37, AccessMode::kWrite);
-      reference_span(*pair.ref, a, 37, AccessMode::kWrite);
-      a += 37;
-    }
+    streaming_scan(*pair.bulk, *pair.ref);
     pair.bulk->flush();
     pair.ref->flush();
     expect_stats_eq(pair.bulk->stats(), pair.ref->stats(), pair.name + " streaming");
@@ -131,41 +180,70 @@ TEST(BulkAccess, StreamingScanMatchesPerAccessReference) {
 }
 
 TEST(BulkAccess, WrappingRingMatchesPerAccessReference) {
-  // Replay a channel-shaped pattern: pushes and pops against a ring whose
-  // spans split in two at the wrap point, exactly as runtime::Channel
-  // issues them.
-  const std::int64_t ring_cap = 50;  // not block-aligned on purpose
-  const Addr base = 13;
   for (auto& pair : make_pairs(256)) {
-    Rng rng(202);
-    std::int64_t head = 0, size = 0;
-    auto ring_touch = [&](CacheSim& cache, bool bulk, std::int64_t offset,
-                          std::int64_t count, AccessMode mode) {
-      const std::int64_t run = std::min(count, ring_cap - offset);
-      if (bulk) {
-        if (run > 0) cache.access_span(base + offset, run, mode);
-        if (count > run) cache.access_span(base, count - run, mode);
-      } else {
-        reference_span(cache, base + offset, run, mode);
-        if (count > run) reference_span(cache, base, count - run, mode);
-      }
-    };
-    for (int step = 0; step < 4000; ++step) {
-      if (rng.bernoulli(0.5)) {
-        const std::int64_t n = rng.uniform(0, ring_cap - size);
-        ring_touch(*pair.bulk, true, (head + size) % ring_cap, n, AccessMode::kWrite);
-        ring_touch(*pair.ref, false, (head + size) % ring_cap, n, AccessMode::kWrite);
-        size += n;
-      } else {
-        const std::int64_t n = rng.uniform(0, size);
-        ring_touch(*pair.bulk, true, head, n, AccessMode::kRead);
-        ring_touch(*pair.ref, false, head, n, AccessMode::kRead);
-        head = (head + n) % ring_cap;
-        size -= n;
-      }
-    }
+    const Addr end = wrapping_ring(*pair.bulk, *pair.ref);
     expect_stats_eq(pair.bulk->stats(), pair.ref->stats(), pair.name + " ring");
-    check_residency(pair, base + ring_cap + kBlock, pair.name + " ring");
+    check_residency(pair, end, pair.name + " ring");
+  }
+}
+
+// --- Two-level bulk path ----------------------------------------------------
+//
+// A worker cache over a shared LLC, driven in bulk, against a reference
+// driven one access() per block: private-level counters, LLC counters and
+// both levels' residency must match exactly. The private level is 4 blocks
+// and the LLC 32, so every trace misses into the LLC and the random one
+// also evicts (dirty) blocks from it.
+
+struct NamedTrace {
+  const char* name;
+  Addr (*run)(CacheSim& bulk, CacheSim& ref);
+};
+constexpr NamedTrace kTraces[] = {
+    {"random spans", random_spans},
+    {"streaming", streaming_scan},
+    {"ring", wrapping_ring},
+};
+constexpr CacheConfig kWorkerL1{4 * kBlock, kBlock};
+constexpr CacheConfig kSharedLlc{32 * kBlock, kBlock};
+
+TEST(TwoLevelBulk, OneStripeMatchesHierarchyPerBlock) {
+  for (const NamedTrace& trace : kTraces) {
+    ShardedLruCache llc(kSharedLlc, 1);
+    SharedLlcCache bulk(kWorkerL1, &llc);
+    HierarchyCache ref({kWorkerL1.capacity_words, kSharedLlc.capacity_words}, kBlock);
+    const Addr end = trace.run(bulk, ref);
+    const std::string where = std::string("one stripe, ") + trace.name;
+    expect_stats_eq(bulk.stats(), ref.level_stats(0), where + " private");
+    expect_stats_eq(llc.stats(), ref.level_stats(1), where + " llc");
+    EXPECT_GT(llc.stats().accesses, 0) << where;
+    for (Addr a = 0; a < end; a += kBlock) {
+      ASSERT_EQ(bulk.contains(a), ref.level(0).contains(a)) << where << " addr " << a;
+      ASSERT_EQ(llc.contains(a), ref.level(1).contains(a)) << where << " addr " << a;
+    }
+  }
+}
+
+TEST(TwoLevelBulk, FourStripesMatchScalarAccess) {
+  // Per-stripe LRU differs from global LRU, so the reference is a second
+  // worker cache over its own 4-stripe LLC, driven by scalar access().
+  for (const NamedTrace& trace : kTraces) {
+    ShardedLruCache llc(kSharedLlc, 4);
+    SharedLlcCache bulk(kWorkerL1, &llc);
+    ShardedLruCache ref_llc(kSharedLlc, 4);
+    SharedLlcCache ref(kWorkerL1, &ref_llc);
+    const Addr end = trace.run(bulk, ref);
+    const std::string where = std::string("four stripes, ") + trace.name;
+    expect_stats_eq(bulk.stats(), ref.stats(), where + " private");
+    expect_stats_eq(llc.stats(), ref_llc.stats(), where + " llc");
+    for (std::int32_t s = 0; s < 4; ++s) {
+      expect_stats_eq(llc.shard_stats(s), ref_llc.shard_stats(s),
+                      where + " stripe " + std::to_string(s));
+    }
+    for (Addr a = 0; a < end; a += kBlock) {
+      ASSERT_EQ(bulk.contains(a), ref.contains(a)) << where << " addr " << a;
+      ASSERT_EQ(llc.contains(a), ref_llc.contains(a)) << where << " addr " << a;
+    }
   }
 }
 

@@ -2,9 +2,8 @@
 //
 // The load-bearing property is ShardedVsFlat.*: a one-stripe sharded cache
 // is bit-identical to a flat LruCache of the same geometry -- stats,
-// residency, and replacement order -- so plumbing llc_shards=1 through
-// WorkerPool/Cluster is a pure code-path change the thread≡virtual-time
-// determinism gates can rely on. The rest pins the multi-stripe semantics:
+// residency, and replacement order -- so the default one-stripe shared LLC
+// of WorkerPool/Cluster is exactly a global-LRU last-level cache. The rest pins the multi-stripe semantics:
 // bulk == scalar order per stripe, stats() == sum of shard_stats(), stripe
 // isolation (per-stripe LRU), and the constructor contracts.
 

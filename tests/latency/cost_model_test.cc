@@ -57,8 +57,8 @@ TEST(CostModel, LlcSharedSurchargeIsPureConfiguration) {
   // 30: one miss costs 1 (lookup) + 38.
   EXPECT_EQ(sharded.step_cost(0, delta(1, 0, 1, 0)), 39);
 
-  // A flat single-mutex LLC is one stripe: ceil(3/1) = 3 contenders, +12.
-  ctx.llc_shards = 0;
+  // One stripe: ceil(3/1) = 3 contenders, +12.
+  ctx.llc_shards = 1;
   const CostModel flat = CostModelRegistry::global().build("llc-shared", ctx);
   EXPECT_EQ(flat.step_cost(0, delta(1, 0, 1, 0)), 43);
 

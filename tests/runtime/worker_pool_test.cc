@@ -112,8 +112,8 @@ TEST(WorkerPool, FlushDropsThePrivateLevelOnly) {
 }
 
 TEST(WorkerPool, ShardedLlcBehavesLikeFlatOnSerialTraffic) {
-  // The existing cross-worker LLC contracts, re-run against the sharded
-  // backend: a serialized driver must see the same accesses == summed
+  // The cross-worker LLC contracts above (default one stripe), re-run on
+  // four stripes: a serialized driver must see the same accesses == summed
   // private misses identity, and cross-worker refetches must hit.
   WorkerPoolOptions opts = small_pool(3, 4096);
   opts.llc_shards = 4;
@@ -147,16 +147,16 @@ void sweep_band(WorkerPool& pool, std::int32_t w, iomodel::BlockId base,
 
 TEST(WorkerPool, ConcurrentLlcStatsMatchVirtualTimeExactly) {
   // Real threads vs a serialized (virtual-time) run of the same per-worker
-  // streams, for both LLC backends and both band layouts. The LLC is big
-  // enough that nothing is ever evicted, so the aggregate split is a pure
-  // function of the streams, not the interleaving: misses == distinct
+  // streams, for one and four LLC stripes and both band layouts. The LLC
+  // is big enough that nothing is ever evicted, so the aggregate split is a
+  // pure function of the streams, not the interleaving: misses == distinct
   // blocks touched, accesses == summed private misses (each worker's L1 is
   // private, so its miss count is deterministic). Aggregate LLC counters
   // and every per-worker counter must agree exactly.
   constexpr std::int32_t kWorkers = 4;
   constexpr std::int64_t kBand = 64;
   constexpr std::int64_t kPasses = 3;
-  for (const std::int32_t shards : {0, 4}) {
+  for (const std::int32_t shards : {1, 4}) {
     for (const bool overlap : {false, true}) {
       WorkerPoolOptions opts;
       opts.workers = kWorkers;
@@ -199,6 +199,8 @@ TEST(WorkerPool, ConcurrentLlcStatsMatchVirtualTimeExactly) {
 TEST(WorkerPool, RejectsDegenerateShardGeometry) {
   WorkerPoolOptions opts = small_pool(2, 4096);
   opts.llc_shards = -1;
+  EXPECT_THROW(WorkerPool{opts}, Error);
+  opts.llc_shards = 0;  // the shared LLC always has at least one stripe
   EXPECT_THROW(WorkerPool{opts}, Error);
   opts.llc_shards = 3;  // not a power of two
   EXPECT_THROW(WorkerPool{opts}, Error);

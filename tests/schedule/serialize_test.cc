@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/scheduler.h"
+#include "core/planner.h"
 #include "schedule/naive.h"
 #include "schedule/validate.h"
 #include "util/error.h"
@@ -27,7 +27,7 @@ TEST(ScheduleSerialize, RoundTrippedScheduleStillValidates) {
   core::PlannerOptions opts;
   opts.cache.capacity_words = 1024;
   opts.cache.block_words = 8;
-  const auto plan = core::plan(g, opts);
+  const auto plan = core::Planner(g, opts).plan();
   const auto parsed = from_text(g, to_text(g, plan.schedule));
   EXPECT_TRUE(check_schedule(g, parsed).ok);
 }
