@@ -65,6 +65,39 @@ void BM_LruSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_LruSequential);
 
+// The engine's firing shape: each firing pops one token from its input
+// ring, rescans its module's fixed state region and pushes one token into
+// its output ring. 16 modules with block-aligned states of 4..34 blocks and
+// packed 20-word rings, all resident, fired round-robin -- what the
+// simulate step of a planning sweep spends its time on. Items = simulated
+// block accesses.
+void BM_LruStateRescan(benchmark::State& state) {
+  LruCache cache(CacheConfig{64 * 1024, 8});
+  constexpr int kModules = 16;
+  constexpr std::int64_t kRingWords = 20;
+  std::vector<Addr> state_base;
+  std::vector<std::int64_t> state_words;
+  Addr cursor = 0;
+  for (int m = 0; m < kModules; ++m) {
+    state_base.push_back(cursor);
+    state_words.push_back((4 + 2 * m) * 8);
+    cursor += state_words.back();
+  }
+  const Addr rings = cursor;  // packed right after the states
+  std::vector<std::int64_t> head(kModules + 1, 0);
+  int m = 0;
+  for (auto _ : state) {
+    const auto ring = [&](int r) { return rings + r * kRingWords + head[r]; };
+    cache.access_span(ring(m), 1, AccessMode::kRead);
+    head[m] = (head[m] + 1) % kRingWords;
+    cache.access_span(state_base[m], state_words[m], AccessMode::kRead);
+    cache.access_span(ring(m + 1), 1, AccessMode::kWrite);
+    if (++m == kModules) m = 0;
+  }
+  state.SetItemsProcessed(cache.stats().accesses);
+}
+BENCHMARK(BM_LruStateRescan);
+
 // Scalar hit path: one virtual access() per word, precomputed addresses.
 void BM_LruScalarHot(benchmark::State& state) {
   LruCache cache(CacheConfig{64 * 1024, 8});

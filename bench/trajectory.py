@@ -2,8 +2,11 @@
 """Merge every BENCH_PR*.json into one wall-clock perf trajectory.
 
 Each PR records its benchmark evidence in a BENCH_PR<N>.json at the repo
-root; shapes differ by era (PR2/PR3 are hand-rolled summaries, PR4+ are raw
-google-benchmark --benchmark_format=json dumps). This script normalizes all
+root; shapes differ by era (the earliest are hand-rolled summaries, then
+raw google-benchmark --benchmark_format=json dumps, and the latest are
+"perfbench-ab" records: alternating parent/change runs of the repository
+benchmark, perfbench/run.py, plus a microbenchmark table -- see
+rows_from_perfbench_ab for the exact shape). This script normalizes all
 of them into one long-format table -- one row per (pr, benchmark, metric) --
 and emits it as CSV plus a grouped markdown report, so CI can publish the
 whole perf trajectory as a single artifact on every run.
@@ -103,6 +106,108 @@ def rows_from_pr3(pr, source, doc):
     return rows
 
 
+def _number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TrajectoryError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
+# Stamp fields perfbench/run.py writes into every run record; a perfbench-ab
+# pair must carry them on both sides, or the numbers cannot be traced to a
+# build.
+PERFBENCH_STAMP_KEYS = ("workload", "seed", "seconds", "trace", "build_type",
+                        "compiler", "cxx_flags", "nproc", "git_sha", "source_sha256")
+
+
+def rows_from_perfbench_ab(pr, source, doc):
+    """Alternating parent/change runs of the repository benchmark.
+
+    Shape (every field required):
+      {"shape": "perfbench-ab", "pr": N, "description": str,
+       "pairs": [{"order": "parent-first" | "change-first",
+                  "parent": RUN, "change": RUN}, ...],
+       "micro": {"reps": int, "rows": [{"benchmark": str,
+                 "parent_items_per_second": num,
+                 "change_items_per_second": num}, ...]}}
+    where RUN is a perfbench record reduced to {"stamp": {...}, "correct":
+    true, "failed": 0, "metrics": {name: {"value": num, "unit": str}}}.
+    Both sides of a pair must name the same workload and seed and differ in
+    source_sha256. Emits, per workload and end-to-end metric, the change and
+    parent medians over the pairs and their ratio (with the change's pair
+    wins in the note), and per microbenchmark the change and parent medians
+    and their ratio.
+    """
+    if doc.get("pr") != pr:
+        raise TrajectoryError(f"{source}: 'pr' field {doc.get('pr')!r} != {pr}")
+    pairs = doc["pairs"]
+    if not isinstance(pairs, list) or not pairs:
+        raise TrajectoryError(f"{source}: 'pairs' must be a non-empty list")
+    series = {}  # (workload, metric) -> (unit, [(parent, change)])
+    for i, pair in enumerate(pairs):
+        where = f"{source}: pair {i}"
+        if pair["order"] not in ("parent-first", "change-first"):
+            raise TrajectoryError(f"{where}: bad order {pair['order']!r}")
+        sides = {}
+        for side in ("parent", "change"):
+            run = pair[side]
+            stamp = run["stamp"]
+            missing = [k for k in PERFBENCH_STAMP_KEYS if k not in stamp]
+            if missing:
+                raise TrajectoryError(f"{where}: {side} stamp lacks {missing}")
+            if run["correct"] is not True or run["failed"] != 0:
+                raise TrajectoryError(f"{where}: {side} run is not correct")
+            sides[side] = run
+        ps, cs = sides["parent"]["stamp"], sides["change"]["stamp"]
+        if (ps["workload"], ps["seed"]) != (cs["workload"], cs["seed"]):
+            raise TrajectoryError(f"{where}: parent and change ran different cells")
+        if ps["source_sha256"] == cs["source_sha256"]:
+            raise TrajectoryError(f"{where}: parent and change ran the same sources")
+        pm, cm = sides["parent"]["metrics"], sides["change"]["metrics"]
+        if sorted(pm) != sorted(cm):
+            raise TrajectoryError(f"{where}: parent and change report different metrics")
+        for metric in sorted(pm):
+            unit = pm[metric]["unit"]
+            if cm[metric]["unit"] != unit:
+                raise TrajectoryError(f"{where}: {metric} units differ")
+            series.setdefault((ps["workload"], metric), (unit, []))[1].append(
+                (_number(pm[metric]["value"], f"{where} parent {metric}"),
+                 _number(cm[metric]["value"], f"{where} change {metric}")))
+    rows = []
+    for (workload, metric), (unit, values) in sorted(series.items()):
+        bench = f"perfbench/{workload}"
+        parent = _median([p for p, _ in values])
+        change = _median([c for _, c in values])
+        higher = metric == "firings_per_s"  # the only higher-is-better end-to-end metric
+        wins = sum((c > p) if higher else (c < p) for p, c in values)
+        note = f"median of {len(values)} alternating pairs"
+        rows.append([pr, source, bench, metric, change, unit, note])
+        rows.append([pr, source, bench, f"{metric}_parent", parent, unit, note])
+        if parent != 0:
+            rows.append([pr, source, bench, f"{metric}_vs_parent", change / parent, "x",
+                         f"change better in {wins}/{len(values)} pairs"])
+    micro = doc["micro"]
+    reps = int(_number(micro["reps"], f"{source}: micro reps"))
+    if not micro["rows"]:
+        raise TrajectoryError(f"{source}: 'micro.rows' is empty")
+    for row in micro["rows"]:
+        name = normalize_benchmark_name(row["benchmark"])
+        parent = _number(row["parent_items_per_second"], f"{source}: {name} parent")
+        change = _number(row["change_items_per_second"], f"{source}: {name} change")
+        if parent <= 0 or change <= 0:
+            raise TrajectoryError(f"{source}: {name} throughput must be positive")
+        note = f"median of {reps} alternating reps"
+        rows.append([pr, source, name, "items_per_second", change, "items/s", note])
+        rows.append([pr, source, name, "items_per_second_parent", parent, "items/s", note])
+        rows.append([pr, source, name, "speedup_vs_parent", change / parent, "x", note])
+    return rows
+
+
 def normalize(path):
     source = os.path.basename(path)
     match = re.match(r"BENCH_PR(\d+)\.json$", source)
@@ -115,6 +220,8 @@ def normalize(path):
     except (OSError, json.JSONDecodeError) as err:
         raise TrajectoryError(f"{source}: failed to parse: {err}") from err
     try:
+        if isinstance(doc, dict) and doc.get("shape") == "perfbench-ab":
+            return rows_from_perfbench_ab(pr, source, doc)
         if isinstance(doc, dict) and "benchmarks" in doc:
             return rows_from_google_benchmark(pr, source, doc)
         if isinstance(doc, dict) and "gated" in doc:

@@ -436,12 +436,12 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   swap_.admit(id);
   // Seed the footprint estimate from the gain-analysis layout (state plus
   // channel rings) -- the paper's working-set bound made concrete. The
-  // estimator is indexed by tenant id (monotonic, one add per admission)
-  // and only adaptive placement reads it, so static policies skip it and
-  // keep host memory O(live).
+  // estimator is keyed by tenant id and only adaptive placement reads it,
+  // so static policies skip it; close() reclaims the entry, keeping host
+  // memory O(live) either way.
   if (policy_->adaptive()) {
     const runtime::FootprintSample seed = it->second.stream->footprint_sample();
-    estimator_.add_session(seed.layout_words, seed.state_words);
+    estimator_.add_session(id, seed.layout_words, seed.state_words);
   }
   return id;
 }
@@ -601,6 +601,7 @@ void Cluster::close(TenantId id) {
   home.tenants.erase(std::find(home.tenants.begin(), home.tenants.end(), id));
   home.cursor = 0;  // keep the rotation point deterministic after the edit
   swap_.erase(id);
+  if (estimator_.tracks(id)) estimator_.remove_session(id);
   free_bands_.insert(t.band);
   tenants_.erase(it);
   ++lifecycle_.sessions_closed;
@@ -720,7 +721,7 @@ std::vector<ClusterWorkerStatus> Cluster::worker_statuses() const {
     s.l1_words = options_.l1.capacity_words;
     if (adaptive_active()) {
       for (const TenantId id : worker.tenants) {
-        if (id < estimator_.session_count() && estimator_.hot(id) &&
+        if (estimator_.tracks(id) && estimator_.hot(id) &&
             tenants_.at(id).stream != nullptr) {
           s.hot_words += estimator_.footprint_words(id);
         }
@@ -744,7 +745,7 @@ PlacementRequest Cluster::request_for(TenantId id) const {
   for (WorkerId w = 0; w < worker_count(); ++w) {
     request.resident_blocks.push_back(pool_.resident_blocks(w, t.stream->layout_span()));
   }
-  if (adaptive_active() && id < estimator_.session_count()) {
+  if (adaptive_active() && estimator_.tracks(id)) {
     request.footprint_words = estimator_.footprint_words(id);
     request.hot = estimator_.hot(id);
   }

@@ -214,11 +214,7 @@ CellResult Experiment::run_cell(const Coordinate& at) const {
     const std::int64_t rounds = schedule::periods_for_outputs(sched, spec_.target_outputs);
     iomodel::LruCache cache(sim);
     runtime::Engine engine(graph, sched.buffer_caps, cache, spec_.engine);
-    const auto measure = [&]() {
-      runtime::RunResult total;
-      for (std::int64_t r = 0; r < rounds; ++r) total += engine.run(sched.period);
-      return total;
-    };
+    const auto measure = [&]() { return engine.run(sched.period, rounds); };
     cell.run = measure();
     // Further repetitions reuse the constructed engine against a fresh cold
     // cache (Engine::rebind_cache); every repetition must reproduce the

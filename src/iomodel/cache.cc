@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "iomodel/simd.h"
 #include "util/int_math.h"
@@ -10,8 +9,6 @@
 namespace ccs::iomodel {
 
 namespace {
-
-constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
 
 inline void prefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -28,23 +25,13 @@ CacheSim::CacheSim(std::int64_t block_words)
       block_shift_(is_pow2(block_words)
                        ? static_cast<std::int32_t>(
                              std::countr_zero(static_cast<std::uint64_t>(block_words)))
-                       : -1) {
+                       : -1),
+      max_block_(block_words > 0 ? kMaxInt64 / block_words : 0) {
   CCS_EXPECTS(block_words > 0, "block size must be positive");
 }
 
-std::int64_t CacheSim::access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
-  CCS_EXPECTS(first >= 0, "negative block id");
-  CCS_EXPECTS(count >= 0, "negative block count");
-  CCS_EXPECTS(first <= kMaxInt64 - count, "block range overflows");
-  if (count == 0) return 0;
-  // Every block in the range must have an addressable first word, so the
-  // bulk path and the word-at-a-time reference agree on their domain.
-  CCS_EXPECTS(first + count - 1 <= kMaxInt64 / block_words_,
-              "block range exceeds address space");
-  if (!costs_.any()) {
-    do_access_blocks(first, count, mode);
-    return 0;
-  }
+std::int64_t CacheSim::priced_access_blocks(BlockId first, std::int64_t count,
+                                            AccessMode mode) {
   // Price the call from its own counter delta. The snapshot is four int64
   // loads; implementations never touch counters outside their own stats_,
   // so the delta covers exactly this call.
@@ -56,16 +43,6 @@ std::int64_t CacheSim::access_blocks(BlockId first, std::int64_t count, AccessMo
   delta.misses -= before.misses;
   delta.writebacks -= before.writebacks;
   return costs_.price(delta);
-}
-
-std::int64_t CacheSim::access_span(Addr addr, std::int64_t words, AccessMode mode) {
-  CCS_EXPECTS(addr >= 0, "negative address");
-  CCS_EXPECTS(words >= 0, "negative span length");
-  CCS_EXPECTS(addr <= kMaxInt64 - words, "span overflows address space");
-  if (words == 0) return 0;
-  const BlockId first = block_of(addr);
-  const BlockId last = block_of(addr + words - 1);
-  return access_blocks(first, last - first + 1, mode);
 }
 
 void CacheSim::access_range(Addr addr, std::int64_t count, AccessMode mode) {
@@ -99,7 +76,7 @@ LruCache::LruCache(const CacheConfig& config)
   table_shift_ = static_cast<std::int32_t>(
       64 - std::countr_zero(static_cast<std::uint64_t>(table_size)));
   slab_.reserve(static_cast<std::size_t>(eager) + 1);
-  slab_.push_back(Node{-1, 0, 0, false});  // sentinel; empty circular list
+  slab_.push_back(Node{-1, 0, 0, kNoRun, false});  // sentinel; empty circular list
 }
 
 std::size_t LruCache::find_slot(BlockId block) const {
@@ -160,7 +137,12 @@ bool LruCache::touch_block(BlockId block, bool write) {
   std::size_t slot = find_slot(block);
   std::int32_t idx = table_[slot];
   if (idx != kNil) {
-    if (write) slab_[static_cast<std::size_t>(idx)].dirty = true;
+    Node& n = slab_[static_cast<std::size_t>(idx)];
+    if (write) n.dirty = true;
+    if (n.run != kNoRun) [[unlikely]] {
+      leave_run(n.run);
+      n.run = kNoRun;
+    }
     move_to_front(idx);
     return true;
   }
@@ -169,6 +151,10 @@ bool LruCache::touch_block(BlockId block, bool write) {
     idx = slab_[0].prev;
     Node& victim = slab_[static_cast<std::size_t>(idx)];
     if (victim.dirty) ++stats_.writebacks;
+    if (victim.run != kNoRun) [[unlikely]] {
+      leave_run(victim.run);
+      victim.run = kNoRun;
+    }
     erase_slot(find_slot(victim.block));
     slot = find_slot(block);  // erase may have shifted entries
     victim.block = block;
@@ -181,9 +167,9 @@ bool LruCache::touch_block(BlockId block, bool write) {
     }
     idx = static_cast<std::int32_t>(++size_);
     if (static_cast<std::size_t>(idx) == slab_.size()) {
-      slab_.push_back(Node{block, 0, 0, write});
+      slab_.push_back(Node{block, 0, 0, kNoRun, write});
     } else {
-      slab_[static_cast<std::size_t>(idx)] = Node{block, 0, 0, write};
+      slab_[static_cast<std::size_t>(idx)] = Node{block, 0, 0, kNoRun, write};
     }
     const std::int32_t old_head = slab_[0].next;
     slab_[static_cast<std::size_t>(idx)].next = old_head;
@@ -192,6 +178,46 @@ bool LruCache::touch_block(BlockId block, bool write) {
   }
   table_[slot] = idx;
   return false;
+}
+
+std::int32_t LruCache::open_run(BlockId first, std::int64_t count) {
+  std::int32_t r;
+  if (free_runs_.empty()) {
+    r = static_cast<std::int32_t>(runs_.size());
+    runs_.push_back(Run{});
+  } else {
+    r = free_runs_.back();
+    free_runs_.pop_back();
+  }
+  // live stays 0 until the loop has tagged every member; top and bottom
+  // are filled in as the first and last blocks reach the head.
+  runs_[static_cast<std::size_t>(r)] =
+      Run{first, static_cast<std::int32_t>(count), kNil, kNil, 0};
+  return r;
+}
+
+void LruCache::splice_run(const Run& r, bool write) {
+  const std::int32_t head = slab_[0].next;
+  if (head != r.top) {
+    // Unlink [top..bottom] as one piece and relink it under the sentinel:
+    // top is not the head, so its predecessor is a real node, and the node
+    // after bottom may be the sentinel (whose .prev, the LRU end, stays
+    // exact).
+    Node& top = slab_[static_cast<std::size_t>(r.top)];
+    Node& bottom = slab_[static_cast<std::size_t>(r.bottom)];
+    slab_[static_cast<std::size_t>(top.prev)].next = bottom.next;
+    slab_[static_cast<std::size_t>(bottom.next)].prev = top.prev;
+    top.prev = 0;
+    bottom.next = head;
+    slab_[static_cast<std::size_t>(head)].prev = r.bottom;
+    slab_[0].next = r.top;
+  }
+  if (write) {
+    for (std::int32_t idx = r.top;; idx = slab_[static_cast<std::size_t>(idx)].next) {
+      slab_[static_cast<std::size_t>(idx)].dirty = true;
+      if (idx == r.bottom) break;
+    }
+  }
 }
 
 void LruCache::access(Addr addr, AccessMode mode) {
@@ -208,16 +234,66 @@ template <bool kNoteMisses>
 void LruCache::bulk_loop(BlockId first, std::int64_t count, AccessMode mode,
                          std::vector<BlockId>* misses) {
   const bool write = mode == AccessMode::kWrite;
+  // A single block gains nothing from a splice, and a span longer than the
+  // cache evicts its own first blocks, so neither is ever a run. The gate
+  // (run_credit_) decides whether this span consults and records the memo
+  // at all; a span that does not runs the loop with no run to tag.
+  if (count >= 2 && count <= capacity_blocks_ &&
+      (run_credit_ > 0 || (++run_explore_ & kRunExploreMask) == 0)) {
+    // The first block's probe is both the memo lookup and, if the rescan
+    // does not apply, the loop's own probe of that block.
+    const std::int32_t first_idx = table_[find_slot(first)];
+    if (first_idx != kNil) {
+      const std::int32_t r = slab_[static_cast<std::size_t>(first_idx)].run;
+      if (r != kNoRun) {
+        const Run& rec = runs_[static_cast<std::size_t>(r)];
+        if (rec.bottom == first_idx && rec.first == first && rec.count == count &&
+            rec.live == count) {
+          splice_run(rec, write);
+          stats_.accesses += count;
+          stats_.hits += count;
+          run_credit_ = std::min(run_credit_ + kRunReward, kRunCreditMax);
+          CCS_AUDIT_BLOCK(if ((++audit_tick_ & 63) == 0) audit_invariants(););
+          return;
+        }
+      }
+    }
+    if (run_credit_ > 0) --run_credit_;
+    span_loop<kNoteMisses, true>(first, count, write, misses, open_run(first, count),
+                                 first_idx);
+  } else {
+    span_loop<kNoteMisses, false>(first, count, write, misses, kNoRun, kNil);
+  }
+  CCS_AUDIT_BLOCK(if ((++audit_tick_ & 63) == 0) audit_invariants(););
+}
+
+template <bool kNoteMisses, bool kRecord>
+void LruCache::span_loop(BlockId first, std::int64_t count, bool write,
+                         std::vector<BlockId>* misses, std::int32_t recorded,
+                         std::int32_t first_idx) {
+  // Without a run to record, the tag is the constant kNoRun, so the loop
+  // only untags the nodes it moves.
+  const std::int32_t run = kRecord ? recorded : kNoRun;
+  BlockId b = first;
+  const BlockId e = first + count;
   std::int64_t hits = 0;
   // Keep the MRU head in a register across the span: the per-block relink
   // otherwise carries a store/load dependency through slab_[0].next.
   std::int32_t head = slab_[0].next;
 
-  // Scalar per-block body: exact hit/miss handling, shared by the group
-  // tail and the fallback when a probe group is not all home-slot hits.
-  const auto scalar_block = [&](BlockId b) {
-    prefetch(&table_[home_slot(b + 1)]);  // harmless one-past-the-end probe
-    const std::int32_t idx = table_[find_slot(b)];
+  // A node that just reached the head leaves whatever run it was in and
+  // joins this span's run (or none).
+  const auto tag = [&](Node& n) {
+    if (n.run != run) [[unlikely]] {
+      if (n.run != kNoRun) leave_run(n.run);
+      n.run = run;
+    }
+  };
+
+  // Scalar per-block body on a probed node index: exact hit/miss handling,
+  // shared by the first block, the group tail and the fallback when a probe
+  // group is not all home-slot hits.
+  const auto visit = [&](BlockId blk, std::int32_t idx) {
     if (idx != kNil) {
       ++hits;
       Node& n = slab_[static_cast<std::size_t>(idx)];
@@ -233,19 +309,28 @@ void LruCache::bulk_loop(BlockId first, std::int64_t count, AccessMode mode,
         slab_[static_cast<std::size_t>(head)].prev = idx;
         head = idx;
       }
+      tag(n);
     } else {
       // The miss path walks the list through the sentinel (eviction, table
-      // maintenance): sync the cached head around it.
+      // maintenance): sync the cached head around it. touch_block leaves
+      // the new head untagged.
       slab_[0].next = head;
-      touch_block(b, write);
+      touch_block(blk, write);
       head = slab_[0].next;
-      if constexpr (kNoteMisses) misses->push_back(b);
+      slab_[static_cast<std::size_t>(head)].run = run;
+      if constexpr (kNoteMisses) misses->push_back(blk);
     }
   };
+  const auto scalar_block = [&](BlockId blk) {
+    prefetch(&table_[home_slot(blk + 1)]);  // harmless one-past-the-end probe
+    visit(blk, table_[find_slot(blk)]);
+  };
 
+  if constexpr (kRecord) {
+    visit(b++, first_idx);
+    runs_[static_cast<std::size_t>(run)].bottom = head;
+  }
   constexpr std::int64_t kGroup = simd::kProbeBatch;
-  BlockId b = first;
-  const BlockId e = first + count;
   while (e - b >= kGroup) {
     if (!batch_hint_) {
       // Recent groups were not all home-slot hits (a streaming or
@@ -291,6 +376,7 @@ void LruCache::bulk_loop(BlockId first, std::int64_t count, AccessMode mode,
           slab_[static_cast<std::size_t>(head)].prev = id;
           head = id;
         }
+        tag(n);
       }
       hits += kGroup;
     } else {
@@ -302,10 +388,15 @@ void LruCache::bulk_loop(BlockId first, std::int64_t count, AccessMode mode,
   for (; b != e; ++b) scalar_block(b);
 
   slab_[0].next = head;
+  if constexpr (kRecord) {
+    // Every block of the span is tagged and the last one is the head.
+    Run& rec = runs_[static_cast<std::size_t>(run)];
+    rec.top = head;
+    rec.live = static_cast<std::int32_t>(count);
+  }
   stats_.accesses += count;
   stats_.hits += hits;
   stats_.misses += count - hits;
-  CCS_AUDIT_BLOCK(if ((++audit_tick_ & 63) == 0) audit_invariants(););
 }
 
 void LruCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
@@ -330,6 +421,10 @@ void LruCache::flush() {
   std::fill(table_.begin(), table_.end(), kNil);
   slab_[0].prev = slab_[0].next = 0;
   size_ = 0;
+  // Every node is free now (and re-created untagged when reused), so every
+  // run is gone with it.
+  runs_.clear();
+  free_runs_.clear();
 }
 
 void LruCache::audit_invariants() const {
@@ -366,6 +461,51 @@ void LruCache::audit_invariants() const {
     CCS_CHECK(idx >= 1 && idx <= size_, "table entry outside the live slab range");
   }
   CCS_CHECK(live == size_, "table entry count disagrees with resident count");
+
+  // Run plane: each record's live count is exactly its number of tagged
+  // resident nodes (free slab nodes are untagged when reused, so only the
+  // resident ones count).
+  std::vector<std::int64_t> tagged(runs_.size(), 0);
+  for (std::int32_t idx = 1; idx <= size_; ++idx) {
+    const std::int32_t r = slab_[static_cast<std::size_t>(idx)].run;
+    if (r == kNoRun) continue;
+    CCS_CHECK(r >= 0 && static_cast<std::size_t>(r) < runs_.size(),
+              "node tagged with a run outside the run table");
+    ++tagged[static_cast<std::size_t>(r)];
+  }
+  std::int64_t live_runs = 0;
+  for (std::size_t r = 0; r < runs_.size(); ++r) {
+    const Run& run = runs_[r];
+    CCS_CHECK(run.live == tagged[r], "run live count disagrees with its tagged nodes");
+    if (run.live == 0) continue;
+    ++live_runs;
+    CCS_CHECK(run.count >= 2 && run.count <= capacity_blocks_ && run.live <= run.count,
+              "run length outside [2, capacity] or more live members than blocks");
+    if (run.live != run.count) continue;  // broken for good; never spliced
+    // Intact: top..bottom walks the blocks first + count - 1 down to first.
+    std::int32_t idx = run.top;
+    for (std::int32_t i = 0; i < run.count; ++i) {
+      CCS_CHECK(idx >= 1 && idx <= size_, "intact run walks outside the live slab");
+      const Node& n = slab_[static_cast<std::size_t>(idx)];
+      CCS_CHECK(n.run == static_cast<std::int32_t>(r), "intact run holds a foreign node");
+      CCS_CHECK(n.block == run.first + run.count - 1 - i,
+                "intact run is out of scan order");
+      if (i + 1 < run.count) idx = n.next;
+    }
+    CCS_CHECK(idx == run.bottom, "intact run does not end at its bottom node");
+  }
+  // The free records are exactly the runs with no member left.
+  std::vector<bool> is_free(runs_.size(), false);
+  for (const std::int32_t r : free_runs_) {
+    CCS_CHECK(r >= 0 && static_cast<std::size_t>(r) < runs_.size(),
+              "free run index outside the run table");
+    CCS_CHECK(!is_free[static_cast<std::size_t>(r)], "run freed twice");
+    CCS_CHECK(runs_[static_cast<std::size_t>(r)].live == 0, "free list holds a live run");
+    is_free[static_cast<std::size_t>(r)] = true;
+  }
+  CCS_CHECK(live_runs + static_cast<std::int64_t>(free_runs_.size()) ==
+                static_cast<std::int64_t>(runs_.size()),
+            "a run record is neither live nor free");
 }
 
 bool LruCache::contains(Addr addr) const {

@@ -13,17 +13,27 @@
 // segments, module state regions), so CacheSim exposes a block-granular bulk
 // API -- access_blocks() and the word-range wrapper access_span() -- that
 // costs one simulated access per block with a single virtual dispatch per
-// span. Implementations override do_access_blocks() to run the whole span
-// through their non-virtual per-block fast path; the default falls back to
-// one access() per block. Bulk and per-access paths produce bit-identical
-// CacheStats and replacement state (tests/iomodel/bulk_access_test.cc checks
-// this differentially). LruCache additionally exposes its bulk loop as
+// span. Both entries are inline (most spans are one block, so call overhead
+// matters); only the priced path is out of line. Implementations override
+// do_access_blocks() to run the whole span through their non-virtual
+// per-block fast path; the default falls back to one access() per block.
+// Bulk and per-access paths produce bit-identical CacheStats and
+// replacement state (tests/iomodel/bulk_access_test.cc checks this
+// differentially). LruCache additionally exposes its bulk loop as
 // access_blocks_noting_misses(), which reports the span's missed blocks in
 // order -- how a two-level worker cache runs whole spans through its private
 // level and forwards only the misses to the shared level.
+//
+// Rescans: every firing scans its module's whole state region, and between
+// two scans of one region the region usually stays resident, contiguous and
+// in scan order at the MRU end. LruCache remembers the last multi-block span
+// that left each node at the head (its *run plane*) and applies an exact
+// rescan of an intact run as one O(1) list splice instead of one probe and
+// one relink per block -- see LruCache::Run for why that is bit-identical.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -49,14 +59,32 @@ class CacheSim {
   /// AccessCosts (0 under the all-zero default); because pricing is linear
   /// in the counters, per-call costs sum to the price of the whole window's
   /// stats() delta, exactly.
-  std::int64_t access_blocks(BlockId first, std::int64_t count, AccessMode mode);
+  std::int64_t access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
+    CCS_EXPECTS(first >= 0, "negative block id");
+    CCS_EXPECTS(count >= 0, "negative block count");
+    CCS_EXPECTS(first <= kMaxInt64 - count, "block range overflows");
+    if (count == 0) return 0;
+    // Every block in the range must have an addressable first word, so the
+    // bulk path and the word-at-a-time reference agree on their domain.
+    CCS_EXPECTS(first + count - 1 <= max_block_, "block range exceeds address space");
+    if (costs_.any()) return priced_access_blocks(first, count, mode);
+    do_access_blocks(first, count, mode);
+    return 0;
+  }
 
   /// Word-range wrapper around access_blocks(): one simulated access per
   /// block overlapping [addr, addr + words). This is how the runtime touches
   /// a contiguous span -- identical misses and recency order to touching
   /// every word, at O(words/B) simulator work. Returns the call's modeled
   /// cost, like access_blocks().
-  std::int64_t access_span(Addr addr, std::int64_t words, AccessMode mode);
+  std::int64_t access_span(Addr addr, std::int64_t words, AccessMode mode) {
+    CCS_EXPECTS(addr >= 0, "negative address");
+    CCS_EXPECTS(words >= 0, "negative span length");
+    CCS_EXPECTS(addr <= kMaxInt64 - words, "span overflows address space");
+    if (words == 0) return 0;
+    const BlockId first = block_of(addr);
+    return access_blocks(first, block_of(addr + words - 1) - first + 1, mode);
+  }
 
   /// Attaches per-counter cycle costs (latency::CostModel::access_costs());
   /// subsequent bulk calls return their priced delta. The default all-zero
@@ -101,8 +129,15 @@ class CacheSim {
   virtual void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode);
 
  private:
+  static constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+
+  /// access_blocks() under attached costs: prices the call from its own
+  /// counter delta.
+  std::int64_t priced_access_blocks(BlockId first, std::int64_t count, AccessMode mode);
+
   std::int64_t block_words_;
   std::int32_t block_shift_;  // log2(block_words), or -1 if not a power of two
+  std::int64_t max_block_;    // kMaxInt64 / block_words_: last block with an addressable word
   AccessCosts costs_;         // all-zero unless a cost model is attached
 };
 
@@ -115,6 +150,9 @@ class CacheSim {
 /// heap allocations; absurdly large capacities start small and double
 /// geometrically, which is still allocation-free once the working set
 /// stabilizes.
+///
+/// A fourth plane, the run plane, memoizes multi-block spans so that an
+/// exact rescan of a still-intact span costs O(1) (see Run).
 class LruCache final : public CacheSim {
  public:
   explicit LruCache(const CacheConfig& config);
@@ -146,13 +184,18 @@ class LruCache final : public CacheSim {
   /// Blocks currently resident (for tests).
   std::int64_t resident_blocks() const { return size_; }
 
-  /// Heavy cross-consistency walk of the three replacement-state planes:
+  /// Heavy cross-consistency walk of the four replacement-state planes:
   /// the recency list visits exactly size_ nodes with consistent back links
   /// and closes on the sentinel, every resident block is findable through
   /// the open-addressing table, and the table holds exactly size_ live
-  /// entries. O(capacity + table). Throws ContractViolation on the first
-  /// inconsistency. Audit builds (-DCCS_AUDIT=ON) run it automatically at
-  /// bulk-access and flush boundaries; tests may call it in any build.
+  /// entries. On the run plane, every run's live count equals the number of
+  /// nodes tagged with it, every intact run walks from top to bottom over
+  /// blocks first + count - 1 down to first, and the free records are
+  /// exactly the runs with no tagged node. O(capacity + table). Throws
+  /// ContractViolation on the first inconsistency. Audit builds
+  /// (-DCCS_AUDIT=ON) run it automatically at sampled bulk-access
+  /// boundaries (rescan splices included) and at flush; tests may call it
+  /// in any build.
   void audit_invariants() const;
 
  protected:
@@ -160,16 +203,52 @@ class LruCache final : public CacheSim {
 
  private:
   static constexpr std::int32_t kNil = -1;
+  static constexpr std::int32_t kNoRun = -1;
 
   /// One block's replacement state. slab_[0] is a sentinel that closes the
   /// recency list into a circle (sentinel.next = MRU, sentinel.prev = LRU),
   /// so relinking needs no nil/head/tail branches. Live nodes are exactly
-  /// slab_[1 .. size_].
+  /// slab_[1 .. size_]. `run` is the run the node was last tagged with by a
+  /// bulk span, or kNoRun.
   struct Node {
     BlockId block;
     std::int32_t prev;
     std::int32_t next;
+    std::int32_t run;
     bool dirty;
+  };
+  static_assert(sizeof(Node) == 24, "the run tag must fit in Node's padding");
+
+  /// The run plane's memo: a bulk span of 2 <= count <= capacity blocks
+  /// leaves its blocks at the MRU end in descending order, so the recency
+  /// list reads top = node of block first + count - 1, then first +
+  /// count - 2, ..., down to bottom = node of block first. The slow loop
+  /// records that as a Run, tagging each node as it reaches the head (the
+  /// probe of the first block doubles as the memo lookup, so recording
+  /// costs the slow path no extra table probe).
+  ///
+  /// Invariant: `live` counts the nodes still tagged with the run. Every
+  /// relink or eviction of a member node other than the rescan splice
+  /// untags it and decrements `live` -- and `live` never grows after the
+  /// run is recorded -- so `live == count` proves that no member has moved
+  /// or left since: the members are still resident, still contiguous (new
+  /// and relinked nodes only ever enter at the head, never between two
+  /// members) and still in scan order.
+  ///
+  /// Rescan: a span of exactly (first, count) whose first block is the
+  /// bottom of an intact run is applied as one splice of [top..bottom] to
+  /// the MRU end, `count` accesses and hits, and (for writes) the members'
+  /// dirty bits. That is bit-identical to the per-block loop: count
+  /// ascending move-to-fronts of blocks that are all resident and already
+  /// in this order leave exactly the spliced list, no block misses, so the
+  /// table, every counter, the residency and the replacement order match.
+  /// It needs no LLC either: an all-hit span forwards no misses.
+  struct Run {
+    BlockId first;
+    std::int32_t count;
+    std::int32_t top;
+    std::int32_t bottom;
+    std::int32_t live;
   };
 
   std::size_t home_slot(BlockId block) const {
@@ -181,16 +260,44 @@ class LruCache final : public CacheSim {
 
   /// Hit/miss/eviction core; updates everything except the accesses/hits/
   /// misses counters (callers batch those so span loops are not serialized
-  /// on read-modify-write chains). Returns true on a hit.
+  /// on read-modify-write chains). Returns true on a hit. Untags the node it
+  /// relinks or evicts; the node it leaves at the head is untagged.
   bool touch_block(BlockId block, bool write);
 
-  /// The one bulk loop behind do_access_blocks() and
-  /// access_blocks_noting_misses(). kNoteMisses only decides whether missed
+  /// The one bulk entry behind do_access_blocks() and
+  /// access_blocks_noting_misses(): applies a rescan of an intact run as a
+  /// splice, else runs span_loop. kNoteMisses only decides whether missed
   /// ids are appended to `misses`, so the no-buffer instantiation carries
   /// no per-miss test.
   template <bool kNoteMisses>
   void bulk_loop(BlockId first, std::int64_t count, AccessMode mode,
                  std::vector<BlockId>* misses);
+
+  /// The per-block loop. kRecord: the span records run `recorded`, and
+  /// `first_idx` is its first block's already-probed node (or kNil); the
+  /// non-recording instantiation keeps the tag a compile-time constant, so
+  /// spans outside the memo pay no register for it.
+  template <bool kNoteMisses, bool kRecord>
+  void span_loop(BlockId first, std::int64_t count, bool write,
+                 std::vector<BlockId>* misses, std::int32_t recorded,
+                 std::int32_t first_idx);
+
+  /// Applies a rescan of the intact run `r` (see Run).
+  void splice_run(const Run& r, bool write);
+
+  /// A fresh run record for (first, count) with no members yet.
+  std::int32_t open_run(BlockId first, std::int64_t count);
+
+  /// One member of run `r` moved or left: the run is broken for good, and
+  /// its record is freed once its last member has left.
+  void leave_run(std::int32_t r) {
+    if (--runs_[static_cast<std::size_t>(r)].live == 0) [[unlikely]] free_run(r);
+  }
+
+  /// Returns the record of a run whose last member has left to the free
+  /// list. Out of line: the relink loops inline leave_run, and an inlined
+  /// vector growth path would cost them registers on every block.
+  [[gnu::noinline]] void free_run(std::int32_t r) { free_runs_.push_back(r); }
 
   void move_to_front(std::int32_t idx);
   std::size_t find_slot(BlockId block) const;
@@ -206,6 +313,13 @@ class LruCache final : public CacheSim {
   std::int32_t table_shift_ = 64;    // 64 - log2(table size)
   std::int64_t size_ = 0;
 
+  /// Run plane: records indexed by Node::run, and the indices of the free
+  /// records (live == 0). Every live record has at least one tagged node,
+  /// so both stay O(capacity) and stop allocating once the working set is
+  /// stable.
+  std::vector<Run> runs_;
+  std::vector<std::int32_t> free_runs_;
+
   /// Bulk-loop execution hint: whether the last probe group was all
   /// home-slot hits, i.e. whether attempting the batched group probe is
   /// likely to pay off. Pure strategy state -- it never changes counters or
@@ -213,6 +327,22 @@ class LruCache final : public CacheSim {
   /// across calls so a streaming all-miss phase stops paying for doomed
   /// batch probes after its first group.
   bool batch_hint_ = true;
+
+  /// Run-recording gate, pure strategy state like batch_hint_: whether a
+  /// span consults and records the memo changes only whether a later rescan
+  /// may take the (bit-identical) splice, never a counter. Recording costs
+  /// the slow loop a memo probe up front, a tag per block and a leave_run
+  /// per member later on, which random spans that never repeat intact
+  /// (BM_LruHot's shape) would pay in full. So recording spends one credit,
+  /// each rescan splice earns kRunReward (saturating at kRunCreditMax), and
+  /// with no credit left only every (kRunExploreMask + 1)-th eligible span
+  /// consults and records -- enough for a rescan-heavy phase to re-open the
+  /// gate, while a random phase runs the plain loop.
+  static constexpr std::int32_t kRunReward = 2;
+  static constexpr std::int32_t kRunCreditMax = 64;
+  static constexpr std::uint32_t kRunExploreMask = 63;
+  std::int32_t run_credit_ = kRunCreditMax;
+  std::uint32_t run_explore_ = 0;
 
   /// Audit-mode sampling counter: a full audit_invariants() walk per bulk
   /// call would turn O(n) runs into O(n^2), so audit builds walk every

@@ -21,8 +21,8 @@ FootprintEstimator::FootprintEstimator(FootprintConfig config) : config_(config)
   }
 }
 
-std::int32_t FootprintEstimator::add_session(std::int64_t layout_words,
-                                             std::int64_t state_words) {
+void FootprintEstimator::add_session(std::int32_t id, std::int64_t layout_words,
+                                     std::int64_t state_words) {
   CCS_EXPECTS(layout_words >= 0 && state_words >= 0,
               "session footprint seeds must be non-negative");
   CCS_EXPECTS(state_words <= layout_words,
@@ -31,18 +31,29 @@ std::int32_t FootprintEstimator::add_session(std::int64_t layout_words,
   s.layout = layout_words;
   s.state = state_words;
   s.live = layout_words;  // the gain-analysis seed: assume the whole span is live
-  sessions_.push_back(s);
-  return static_cast<std::int32_t>(sessions_.size() - 1);
+  const bool inserted = sessions_.emplace(id, s).second;
+  CCS_EXPECTS(inserted, "session already registered");
+}
+
+void FootprintEstimator::remove_session(std::int32_t id) {
+  const std::size_t erased = sessions_.erase(id);
+  CCS_EXPECTS(erased == 1, "session not registered");
 }
 
 const FootprintEstimator::Session& FootprintEstimator::session(std::int32_t s) const {
-  CCS_EXPECTS(s >= 0 && s < session_count(), "session index out of range");
-  return sessions_[static_cast<std::size_t>(s)];
+  const auto it = sessions_.find(s);
+  CCS_EXPECTS(it != sessions_.end(), "session not registered");
+  return it->second;
+}
+
+FootprintEstimator::Session& FootprintEstimator::session(std::int32_t s) {
+  const auto it = sessions_.find(s);
+  CCS_EXPECTS(it != sessions_.end(), "session not registered");
+  return it->second;
 }
 
 void FootprintEstimator::observe(std::int32_t s, const FootprintObservation& o) {
-  CCS_EXPECTS(s >= 0 && s < session_count(), "session index out of range");
-  Session& session = sessions_[static_cast<std::size_t>(s)];
+  Session& session = this->session(s);
   CCS_EXPECTS(o.accesses >= session.last_accesses && o.misses >= session.last_misses,
               "footprint observations must carry monotone lifetime counters");
   const std::int64_t window_accesses = o.accesses - session.last_accesses;

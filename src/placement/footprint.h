@@ -33,7 +33,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <unordered_map>
 
 namespace ccs::placement {
 
@@ -70,21 +70,31 @@ struct FootprintObservation {
   std::int64_t resident_words = 0;  ///< Layout words currently cache-resident.
 };
 
-/// Tracks the live working set of a fleet of sessions. Sessions are dense
-/// indices in add_session() order (core::Cluster aligns them with its
-/// TenantIds). Deterministic: identical observation sequences produce
+/// Tracks the live working set of a fleet of sessions, keyed by a
+/// caller-chosen id (core::Cluster uses its TenantIds). Only registered
+/// sessions hold an entry, so memory is O(live sessions) however many have
+/// come and gone. Deterministic: identical observation sequences produce
 /// identical estimates.
 class FootprintEstimator {
  public:
   explicit FootprintEstimator(FootprintConfig config = {});
 
-  /// Registers a session. `layout_words` is the gain-analysis seed (state +
-  /// channel rings, the Stream's layout span); `state_words` is the module
-  /// state share, kept as the floor of the live estimate while the session
-  /// is active (a freshly migrated session has nothing resident yet but
-  /// will reload at least its state). Returns the session's index.
-  std::int32_t add_session(std::int64_t layout_words, std::int64_t state_words);
+  /// Registers session `session`, which must not be registered already.
+  /// `layout_words` is the gain-analysis seed (state + channel rings, the
+  /// Stream's layout span); `state_words` is the module state share, kept as
+  /// the floor of the live estimate while the session is active (a freshly
+  /// migrated session has nothing resident yet but will reload at least its
+  /// state).
+  void add_session(std::int32_t session, std::int64_t layout_words,
+                   std::int64_t state_words);
 
+  /// Forgets a registered session and reclaims its entry.
+  void remove_session(std::int32_t session);
+
+  /// True while `session` is registered.
+  bool tracks(std::int32_t session) const { return sessions_.contains(session); }
+
+  /// Registered sessions.
   std::int32_t session_count() const noexcept {
     return static_cast<std::int32_t>(sessions_.size());
   }
@@ -127,9 +137,10 @@ class FootprintEstimator {
   };
 
   const Session& session(std::int32_t s) const;
+  Session& session(std::int32_t s);
 
   FootprintConfig config_;
-  std::vector<Session> sessions_;
+  std::unordered_map<std::int32_t, Session> sessions_;
 };
 
 /// Automatic-migration triggers for the cluster's "adaptive" placement key.

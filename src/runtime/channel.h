@@ -7,6 +7,7 @@
 // work instead of O(k).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "iomodel/cache.h"
@@ -26,11 +27,27 @@ class Channel {
   bool empty() const noexcept { return size_ == 0; }
   bool full() const noexcept { return size_ == capacity_; }
 
-  /// Appends `count` tokens, writing their slots. Requires space() >= count.
-  void push(std::int64_t count, iomodel::CacheSim& cache);
+  /// Appends `count` tokens, writing their slots. Requires space() >= count
+  /// (throws ScheduleError otherwise).
+  void push(std::int64_t count, iomodel::CacheSim& cache) {
+    CCS_EXPECTS(count >= 0, "negative push count");
+    if (count > space()) throw_overflow(count);
+    std::int64_t offset = head_ + size_;
+    if (offset >= capacity_) offset -= capacity_;
+    touch(offset, count, cache, iomodel::AccessMode::kWrite);
+    size_ += count;
+  }
 
-  /// Removes `count` tokens, reading their slots. Requires size() >= count.
-  void pop(std::int64_t count, iomodel::CacheSim& cache);
+  /// Removes `count` tokens, reading their slots. Requires size() >= count
+  /// (throws ScheduleError otherwise).
+  void pop(std::int64_t count, iomodel::CacheSim& cache) {
+    CCS_EXPECTS(count >= 0, "negative pop count");
+    if (count > size_) throw_underflow(count);
+    touch(head_, count, cache, iomodel::AccessMode::kRead);
+    head_ += count;
+    if (head_ >= capacity_) head_ -= capacity_;
+    size_ -= count;
+  }
 
   /// Empties the queue without memory traffic (used between measurement
   /// phases; the data is dead by construction).
@@ -53,9 +70,18 @@ class Channel {
  private:
   /// Touches every block overlapping [offset, offset+count) within the ring:
   /// the wrapped span splits into at most two contiguous pieces, each issued
-  /// as one bulk CacheSim::access_span transaction.
+  /// as one bulk CacheSim::access_span transaction. A ring span wraps at
+  /// most once (count <= capacity).
   void touch(std::int64_t offset, std::int64_t count, iomodel::CacheSim& cache,
-             iomodel::AccessMode mode) const;
+             iomodel::AccessMode mode) const {
+    const std::int64_t run = std::min(count, capacity_ - offset);
+    if (run > 0) cache.access_span(region_.base + offset, run, mode);
+    if (count > run) cache.access_span(region_.base, count - run, mode);
+  }
+
+  /// The ScheduleErrors of push() and pop(), out of line.
+  [[noreturn]] void throw_overflow(std::int64_t count) const;
+  [[noreturn]] void throw_underflow(std::int64_t count) const;
 
   iomodel::Region region_;
   std::int64_t capacity_;

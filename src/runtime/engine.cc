@@ -142,7 +142,7 @@ void Engine::throw_blocked(sdf::NodeId v, const Port& p, bool underflow) const {
                       std::to_string(p.channel));
 }
 
-void Engine::validate_sequence(std::span<const sdf::NodeId> firings) {
+bool Engine::validate_sequence(std::span<const sdf::NodeId> firings) {
   // Token-count replay: pure integer arithmetic, no cache traffic. Proves
   // the whole sequence feasible so the execution loop can skip per-firing
   // re-validation; throws the same errors fire() would, before any firing
@@ -172,6 +172,10 @@ void Engine::validate_sequence(std::span<const sdf::NodeId> firings) {
       sizes_scratch_[static_cast<std::size_t>(p.channel)] += p.rate;
     }
   }
+  for (std::size_t e = 0; e < channels_.size(); ++e) {
+    if (sizes_scratch_[e] != channels_[e].size()) return false;
+  }
+  return true;
 }
 
 void Engine::fire(sdf::NodeId v) {
@@ -333,9 +337,19 @@ RunResult Engine::take() {
   return result;
 }
 
-RunResult Engine::run(std::span<const sdf::NodeId> firings) {
-  validate_sequence(firings);
-  for (const sdf::NodeId v : firings) fire_unchecked(v);
+RunResult Engine::run(std::span<const sdf::NodeId> firings) { return run(firings, 1); }
+
+RunResult Engine::run(std::span<const sdf::NodeId> firings, std::int64_t repeats) {
+  CCS_EXPECTS(repeats >= 0, "negative repeat count");
+  if (repeats == 0) return take();
+  // A balanced replay proves every repetition feasible: each one starts
+  // from the token counts the first started from. Metered input is not
+  // periodic (each repetition spends credit), so it is checked every time.
+  const bool periodic = validate_sequence(firings) && !options_.credit_input;
+  for (std::int64_t r = 0; r < repeats; ++r) {
+    if (r > 0 && !periodic) validate_sequence(firings);
+    for (const sdf::NodeId v : firings) fire_unchecked(v);
+  }
   return take();
 }
 

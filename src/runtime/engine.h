@@ -15,7 +15,9 @@
 //
 // Two driving modes:
 //  * Batch: run(firings) validates a whole materialized sequence once and
-//    replays it -- the classic schedule-then-measure workflow.
+//    replays it -- the classic schedule-then-measure workflow; run(firings,
+//    repeats) fires a period many times behind a single validation when
+//    the period returns every channel to where it started.
 //  * Incremental: try_fire() is a noexcept feasibility-check-and-fire for
 //    online drivers (core::Stream) that decide the next firing from live
 //    state; push_input() meters the external input so the source can only
@@ -174,6 +176,18 @@ class Engine {
   /// offending firing, with no tokens moved and no memory traffic.
   RunResult run(std::span<const sdf::NodeId> firings);
 
+  /// Fires the sequence `repeats` times in a row and returns what the sum
+  /// of `repeats` run(firings) calls would: the same counters, per-node
+  /// attribution included. Validation replays the sequence once. When that
+  /// replay returns every channel to its starting count and the input is
+  /// not credit-metered, every repetition starts from the same token state,
+  /// so the rest fire without another replay; otherwise each repetition is
+  /// validated before it fires. An infeasible first repetition throws
+  /// before any cache traffic (a later one throws with the earlier
+  /// repetitions fired and not yet taken). `repeats == 0` fires nothing and
+  /// returns take().
+  RunResult run(std::span<const sdf::NodeId> firings, std::int64_t repeats);
+
   /// Counters accumulated since the last take()/run() boundary, without
   /// resetting the baseline: polling twice returns the same deltas.
   RunResult snapshot() const;
@@ -325,8 +339,9 @@ class Engine {
 
   /// Replays `firings` against token counters only (no cache traffic),
   /// throwing on the first infeasible firing (including a source firing
-  /// beyond the granted input credit when the input is metered).
-  void validate_sequence(std::span<const sdf::NodeId> firings);
+  /// beyond the granted input credit when the input is metered). Returns
+  /// true when the replay ends with every channel at its starting count.
+  bool validate_sequence(std::span<const sdf::NodeId> firings);
 
   /// Executes one pre-validated firing.
   void fire_unchecked(sdf::NodeId v);

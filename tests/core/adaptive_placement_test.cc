@@ -304,7 +304,8 @@ TEST(FootprintEstimator, SeedsFromLayoutAndStaysColdUntilActive) {
   placement::FootprintConfig config;
   config.budget_words = 4096;
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(/*layout_words=*/1000, /*state_words=*/300);
+  const std::int32_t s = 0;
+  est.add_session(s, /*layout_words=*/1000, /*state_words=*/300);
   EXPECT_EQ(est.footprint_words(s), 1000);  // the gain-analysis seed
   EXPECT_FALSE(est.hot(s));                 // nothing observed yet
   EXPECT_FALSE(est.express(s));
@@ -315,7 +316,8 @@ TEST(FootprintEstimator, ActiveWindowFollowsResidencyWithinBounds) {
   config.budget_words = 4096;
   config.min_window_accesses = 64;
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(1000, 300);
+  const std::int32_t s = 0;
+  est.add_session(s, 1000, 300);
 
   placement::FootprintObservation o;
   o.accesses = 1000;  // active window, low miss rate
@@ -344,7 +346,8 @@ TEST(FootprintEstimator, ThrashWindowSnapsBackToTheFullLayout) {
   config.budget_words = 4096;
   config.thrash_miss_permille = 500;
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(1000, 300);
+  const std::int32_t s = 0;
+  est.add_session(s, 1000, 300);
   placement::FootprintObservation o;
   o.accesses = 1000;
   o.misses = 700;        // 700 permille >= the thrash threshold
@@ -360,7 +363,8 @@ TEST(FootprintEstimator, QuietWindowsDemoteToColdAfterTheConfiguredCount) {
   config.min_window_accesses = 64;
   config.cold_windows = 2;
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(1000, 300);
+  const std::int32_t s = 0;
+  est.add_session(s, 1000, 300);
   placement::FootprintObservation o;
   o.accesses = 1000;
   o.misses = 10;
@@ -378,7 +382,8 @@ TEST(FootprintEstimator, ExpressSessionsAreNeverHot) {
   config.budget_words = 1000;
   config.express_permille = 2000;  // express beyond 2x the budget
   placement::FootprintEstimator est(config);
-  const std::int32_t s = est.add_session(/*layout_words=*/5000, /*state_words=*/100);
+  const std::int32_t s = 0;
+  est.add_session(s, /*layout_words=*/5000, /*state_words=*/100);
   placement::FootprintObservation o;
   o.accesses = 10000;
   o.misses = 9000;  // thrashing: estimate snaps to the 5000-word layout
@@ -386,6 +391,28 @@ TEST(FootprintEstimator, ExpressSessionsAreNeverHot) {
   est.observe(s, o);
   EXPECT_TRUE(est.express(s));
   EXPECT_FALSE(est.hot(s));  // too big to cache: never charged as pressure
+}
+
+TEST(FootprintEstimator, RemovingASessionReclaimsItsEntry) {
+  placement::FootprintConfig config;
+  config.budget_words = 4096;
+  placement::FootprintEstimator est(config);
+  // Churn: sessions come and go under ever-growing ids, a few live at once.
+  for (std::int32_t id = 0; id < 1000; ++id) {
+    est.add_session(id, 1000, 300);
+    if (id >= 3) est.remove_session(id - 3);
+  }
+  EXPECT_EQ(est.session_count(), 3);
+  EXPECT_FALSE(est.tracks(996));
+  EXPECT_TRUE(est.tracks(997));
+  EXPECT_EQ(est.footprint_words(999), 1000);
+  EXPECT_THROW(est.footprint_words(5), ContractViolation);
+  EXPECT_THROW(est.observe(5, placement::FootprintObservation{}), ContractViolation);
+  EXPECT_THROW(est.remove_session(5), ContractViolation);
+  EXPECT_THROW(est.add_session(999, 1000, 300), ContractViolation);
+  // A removed id may be registered again, from a fresh seed.
+  est.add_session(5, 2000, 300);
+  EXPECT_EQ(est.footprint_words(5), 2000);
 }
 
 TEST(FootprintEstimator, RejectsNonsenseConfigurations) {

@@ -4,7 +4,8 @@
 //  1. Bulk path == per-access reference: access_span / access_blocks must
 //     produce exactly the same CacheStats and residency as issuing one
 //     access() per touched block, on random spans, streaming scans, and
-//     wrapping-ring (channel-shaped) patterns.
+//     wrapping-ring (channel-shaped) patterns, and repeated rescans of
+//     resident state regions (the engine's firing shape).
 //  2. Two-level bulk == per-block hierarchy: a worker cache over a shared
 //     LLC, driven in bulk, matches the reference level for level --
 //     counters and residency of both the private level and the LLC.
@@ -162,6 +163,149 @@ Addr wrapping_ring(CacheSim& bulk, CacheSim& ref) {
   return base + ring_cap + kBlock;
 }
 
+/// The engine's shape: fixed module-state regions rescanned over and over,
+/// interleaved with channel traffic. Region lengths follow the cache's
+/// capacity C (in blocks), so scans of 2, 3, C/2, C - 1, C and C + 1 blocks
+/// all occur, aligned and unaligned. The trace runs in phases. A component
+/// phase rescans a set of regions that fits in the cache round-robin, as a
+/// scheduled component's firings do, so most of its scans find their
+/// previous scan intact; a hostile phase scans regions at random, so almost
+/// none do. Mixed in: 1-block and wrapping ring ops on a packed buffer whose
+/// first block is the last block of a region, single-block touches inside a
+/// region (scalar access() or a 1-word span), often followed at once by a
+/// rescan of that region, prefix scans that share a region's first block
+/// but not its length, write scans (so dirty bits set on a rescan surface
+/// as later writebacks), fresh blocks that trim the least recently used
+/// region from its bottom end, and (when `flush_halfway`) one flush()
+/// halfway. An LruCache on the bulk side is audited every few dozen steps.
+Addr scan_trace(CacheSim& bulk, CacheSim& ref, bool flush_halfway) {
+  const std::int64_t cap = bulk.config().capacity_blocks();
+  struct Region {
+    Addr base;
+    std::int64_t words;
+    std::int64_t blocks;
+  };
+  std::vector<Region> regions;
+  Addr cursor = 0;
+  const auto add_region = [&](std::int64_t words, std::int64_t misalign) {
+    cursor = (cursor + kBlock - 1) / kBlock * kBlock + misalign;
+    regions.push_back(Region{cursor, words, (cursor + words - 1) / kBlock - cursor / kBlock + 1});
+    cursor += words;
+  };
+  for (const std::int64_t blocks :
+       {std::int64_t{2}, std::int64_t{3}, std::max<std::int64_t>(2, cap / 2),
+        std::max<std::int64_t>(2, cap - 1), cap, cap + 1}) {
+    add_region(blocks * kBlock, 0);      // aligned: exactly `blocks` blocks
+    add_region(blocks * kBlock - 4, 3);  // unaligned: `blocks` blocks, split edges
+  }
+  // A region ending mid-block, then a packed ring starting right after it:
+  // the ring's first block is the region's last block.
+  add_region(2 * kBlock + 3, 0);
+  const Addr ring_base = cursor;
+  const std::int64_t ring_cap = 3 * kBlock - 3;
+  cursor += ring_cap;
+  const auto region_count = static_cast<std::int64_t>(regions.size());
+  Addr fresh = (cursor / kBlock + 4) * kBlock;  // cold blocks beyond the layout
+
+  auto span = [&](Addr addr, std::int64_t words, AccessMode mode) {
+    bulk.access_span(addr, words, mode);
+    reference_span(ref, addr, words, mode);
+  };
+  std::int64_t head = 0, size = 0;
+  auto ring_touch = [&](std::int64_t offset, std::int64_t count, AccessMode mode) {
+    const std::int64_t run = std::min(count, ring_cap - offset);
+    if (run > 0) span(ring_base + offset, run, mode);
+    if (count > run) span(ring_base, count - run, mode);
+  };
+  auto* audited = dynamic_cast<LruCache*>(&bulk);
+
+  Rng rng(606 + static_cast<std::uint64_t>(cap));
+  constexpr int kSteps = 8000;
+  constexpr int kPhase = 250;
+  std::vector<std::int64_t> component;  // region indices, round-robin
+  std::size_t next = 0;
+  bool hostile = false;
+  for (int step = 0; step < kSteps; ++step) {
+    if (step % kPhase == 0) {
+      // One phase in four is hostile; the others pick regions at random
+      // until the next one would no longer fit in the cache (the first one
+      // always joins, so a component may also be a single oversized
+      // region).
+      hostile = rng.uniform(0, 3) == 0;
+      component.clear();
+      std::int64_t blocks = 0;
+      for (int tries = 0; tries < 8; ++tries) {
+        const std::int64_t r = rng.uniform(0, region_count - 1);
+        if (!component.empty() && blocks + regions[static_cast<std::size_t>(r)].blocks > cap) {
+          continue;
+        }
+        component.push_back(r);
+        blocks += regions[static_cast<std::size_t>(r)].blocks;
+      }
+      next = 0;
+    }
+    const Region& r =
+        hostile ? regions[static_cast<std::size_t>(rng.uniform(0, region_count - 1))]
+                : regions[static_cast<std::size_t>(component[next++ % component.size()])];
+    const std::int64_t op = rng.uniform(0, 99);
+    if (op < 60) {
+      // Rescan the whole region; a third of them write.
+      span(r.base, r.words, rng.bernoulli(0.33) ? AccessMode::kWrite : AccessMode::kRead);
+    } else if (op < 72) {
+      // Ring push or pop of 1 to 2B tokens, split at the wrap point.
+      if (rng.bernoulli(0.5)) {
+        const std::int64_t n = std::min(rng.uniform(1, 2 * kBlock), ring_cap - size);
+        ring_touch((head + size) % ring_cap, n, AccessMode::kWrite);
+        size += n;
+      } else {
+        const std::int64_t n = std::min(rng.uniform(1, 2 * kBlock), size);
+        ring_touch(head, n, AccessMode::kRead);
+        head = (head + n) % ring_cap;
+        size -= n;
+      }
+    } else if (op < 84) {
+      // One block inside the region: scalar access() or a 1-word span,
+      // then (mostly) a rescan that must not treat the region as intact.
+      const Addr a = r.base + rng.uniform(0, r.words - 1);
+      const AccessMode mode = rng.bernoulli(0.3) ? AccessMode::kWrite : AccessMode::kRead;
+      if (rng.bernoulli(0.5)) {
+        bulk.access(a, mode);
+        ref.access(a, mode);
+      } else {
+        span(a, 1, mode);
+      }
+      if (rng.bernoulli(0.7)) span(r.base, r.words, AccessMode::kRead);
+    } else if (op < 92) {
+      // Same first block, different length: a prefix of the region, then
+      // the whole region again.
+      span(r.base, rng.uniform(1, r.words), AccessMode::kRead);
+      if (rng.bernoulli(0.5)) span(r.base, r.words, AccessMode::kRead);
+    } else {
+      // Fresh blocks push the least recently used region out from its
+      // bottom end, one or a few blocks at a time.
+      const std::int64_t n = rng.uniform(1, 3);
+      span(fresh, n * kBlock, rng.bernoulli(0.5) ? AccessMode::kWrite : AccessMode::kRead);
+      fresh += n * kBlock;
+    }
+    if (flush_halfway && step == kSteps / 2) {
+      bulk.flush();
+      ref.flush();
+    }
+    if (audited != nullptr && step % 37 == 0) audited->audit_invariants();
+  }
+  if (audited != nullptr) audited->audit_invariants();
+  return fresh + kBlock;
+}
+
+Addr repeated_scans(CacheSim& bulk, CacheSim& ref) { return scan_trace(bulk, ref, true); }
+
+/// The same trace without the flush: a worker cache flushes only its
+/// private level, a HierarchyCache every level, so the two-level references
+/// agree only on flush-free traces.
+Addr repeated_scans_no_flush(CacheSim& bulk, CacheSim& ref) {
+  return scan_trace(bulk, ref, false);
+}
+
 TEST(BulkAccess, RandomSpansMatchPerAccessReference) {
   for (auto& pair : make_pairs(512)) {  // 64 blocks; heavy eviction pressure
     const Addr end = random_spans(*pair.bulk, *pair.ref);
@@ -176,6 +320,14 @@ TEST(BulkAccess, StreamingScanMatchesPerAccessReference) {
     pair.bulk->flush();
     pair.ref->flush();
     expect_stats_eq(pair.bulk->stats(), pair.ref->stats(), pair.name + " streaming");
+  }
+}
+
+TEST(BulkAccess, RepeatedScansMatchPerAccessReference) {
+  for (auto& pair : make_pairs(512)) {
+    const Addr end = repeated_scans(*pair.bulk, *pair.ref);
+    expect_stats_eq(pair.bulk->stats(), pair.ref->stats(), pair.name + " repeated scans");
+    check_residency(pair, end, pair.name + " repeated scans");
   }
 }
 
@@ -203,6 +355,7 @@ constexpr NamedTrace kTraces[] = {
     {"random spans", random_spans},
     {"streaming", streaming_scan},
     {"ring", wrapping_ring},
+    {"repeated scans", repeated_scans_no_flush},
 };
 constexpr CacheConfig kWorkerL1{4 * kBlock, kBlock};
 constexpr CacheConfig kSharedLlc{32 * kBlock, kBlock};
@@ -361,6 +514,54 @@ TEST(FlatLru, MatchesTextbookThroughBulkSpans) {
     }
   }
   expect_stats_eq(flat.stats(), text.stats(), "bulk spans");
+}
+
+/// TextbookLru behind the CacheSim interface, so the trace drivers can use
+/// it as their per-access reference.
+class TextbookSim final : public CacheSim {
+ public:
+  explicit TextbookSim(const CacheConfig& config)
+      : CacheSim(config.block_words), config_(config), lru_(config.capacity_blocks()) {}
+
+  void access(Addr addr, AccessMode mode) override { lru_.access(addr, mode); }
+  void flush() override { lru_.flush(); }
+  bool contains(Addr addr) const override { return lru_.contains(addr); }
+  const CacheStats& stats() const override { return lru_.stats(); }
+  const CacheConfig& config() const override { return config_; }
+
+ private:
+  CacheConfig config_;
+  TextbookLru lru_;
+};
+
+TEST(FlatLru, RepeatedScansMatchReferencesAcrossCapacities) {
+  // Rescans of resident regions at every capacity edge: 1 block (no span
+  // can be a multi-block rescan), 2, 7 and 64, with regions of exactly
+  // capacity and capacity + 1 blocks. The bulk LruCache must match both the
+  // per-access LruCache and the textbook list, counters and residency.
+  for (const std::int64_t capacity_blocks : {1, 2, 7, 64}) {
+    const CacheConfig config{capacity_blocks * kBlock, kBlock};
+    const std::string where = "capacity " + std::to_string(capacity_blocks);
+    {
+      LruCache bulk(config);
+      LruCache ref(config);
+      const Addr end = repeated_scans(bulk, ref);
+      expect_stats_eq(bulk.stats(), ref.stats(), where + " vs per-access");
+      for (Addr a = 0; a < end; a += kBlock) {
+        ASSERT_EQ(bulk.contains(a), ref.contains(a)) << where << " addr " << a;
+      }
+    }
+    {
+      LruCache bulk(config);
+      TextbookSim text(config);
+      const Addr end = repeated_scans(bulk, text);
+      expect_stats_eq(bulk.stats(), text.stats(), where + " vs textbook");
+      EXPECT_GT(bulk.stats().writebacks, 0) << where;
+      for (Addr a = 0; a < end; a += kBlock) {
+        ASSERT_EQ(bulk.contains(a), text.contains(a)) << where << " addr " << a;
+      }
+    }
+  }
 }
 
 // --- Contracts -----------------------------------------------------------

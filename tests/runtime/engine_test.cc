@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "iomodel/cache.h"
+#include "schedule/naive.h"
 #include "sdf/min_buffer.h"
 #include "util/error.h"
 #include "workloads/pipelines.h"
@@ -117,6 +118,94 @@ TEST(Engine, RunReturnsDeltasBetweenCalls) {
   EXPECT_EQ(r2.firings, 2);
   // Second run hits cache: strictly fewer misses.
   EXPECT_LT(r2.cache.misses, r1.cache.misses);
+}
+
+/// run(firings, repeats) against `repeats` separate run(firings) calls on
+/// a twin engine: same RunResult (per-node attribution included) and same
+/// cache counters.
+void expect_repeat_matches_summed_runs(const SdfGraph& g, const std::vector<std::int64_t>& caps,
+                                       const std::vector<NodeId>& seq, std::int64_t repeats,
+                                       EngineOptions opts = {}, std::int64_t credit = 0) {
+  LruCache cache_once(CacheConfig{256, 8});
+  LruCache cache_summed(CacheConfig{256, 8});
+  Engine once(g, caps, cache_once, opts);
+  Engine summed(g, caps, cache_summed, opts);
+  if (opts.credit_input) {
+    once.push_input(credit);
+    summed.push_input(credit);
+  }
+  const RunResult got = once.run(seq, repeats);
+  RunResult want;
+  for (std::int64_t r = 0; r < repeats; ++r) want += summed.run(seq);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(cache_once.stats(), cache_summed.stats());
+  EXPECT_EQ(once.save_state(), summed.save_state());
+}
+
+TEST(Engine, RepeatedRunEqualsSummedRunsOnABalancedPeriod) {
+  const auto g = ccs::workloads::uniform_pipeline(4, 40);
+  const auto s = schedule::naive_minimal_buffer_schedule(g);
+  expect_repeat_matches_summed_runs(g, s.buffer_caps, s.period, 7);
+}
+
+TEST(Engine, RepeatedRunEqualsSummedRunsOnAnUnbalancedSequence) {
+  // Each repetition leaves two more tokens queued (peaking four above its
+  // start): feasible three times on an eight-token buffer, and every
+  // repetition is validated on its own.
+  const auto g = two_stage();
+  expect_repeat_matches_summed_runs(g, {8}, {0, 0, 1}, 3);
+}
+
+TEST(Engine, RepeatedRunEqualsSummedRunsUnderCreditInput) {
+  EngineOptions opts;
+  opts.credit_input = true;
+  expect_repeat_matches_summed_runs(two_stage(), {4}, {0, 1}, 5, opts, /*credit=*/5);
+}
+
+TEST(Engine, RepeatedRunRevalidatesEachUnbalancedRepetition) {
+  const auto g = two_stage();
+  LruCache cache(CacheConfig{1024, 8});
+  Engine engine(g, {4}, cache);
+  // The first two repetitions fill the buffer; the third would overflow and
+  // throws before it fires.
+  EXPECT_THROW(engine.run(std::vector<NodeId>{0}, 3), ScheduleError);
+  EXPECT_EQ(engine.fired(0), 2);
+  EXPECT_EQ(engine.tokens(0), 4);
+}
+
+TEST(Engine, RepeatedRunSpendsCreditPerRepetition) {
+  const auto g = two_stage();
+  LruCache cache(CacheConfig{1024, 8});
+  EngineOptions opts;
+  opts.credit_input = true;
+  Engine engine(g, {4}, cache, opts);
+  engine.push_input(2);
+  // Balanced, but metered: the third repetition has no credit left.
+  EXPECT_THROW(engine.run(std::vector<NodeId>{0, 1}, 3), ScheduleError);
+  EXPECT_EQ(engine.fired(0), 2);
+  EXPECT_EQ(engine.input_credit(), 0);
+}
+
+TEST(Engine, RepeatedRunOfAnInfeasibleSequenceThrowsBeforeAnyTraffic) {
+  const auto g = two_stage();
+  LruCache cache(CacheConfig{1024, 8});
+  Engine engine(g, {4}, cache);
+  EXPECT_THROW(engine.run(std::vector<NodeId>{0, 1, 1}, 4), ScheduleError);
+  EXPECT_EQ(cache.stats().accesses, 0);
+  EXPECT_EQ(engine.fired(0), 0);
+  EXPECT_EQ(engine.tokens(0), 0);
+}
+
+TEST(Engine, ZeroRepeatsReturnsAnEmptyTake) {
+  const auto g = two_stage();
+  LruCache cache(CacheConfig{1024, 8});
+  Engine engine(g, {4}, cache);
+  const RunResult r = engine.run(std::vector<NodeId>{0, 1}, 0);
+  EXPECT_EQ(r.firings, 0);
+  EXPECT_EQ(r.cache.accesses, 0);
+  EXPECT_EQ(cache.stats().accesses, 0);
+  EXPECT_EQ(engine.fired(0), 0);
+  EXPECT_THROW(engine.run(std::vector<NodeId>{0, 1}, -1), ContractViolation);
 }
 
 TEST(Engine, PerNodeAttributionSumsToTotal) {
