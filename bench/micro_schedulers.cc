@@ -37,9 +37,13 @@ void BM_PartitionedSchedule(benchmark::State& state) {
   const auto dp = partition::pipeline_optimal_partition(g, 3 * state.range(0));
   schedule::PartitionedOptions opts;
   opts.m = state.range(0);
+  std::int64_t firings = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(schedule::partitioned_schedule(g, dp.partition, opts));
+    const auto s = schedule::partitioned_schedule(g, dp.partition, opts);
+    firings += static_cast<std::int64_t>(s.period.size());
+    benchmark::DoNotOptimize(s.period.data());
   }
+  state.SetItemsProcessed(firings);  // generated firings
   state.SetLabel("T=" + std::to_string(schedule::compute_batch_t(g, opts)));
 }
 BENCHMARK(BM_PartitionedSchedule)->Arg(512)->Arg(2048);

@@ -238,6 +238,7 @@ void ClusterReport::write_json(std::ostream& os) const {
      << ", \"peak_resident_words\": " << lifecycle.peak_resident_words
      << ", \"swap_outs\": " << lifecycle.swap_outs
      << ", \"swap_ins\": " << lifecycle.swap_ins
+     << ", \"closed_swapped\": " << lifecycle.closed_swapped
      << ", \"admissions_rejected\": " << lifecycle.admissions_rejected
      << ", \"admissions_queued\": " << lifecycle.admissions_queued
      << ", \"swap_stored_bytes\": " << swap_stored_bytes
@@ -596,6 +597,7 @@ void Cluster::close(TenantId id) {
   } else {
     retired_ += t.totals;
     --lifecycle_.swapped_sessions;
+    ++lifecycle_.closed_swapped;
   }
   Worker& home = workers_[static_cast<std::size_t>(t.worker)];
   home.tenants.erase(std::find(home.tenants.begin(), home.tenants.end(), id));

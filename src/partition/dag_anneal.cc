@@ -1,30 +1,17 @@
 #include "partition/dag_anneal.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "sdf/gain.h"
+#include "sdf/topology.h"
 #include "util/contract.h"
 
 namespace ccs::partition {
 
 namespace {
-
-/// Bandwidth delta of moving v to `target` (same form as dag_refine's).
-double move_delta(const sdf::SdfGraph& g, const std::vector<double>& edge_gain,
-                  const Partition& p, sdf::NodeId v, std::int32_t target) {
-  double delta = 0;
-  const std::int32_t from = p.comp(v);
-  auto edge_term = [&](sdf::EdgeId e, sdf::NodeId other) {
-    const std::int32_t oc = p.comp(other);
-    const bool was_cross = oc != from;
-    const bool now_cross = oc != target;
-    if (was_cross && !now_cross) delta -= edge_gain[static_cast<std::size_t>(e)];
-    if (!was_cross && now_cross) delta += edge_gain[static_cast<std::size_t>(e)];
-  };
-  for (const sdf::EdgeId e : g.in_edges(v)) edge_term(e, g.edge(e).src);
-  for (const sdf::EdgeId e : g.out_edges(v)) edge_term(e, g.edge(e).dst);
-  return delta;
-}
 
 Partition compact(const Partition& p) {
   std::vector<std::int32_t> remap(static_cast<std::size_t>(p.num_components), -1);
@@ -51,6 +38,14 @@ Partition anneal_partition(const sdf::SdfGraph& g, const Partition& start,
   CCS_EXPECTS(is_bounded(g, start, options.state_bound), "start exceeds the bound");
 
   const sdf::GainMap gains(g);
+  // Each module's neighbour list, built once: (other end, edge gain) over
+  // its in-edges, then its out-edges. Candidate targets and the bandwidth
+  // delta walk it in that order; both feed the RNG draws and the accepted
+  // moves, which tests/golden/partitioned_schedules.txt pins bit for bit.
+  struct Neighbour {
+    sdf::NodeId other;
+    double gain;
+  };
   std::vector<double> edge_gain(static_cast<std::size_t>(g.edge_count()));
   double mean_gain = 0;
   for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -58,24 +53,45 @@ Partition anneal_partition(const sdf::SdfGraph& g, const Partition& start,
     mean_gain += edge_gain[static_cast<std::size_t>(e)];
   }
   mean_gain = g.edge_count() > 0 ? mean_gain / static_cast<double>(g.edge_count()) : 1.0;
+  std::vector<Neighbour> neighbours;
+  neighbours.reserve(2 * static_cast<std::size_t>(g.edge_count()));
+  std::vector<std::size_t> first(static_cast<std::size_t>(g.node_count()) + 1);
+  std::size_t max_degree = 0;
+  for (sdf::NodeId v = 0; v < g.node_count(); ++v) {
+    first[static_cast<std::size_t>(v)] = neighbours.size();
+    for (const sdf::EdgeId e : g.in_edges(v)) {
+      neighbours.push_back({g.edge(e).src, edge_gain[static_cast<std::size_t>(e)]});
+    }
+    for (const sdf::EdgeId e : g.out_edges(v)) {
+      neighbours.push_back({g.edge(e).dst, edge_gain[static_cast<std::size_t>(e)]});
+    }
+    max_degree = std::max(max_degree, neighbours.size() - first[static_cast<std::size_t>(v)]);
+  }
+  first.back() = neighbours.size();
 
   Rng rng(options.seed);
   Partition cur = start;
   auto states = component_states(g, cur);
+  states.reserve(static_cast<std::size_t>(g.node_count()));
   double cur_bw = bandwidth(g, gains, cur).to_double();
   Partition best = cur;
   double best_bw = cur_bw;
   double temp = options.initial_temp * mean_gain;
 
+  // Every buffer the loop touches is sized here, so a step allocates nothing.
   std::vector<std::int32_t> targets;
+  targets.reserve(max_degree + 1);
+  sdf::ContractionScratch scratch;
   for (std::int32_t it = 0; it < options.iterations; ++it, temp *= options.cooling) {
     const auto v = static_cast<sdf::NodeId>(rng.uniform(0, g.node_count() - 1));
     const std::int32_t from = cur.comp(v);
+    const std::span<const Neighbour> around(
+        neighbours.data() + first[static_cast<std::size_t>(v)],
+        first[static_cast<std::size_t>(v) + 1] - first[static_cast<std::size_t>(v)]);
     // Candidate targets: neighbor components, or a fresh singleton (which
     // only makes sense if v is not already alone).
     targets.clear();
-    for (const sdf::EdgeId e : g.in_edges(v)) targets.push_back(cur.comp(g.edge(e).src));
-    for (const sdf::EdgeId e : g.out_edges(v)) targets.push_back(cur.comp(g.edge(e).dst));
+    for (const Neighbour& n : around) targets.push_back(cur.comp(n.other));
     if (states[static_cast<std::size_t>(from)] > g.node(v).state) {
       targets.push_back(cur.num_components);
     }
@@ -87,14 +103,23 @@ Partition anneal_partition(const sdf::SdfGraph& g, const Partition& start,
                       options.state_bound) {
       continue;
     }
-    const double delta = move_delta(g, edge_gain, cur, v, target);
+    // Bandwidth delta of the move: an edge to `other` stops being cross if
+    // `other` sits in the target, and becomes cross if it sat with v.
+    double delta = 0;
+    for (const Neighbour& n : around) {
+      const std::int32_t oc = cur.comp(n.other);
+      const bool was_cross = oc != from;
+      const bool now_cross = oc != target;
+      if (was_cross && !now_cross) delta -= n.gain;
+      if (!was_cross && now_cross) delta += n.gain;
+    }
     if (delta > 0 && (temp <= 0 || rng.uniform01() >= std::exp(-delta / temp))) {
       continue;  // uphill move rejected
     }
     // Make the move in place; undo it if it breaks well-ordering.
     cur.assignment[static_cast<std::size_t>(v)] = target;
     if (fresh) ++cur.num_components;
-    if (!is_well_ordered(g, cur)) {
+    if (!sdf::contraction_is_acyclic(g, cur.assignment, cur.num_components, scratch)) {
       cur.assignment[static_cast<std::size_t>(v)] = from;
       if (fresh) --cur.num_components;
       continue;

@@ -46,6 +46,33 @@ void TokenSim::fire(sdf::NodeId v, std::int64_t count) {
   fire_unchecked(v, count);
 }
 
+void TokenSim::advance(std::span<const NodeFirings> block) {
+  for (const NodeFirings& f : block) {
+    CCS_EXPECTS(f.count >= 0, "negative firing count");
+    const PortSpan& span = spans_[static_cast<std::size_t>(f.node)];
+    for (std::int32_t i = span.in_begin; i < span.out_begin; ++i) {
+      const Port& p = ports_[static_cast<std::size_t>(i)];
+      tokens_[static_cast<std::size_t>(p.edge)] -= f.count * p.rate;
+    }
+    for (std::int32_t i = span.out_begin; i < span.end; ++i) {
+      const Port& p = ports_[static_cast<std::size_t>(i)];
+      tokens_[static_cast<std::size_t>(p.edge)] += f.count * p.rate;
+    }
+    fired_[static_cast<std::size_t>(f.node)] += f.count;
+  }
+  for (const NodeFirings& f : block) {
+    const PortSpan& span = spans_[static_cast<std::size_t>(f.node)];
+    for (std::int32_t i = span.in_begin; i < span.end; ++i) {
+      const auto e = static_cast<std::size_t>(ports_[static_cast<std::size_t>(i)].edge);
+      if (tokens_[e] < 0 || tokens_[e] > caps_[e]) {
+        throw ScheduleError("bulk advance leaves edge " + std::to_string(e) +
+                            " outside [0, capacity]");
+      }
+      peak_[e] = std::max(peak_[e], tokens_[e]);
+    }
+  }
+}
+
 bool TokenSim::drained() const {
   return std::all_of(tokens_.begin(), tokens_.end(),
                      [](std::int64_t t) { return t == 0; });

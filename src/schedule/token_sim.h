@@ -41,6 +41,23 @@ class TokenSim {
   /// (0 when v cannot fire). The batch generators' inner loop.
   std::int64_t fire_up_to(sdf::NodeId v, std::int64_t limit);
 
+  /// One module's firing count in a bulk advance.
+  struct NodeFirings {
+    sdf::NodeId node;
+    std::int64_t count;
+  };
+
+  /// Applies the listed firings as one net change, without checking that
+  /// any order of them could run: tokens and fired counts end where the
+  /// firings would leave them, and each peak is raised to its edge's final
+  /// count only. That peak is exact when every edge the block touches
+  /// either ends where it started, after its firings have already run once
+  /// for real, or only grows -- a replayed block of whole sweeps (see
+  /// run_component_share in schedule/partitioned.h). Throws ScheduleError,
+  /// leaving the sim unusable, if the counts leave an edge below 0 or above
+  /// its capacity.
+  void advance(std::span<const NodeFirings> block);
+
   /// Tokens currently queued on edge e.
   std::int64_t tokens(sdf::EdgeId e) const {
     return tokens_[static_cast<std::size_t>(e)];

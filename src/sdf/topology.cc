@@ -80,25 +80,51 @@ std::vector<ContractedEdge> contract(const SdfGraph& g,
 
 bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& assignment,
                             std::int32_t num_components) {
-  const auto cross = contract(g, assignment, num_components);
-  // Kahn's algorithm on the contracted multigraph.
-  std::vector<std::int32_t> indegree(static_cast<std::size_t>(num_components), 0);
-  std::vector<std::vector<std::int32_t>> adj(static_cast<std::size_t>(num_components));
-  for (const auto& ce : cross) {
-    adj[static_cast<std::size_t>(ce.src_comp)].push_back(ce.dst_comp);
-    ++indegree[static_cast<std::size_t>(ce.dst_comp)];
+  ContractionScratch scratch;
+  return contraction_is_acyclic(g, assignment, num_components, scratch);
+}
+
+bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& assignment,
+                            std::int32_t num_components, ContractionScratch& scratch) {
+  CCS_EXPECTS(static_cast<std::int32_t>(assignment.size()) == g.node_count(),
+              "assignment size must equal node count");
+  const auto comps = static_cast<std::size_t>(num_components);
+  // Kahn's algorithm on the contracted multigraph, its adjacency in CSR form:
+  // count each component's cross out-edges, then place their heads.
+  scratch.indegree.assign(comps, 0);
+  scratch.offset.assign(comps + 1, 0);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& edge = g.edge(e);
+    const std::int32_t cs = assignment[static_cast<std::size_t>(edge.src)];
+    const std::int32_t cd = assignment[static_cast<std::size_t>(edge.dst)];
+    CCS_EXPECTS(cs >= 0 && cs < num_components && cd >= 0 && cd < num_components,
+                "component id out of range");
+    if (cs == cd) continue;
+    ++scratch.offset[static_cast<std::size_t>(cs) + 1];
+    ++scratch.indegree[static_cast<std::size_t>(cd)];
   }
-  std::vector<std::int32_t> stack;
+  for (std::size_t c = 0; c < comps; ++c) scratch.offset[c + 1] += scratch.offset[c];
+  scratch.cursor.assign(scratch.offset.begin(), scratch.offset.end() - 1);
+  scratch.adj.resize(static_cast<std::size_t>(scratch.offset[comps]));
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& edge = g.edge(e);
+    const std::int32_t cs = assignment[static_cast<std::size_t>(edge.src)];
+    const std::int32_t cd = assignment[static_cast<std::size_t>(edge.dst)];
+    if (cs == cd) continue;
+    scratch.adj[static_cast<std::size_t>(scratch.cursor[static_cast<std::size_t>(cs)]++)] = cd;
+  }
+  scratch.ready.clear();
   for (std::int32_t c = 0; c < num_components; ++c) {
-    if (indegree[static_cast<std::size_t>(c)] == 0) stack.push_back(c);
+    if (scratch.indegree[static_cast<std::size_t>(c)] == 0) scratch.ready.push_back(c);
   }
   std::int32_t seen = 0;
-  while (!stack.empty()) {
-    const std::int32_t c = stack.back();
-    stack.pop_back();
+  while (!scratch.ready.empty()) {
+    const auto c = static_cast<std::size_t>(scratch.ready.back());
+    scratch.ready.pop_back();
     ++seen;
-    for (const std::int32_t d : adj[static_cast<std::size_t>(c)]) {
-      if (--indegree[static_cast<std::size_t>(d)] == 0) stack.push_back(d);
+    for (std::int32_t i = scratch.offset[c]; i < scratch.offset[c + 1]; ++i) {
+      const std::int32_t d = scratch.adj[static_cast<std::size_t>(i)];
+      if (--scratch.indegree[static_cast<std::size_t>(d)] == 0) scratch.ready.push_back(d);
     }
   }
   return seen == num_components;

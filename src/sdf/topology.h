@@ -56,10 +56,25 @@ std::vector<ContractedEdge> contract(const SdfGraph& g,
                                      const std::vector<std::int32_t>& assignment,
                                      std::int32_t num_components);
 
+/// Buffers for contraction_is_acyclic. A caller that checks many
+/// assignments of one graph (a local search) keeps one and allocates
+/// nothing after the first check.
+struct ContractionScratch {
+  std::vector<std::int32_t> indegree;  ///< Per component.
+  std::vector<std::int32_t> offset;    ///< Per component + 1: adjacency start.
+  std::vector<std::int32_t> cursor;    ///< Per component: next free adjacency slot.
+  std::vector<std::int32_t> adj;       ///< Cross-edge heads, grouped by tail.
+  std::vector<std::int32_t> ready;     ///< Kahn's stack of zero-indegree components.
+};
+
 /// True iff the contracted multigraph is acyclic, i.e. the partition
 /// described by `assignment` is well ordered (Definition 2).
 bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& assignment,
                             std::int32_t num_components);
+
+/// As above, with the working buffers taken from (and left in) `scratch`.
+bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& assignment,
+                            std::int32_t num_components, ContractionScratch& scratch);
 
 /// Orders modules of a pipeline from source to sink. Throws GraphError if
 /// the graph is not a pipeline.

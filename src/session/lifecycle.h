@@ -57,6 +57,11 @@ struct LifecycleCounters {
   std::int64_t swap_outs = 0;  ///< Evictions to the swap tier.
   std::int64_t swap_ins = 0;   ///< Rehydrations from the swap tier.
 
+  /// close() calls on swapped sessions: each drops its image without a
+  /// swap-in, so swap_outs - swap_ins == swapped_sessions + closed_swapped
+  /// holds at every quiescent point.
+  std::int64_t closed_swapped = 0;
+
   /// Admissions refused outright by the policy (no victim available, or
   /// the swap tier is disabled).
   std::int64_t admissions_rejected = 0;

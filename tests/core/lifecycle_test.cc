@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "session/lifecycle.h"
 #include "util/contract.h"
 #include "util/error.h"
+#include "workloads/arrivals.h"
 #include "workloads/pipelines.h"
 
 namespace ccs::core {
@@ -388,6 +390,62 @@ TEST(ClusterLifecycle, SwapOnRunIsBitIdenticalToSwapOff) {
     EXPECT_EQ(on.lifecycle.swap_outs, 16) << policy;
     EXPECT_EQ(on.lifecycle.swap_ins, 16) << policy;  // 3 rounds + drain_all, x4
     EXPECT_EQ(off.lifecycle.swap_outs, 0) << policy;
+  }
+}
+
+/// swap_outs - swap_ins == swapped_sessions + closed_swapped: every image
+/// written is either read back, still held, or dropped by a close().
+void expect_swap_balance(const session::LifecycleCounters& c, const std::string& where) {
+  EXPECT_EQ(c.swap_outs - c.swap_ins, c.swapped_sessions + c.closed_swapped) << where;
+}
+
+TEST(ClusterLifecycle, SwapBalanceHoldsAtEveryQuiescentPointOfAChurnTrace) {
+  for (const std::int32_t workers : {1, 2}) {
+    ClusterOptions o;
+    o.workers = workers;
+    o.l1 = {2048, 8};
+    o.llc_words = 8192;
+    o.admission = "bounded-live";
+    o.budget.max_live_sessions = 4;
+    o.swap = true;
+    Cluster cluster(o);
+    const Workload w = small_workload(o.l1.capacity_words);
+    workloads::ChurnOptions churn;
+    churn.sessions = 96;
+    churn.max_concurrent = 6;
+    churn.seed = 5;
+    std::map<std::int64_t, TenantId> live;
+    for (const workloads::SessionEvent& e : workloads::churn_trace(churn)) {
+      const std::string where = std::to_string(workers) + " workers, session " +
+                                std::to_string(e.session);
+      switch (e.kind) {
+        case workloads::SessionEvent::Kind::kOpen:
+          live[e.session] = cluster.admit(numbered("s", e.session), w.graph, w.partition);
+          ASSERT_NE(live[e.session], kNoTenant) << where;
+          break;
+        case workloads::SessionEvent::Kind::kPush:
+          cluster.push(live.at(e.session), e.items);
+          cluster.run_until_idle();
+          expect_swap_balance(cluster.lifecycle(), where + " after its burst");
+          // Half the time, shed every idle session, so later closes find
+          // some sessions swapped and some resident.
+          if (e.session % 2 == 0) cluster.swap_out_idle();
+          break;
+        case workloads::SessionEvent::Kind::kClose:
+          cluster.close(live.at(e.session));
+          live.erase(e.session);
+          break;
+      }
+      expect_swap_balance(cluster.lifecycle(), where);
+    }
+    cluster.drain_all();
+    const session::LifecycleCounters& c = cluster.report().lifecycle;
+    expect_swap_balance(c, "report");
+    EXPECT_EQ(c.sessions_closed, 96);
+    // Both close paths ran: some sessions closed while swapped, some not.
+    EXPECT_GT(c.closed_swapped, 0);
+    EXPECT_LT(c.closed_swapped, c.sessions_closed);
+    EXPECT_GT(c.swap_ins, 0);
   }
 }
 

@@ -73,6 +73,39 @@ TEST(TokenSim, PeakTracksHighWaterMark) {
   EXPECT_EQ(sim.tokens(0), 1);
 }
 
+TEST(TokenSim, AdvanceMovesTheNetChangeAndRaisesPeaksToTheFinalCounts) {
+  const auto g = two_rate();
+  const std::int64_t caps[] = {12};
+  TokenSim sim(g, caps);
+  sim.fire(0, 2);  // 6 tokens: the peak a block of 2 + 3 firings reaches
+  sim.fire(1, 3);
+  ASSERT_EQ(sim.peak(0), 6);
+  // Replaying that block twice in bulk: the edge ends where it started, and
+  // the applied net change (+12 then -12) never shows in the peak.
+  const TokenSim::NodeFirings block[] = {{0, 4}, {1, 6}};
+  sim.advance(block);
+  EXPECT_EQ(sim.tokens(0), 0);
+  EXPECT_EQ(sim.peak(0), 6);
+  EXPECT_EQ(sim.fired(0), 6);
+  EXPECT_EQ(sim.fired(1), 9);
+  // A block that only fills the edge raises the peak to its final count.
+  const TokenSim::NodeFirings fill[] = {{0, 3}};
+  sim.advance(fill);
+  EXPECT_EQ(sim.tokens(0), 9);
+  EXPECT_EQ(sim.peak(0), 9);
+}
+
+TEST(TokenSim, AdvanceRejectsACountThatLeavesAnEdgeOutOfRange) {
+  const auto g = two_rate();
+  const std::int64_t caps[] = {6};
+  TokenSim sim(g, caps);
+  const TokenSim::NodeFirings overdraw[] = {{1, 1}};
+  EXPECT_THROW(sim.advance(overdraw), ScheduleError);
+  TokenSim fresh(g, caps);
+  const TokenSim::NodeFirings overflow[] = {{0, 3}};
+  EXPECT_THROW(fresh.advance(overflow), ScheduleError);
+}
+
 TEST(TokenSim, TooSmallCapacityRejected) {
   const auto g = two_rate();
   const std::int64_t caps[] = {2};  // out_rate 3 cannot fit
