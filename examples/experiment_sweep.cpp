@@ -13,7 +13,9 @@
 // Cells that fail (inapplicable strategy, unknown key, no bounded
 // partition) are reported per cell; the sweep itself always completes.
 
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "workloads/arrivals.h"
 #include "schedule/registry.h"
 #include "util/args.h"
+#include "util/error.h"
 #include "util/table.h"
 #include "workloads/registry.h"
 
@@ -39,6 +42,20 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// `--name`'s integer list as counts, each of which must fit an int32 (a
+/// count outside it is an error, not a truncated count).
+std::vector<std::int32_t> count_list(const ccs::ArgParser& args, const std::string& name) {
+  std::vector<std::int32_t> out;
+  for (const std::int64_t v : args.get_int_list(name)) {
+    if (v < std::numeric_limits<std::int32_t>::min() ||
+        v > std::numeric_limits<std::int32_t>::max()) {
+      throw ccs::Error("flag --" + name + " value " + std::to_string(v) + " is out of range");
+    }
+    out.push_back(static_cast<std::int32_t>(v));
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -46,20 +63,20 @@ int main(int argc, char** argv) {
   ArgParser args("experiment_sweep", "parallel scenario sweep over the registries");
   args.add_string("workloads", "uniform-pipeline,FMRadio",
                   "comma-separated workload registry keys");
-  args.add_string("cache-words", "256,512,1024", "comma-separated cache sizes M (words)");
+  args.add_int_list("cache-words", {256, 512, 1024}, "comma-separated cache sizes M (words)");
   args.add_int("block-words", 8, "block size B in words");
   args.add_string("partitioners", "auto,dag-greedy,dag-refined,agglomerative",
                   "comma-separated partitioner registry keys");
   args.add_string("baselines", "", "comma-separated baseline scheduler registry keys");
-  args.add_string("t-multipliers", "1", "comma-separated batch multipliers");
+  args.add_int_list("t-multipliers", {1}, "comma-separated batch multipliers");
   args.add_int("outputs", 1024, "sink firings per cell");
   args.add_int("threads", 1, "worker threads for the sweep");
   args.add_int("repetitions", 1, "measurements per cell (engine reuse + rebind)");
   args.add_double("sim-factor", 4.0, "simulate on sim-factor * M (memory augmentation)");
   args.add_string("cluster-arrivals", "",
                   "comma-separated arrival keys enabling multicore cluster cells");
-  args.add_string("cluster-workers", "1,2,4", "comma-separated cluster worker counts");
-  args.add_string("cluster-tenants", "4", "comma-separated cluster tenant counts");
+  args.add_int_list("cluster-workers", {1, 2, 4}, "comma-separated cluster worker counts");
+  args.add_int_list("cluster-tenants", {4}, "comma-separated cluster tenant counts");
   args.add_string("cluster-placements", "round-robin",
                   "comma-separated placement registry keys (round-robin, "
                   "least-loaded, affinity, adaptive)");
@@ -104,27 +121,18 @@ int main(int argc, char** argv) {
 
     core::SweepSpec spec;
     spec.workloads = split_csv(args.get_string("workloads"));
-    for (const auto& m : split_csv(args.get_string("cache-words"))) {
-      spec.caches.push_back({std::stoll(m), args.get_int("block-words")});
+    for (const std::int64_t m : args.get_int_list("cache-words")) {
+      spec.caches.push_back({m, args.get_int("block-words")});
     }
     spec.partitioners = split_csv(args.get_string("partitioners"));
     spec.baselines = split_csv(args.get_string("baselines"));
-    spec.t_multipliers.clear();
-    for (const auto& t : split_csv(args.get_string("t-multipliers"))) {
-      spec.t_multipliers.push_back(std::stoll(t));
-    }
+    spec.t_multipliers = args.get_int_list("t-multipliers");
     spec.target_outputs = args.get_int("outputs");
     spec.repetitions = static_cast<std::int32_t>(args.get_int("repetitions"));
     spec.sim_capacity_factor = args.get_double("sim-factor");
     spec.cluster.arrivals = split_csv(args.get_string("cluster-arrivals"));
-    spec.cluster.worker_counts.clear();
-    for (const auto& w : split_csv(args.get_string("cluster-workers"))) {
-      spec.cluster.worker_counts.push_back(static_cast<std::int32_t>(std::stoi(w)));
-    }
-    spec.cluster.tenant_counts.clear();
-    for (const auto& t : split_csv(args.get_string("cluster-tenants"))) {
-      spec.cluster.tenant_counts.push_back(static_cast<std::int32_t>(std::stoi(t)));
-    }
+    spec.cluster.worker_counts = count_list(args, "cluster-workers");
+    spec.cluster.tenant_counts = count_list(args, "cluster-tenants");
     spec.cluster.placements = split_csv(args.get_string("cluster-placements"));
     spec.cluster.cost_models = split_csv(args.get_string("cluster-cost-models"));
     spec.cluster.slo_p99 = args.get_int("cluster-slo-p99");

@@ -1,12 +1,16 @@
 #include "core/cluster.h"
 
 #include <algorithm>
+#include <functional>
 #include <iomanip>
 #include <ostream>
+#include <queue>
 #include <sstream>
 #include <thread>
 #include <utility>
 
+#include "runtime/engine.h"
+#include "schedule/online.h"
 #include "util/contract.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -921,24 +925,130 @@ ClusterReport Cluster::report() const {
   return report;
 }
 
+namespace {
+
+/// What simulate_parallel_on_pool's workers claim against: committed tokens
+/// (a batch's cross inputs leave at its claim, its cross outputs land at its
+/// completion) and the components still mid-batch.
+struct CommittedView final : schedule::EngineView {
+  CommittedView(const runtime::Engine& engine, const std::vector<std::int64_t>& caps,
+                std::int64_t components)
+      : engine(&engine), caps(&caps), committed(caps.size(), 0),
+        running(static_cast<std::size_t>(components), false) {}
+
+  std::int64_t tokens(sdf::EdgeId e) const override {
+    return committed[static_cast<std::size_t>(e)];
+  }
+  std::int64_t capacity(sdf::EdgeId e) const override {
+    return (*caps)[static_cast<std::size_t>(e)];
+  }
+  std::int64_t fired(sdf::NodeId v) const override { return engine->fired(v); }
+  std::int64_t input_credit() const override { return schedule::kUnlimitedCredit; }
+  bool in_flight(std::int64_t c) const override { return running[static_cast<std::size_t>(c)]; }
+
+  const runtime::Engine* engine;
+  const std::vector<std::int64_t>* caps;
+  std::vector<std::int64_t> committed;  ///< Per edge.
+  std::vector<bool> running;            ///< Per component.
+};
+
+}  // namespace
+
 schedule::ParallelResult simulate_parallel_on_pool(const sdf::SdfGraph& g,
                                                    const partition::Partition& p,
                                                    std::int64_t m,
                                                    runtime::WorkerPool& pool,
                                                    std::int64_t min_outputs) {
-  std::vector<iomodel::CacheSim*> caches;
-  caches.reserve(static_cast<std::size_t>(pool.size()));
-  for (std::int32_t w = 0; w < pool.size(); ++w) caches.push_back(&pool.worker_cache(w));
+  CCS_EXPECTS(min_outputs > 0, "invalid parallel simulation parameters");
+  const auto policy = schedule::make_homogeneous_m_batch_policy(g, p, m);
+  const std::int32_t workers = pool.size();
+  std::vector<std::int64_t> comp(static_cast<std::size_t>(g.node_count()));
+  for (std::int64_t c = 0; c < policy->num_components(); ++c) {
+    for (const sdf::NodeId v : policy->members(c)) comp[static_cast<std::size_t>(v)] = c;
+  }
+  const auto comp_of = [&](sdf::NodeId v) { return comp[static_cast<std::size_t>(v)]; };
+
+  runtime::EngineOptions options;
+  options.model_external_io = false;
+  options.per_node_attribution = false;
+  runtime::Engine engine(g, policy->buffer_caps(), pool.worker_cache(0), options);
+  CommittedView view(engine, policy->buffer_caps(), policy->num_components());
+  // Adds `delta` to every cross edge leaving (outputs) or entering c.
+  const auto move_cross = [&](std::int64_t c, bool outputs, std::int64_t delta) {
+    for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
+      const std::int64_t from = comp_of(g.edge(e).src), to = comp_of(g.edge(e).dst);
+      if (from != to && (outputs ? from : to) == c) {
+        view.committed[static_cast<std::size_t>(e)] += delta;
+      }
+    }
+  };
+
+  schedule::ParallelResult result;
+  result.workers = workers;
+  result.worker_misses.assign(static_cast<std::size_t>(workers), 0);
+  result.worker_busy.assign(static_cast<std::size_t>(workers), 0);
+  result.worker_batches.assign(static_cast<std::size_t>(workers), 0);
+
+  struct Completion {
+    std::int64_t time;
+    std::int32_t worker;
+    std::int64_t comp;
+    bool operator>(const Completion& other) const { return time > other.time; }
+  };
+  std::priority_queue<Completion, std::vector<Completion>, std::greater<>> completions;
+  std::vector<bool> worker_idle(static_cast<std::size_t>(workers), true);
+  std::int64_t sink_fired = 0;
+  std::int64_t now = 0;
   iomodel::CacheStats llc_before;
   if (pool.has_llc()) llc_before = pool.llc_stats();
-  schedule::ParallelResult result =
-      schedule::simulate_parallel_homogeneous(g, p, m, caches, min_outputs);
+
+  // Each idle worker claims the designated component and runs its batch at
+  // once on its own cache. The claim rule keeps every live token count in
+  // [0, cap]: a consumer is claimed only with M committed inputs, a
+  // producer only with its committed outputs consumed.
+  auto try_dispatch = [&] {
+    for (std::int32_t w = 0; w < workers; ++w) {
+      if (!worker_idle[static_cast<std::size_t>(w)]) continue;
+      const schedule::StepPlan plan = policy->next_step(view);
+      if (plan.idle()) return;  // nothing claimable until a batch completes
+      view.running[static_cast<std::size_t>(plan.component)] = true;
+      move_cross(plan.component, false, -m);
+      engine.migrate_cache(pool.worker_cache(w));
+      const runtime::RunResult r = engine.run(plan.firings);
+      result.worker_misses[static_cast<std::size_t>(w)] += r.cache.misses;
+      result.worker_busy[static_cast<std::size_t>(w)] += r.firings;
+      ++result.worker_batches[static_cast<std::size_t>(w)];
+      result.total_firings += r.firings;
+      worker_idle[static_cast<std::size_t>(w)] = false;
+      completions.push(Completion{now + r.firings, w, plan.component});
+    }
+  };
+
+  try_dispatch();
+  while (sink_fired < min_outputs) {
+    if (completions.empty()) {
+      throw DeadlockError("parallel scheduler stalled: no component schedulable "
+                          "(is some component's state larger than a worker cache?)");
+    }
+    const Completion done = completions.top();
+    completions.pop();
+    now = done.time;
+    move_cross(done.comp, true, m);
+    if (done.comp == comp_of(policy->sink())) sink_fired += m;
+    view.running[static_cast<std::size_t>(done.comp)] = false;
+    worker_idle[static_cast<std::size_t>(done.worker)] = true;
+    try_dispatch();
+  }
+
+  result.makespan = now;
+  result.outputs = sink_fired;
+  for (const auto misses : result.worker_misses) result.total_misses += misses;
   if (pool.has_llc()) {
-    const iomodel::CacheStats& now = pool.llc_stats();
-    result.llc.accesses = now.accesses - llc_before.accesses;
-    result.llc.hits = now.hits - llc_before.hits;
-    result.llc.misses = now.misses - llc_before.misses;
-    result.llc.writebacks = now.writebacks - llc_before.writebacks;
+    const iomodel::CacheStats& llc_now = pool.llc_stats();
+    result.llc.accesses = llc_now.accesses - llc_before.accesses;
+    result.llc.hits = llc_now.hits - llc_before.hits;
+    result.llc.misses = llc_now.misses - llc_before.misses;
+    result.llc.writebacks = llc_now.writebacks - llc_before.writebacks;
   }
   return result;
 }

@@ -524,14 +524,21 @@ class Cluster {
   std::int64_t migration_noops_ = 0;
 };
 
-/// schedule::simulate_parallel_homogeneous as a thin client of the cluster
-/// subsystem: the pool's private worker L1s stand in for the simulator's
-/// hand-rolled per-worker caches. Per-worker counters are bit-identical to
-/// the flat-cache simulator on the same geometry (the golden gate in
-/// tests/schedule/parallel_golden_test.cc); a pool with a shared LLC
-/// additionally fills ParallelResult::llc with the shared-level traffic of
-/// this run. The pool's caches are used as-is (pass a fresh pool for a
-/// cold-cache measurement) and must match the graph's intended geometry.
+/// Simulates the asynchronous homogeneous component schedule on the pool's
+/// workers (Section 3's extension, Section 7's direction) until the sink
+/// completes at least `min_outputs` firings. An idle worker claims the
+/// component the "homogeneous-m-batch" OnlinePolicy designates, and one
+/// runtime::Engine runs that batch of M iterations on the worker's cache:
+///  * one shared layout: a module's state and rings sit at the same
+///    addresses on every worker, so a migrated component reloads there;
+///  * commit at completion: a batch's cross inputs leave at its claim and
+///    its cross outputs land at its completion, so no buffer overfills;
+///  * one time unit per firing: a batch takes as long as its firing count.
+/// Requires a homogeneous graph and a well-ordered partition whose
+/// components fit a worker cache (throws ccs::Error / DeadlockError
+/// otherwise). The pool's caches are used as-is (pass a fresh pool for a
+/// cold-cache measurement); a pool with a shared LLC also fills
+/// ParallelResult::llc with this run's shared-level traffic.
 schedule::ParallelResult simulate_parallel_on_pool(const sdf::SdfGraph& g,
                                                    const partition::Partition& p,
                                                    std::int64_t m,

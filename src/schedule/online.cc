@@ -1,8 +1,10 @@
 #include "schedule/online.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
+#include "schedule/token_sim.h"
 #include "sdf/min_buffer.h"
 #include "sdf/repetition.h"
 #include "sdf/topology.h"
@@ -13,51 +15,14 @@ namespace ccs::schedule {
 
 namespace {
 
-/// Token-count scratchpad for planning: seeded from a view, mutated while a
-/// policy simulates a burst, then discarded. Mirrors TokenSim::max_batch /
-/// fire arithmetic so planned bursts are exactly what a TokenSim (or the
-/// engine) will accept.
-class ScratchSim {
- public:
-  ScratchSim(const sdf::SdfGraph& g, const std::vector<std::int64_t>& caps)
-      : graph_(&g), caps_(&caps) {
-    tokens_.resize(static_cast<std::size_t>(g.edge_count()));
+/// Seeds a policy's planning scratch with `view`'s token counts; the
+/// policy then plans a burst with TokenSim::fire_up_to, the arithmetic the
+/// engine (or a TokenSim driver) will accept.
+void seed(TokenSim& scratch, const EngineView& view) {
+  for (sdf::EdgeId e = 0; e < scratch.graph().edge_count(); ++e) {
+    scratch.set_tokens(e, view.tokens(e));
   }
-
-  void seed(const EngineView& view) {
-    for (sdf::EdgeId e = 0; e < graph_->edge_count(); ++e) {
-      tokens_[static_cast<std::size_t>(e)] = view.tokens(e);
-    }
-  }
-
-  std::int64_t tokens(sdf::EdgeId e) const { return tokens_[static_cast<std::size_t>(e)]; }
-
-  std::int64_t max_batch(sdf::NodeId v, std::int64_t limit) const {
-    std::int64_t batch = limit;
-    for (const sdf::EdgeId e : graph_->in_edges(v)) {
-      batch = std::min(batch, tokens(e) / graph_->edge(e).in_rate);
-    }
-    for (const sdf::EdgeId e : graph_->out_edges(v)) {
-      const std::int64_t space = (*caps_)[static_cast<std::size_t>(e)] - tokens(e);
-      batch = std::min(batch, space / graph_->edge(e).out_rate);
-    }
-    return std::max<std::int64_t>(batch, 0);
-  }
-
-  void fire(sdf::NodeId v, std::int64_t count) {
-    for (const sdf::EdgeId e : graph_->in_edges(v)) {
-      tokens_[static_cast<std::size_t>(e)] -= count * graph_->edge(e).in_rate;
-    }
-    for (const sdf::EdgeId e : graph_->out_edges(v)) {
-      tokens_[static_cast<std::size_t>(e)] += count * graph_->edge(e).out_rate;
-    }
-  }
-
- private:
-  const sdf::SdfGraph* graph_;
-  const std::vector<std::int64_t>* caps_;
-  std::vector<std::int64_t> tokens_;
-};
+}
 
 /// Section 3's pipeline rule. Cross buffers hold Theta(M); the continuity
 /// scan designates the first at-most-half-full cross edge's upstream
@@ -67,7 +32,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
  public:
   PipelineHalfFullPolicy(const sdf::SdfGraph& g, const partition::Partition& p,
                          std::int64_t m)
-      : OnlinePolicy("pipeline-half-full", g), reps_(g), scratch_(g, caps_) {
+      : OnlinePolicy("pipeline-half-full", g), reps_(g) {
     CCS_EXPECTS(m > 0, "online policy requires a positive cache size");
     chain_ = sdf::pipeline_order(g);  // throws if not a pipeline
     if (!partition::is_well_ordered(g, p)) {
@@ -100,6 +65,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
       caps_[static_cast<std::size_t>(e)] =
           std::max(m, sdf::edge_min_buffer(edge.out_rate, edge.in_rate) * 2);
     }
+    scratch_.emplace(g, caps_);
   }
 
   std::int64_t next_component(const EngineView& view) const override {
@@ -143,7 +109,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     std::int64_t allowance = std::min(target - fired_src, view.input_credit());
 
     std::vector<sdf::NodeId> out;
-    scratch_.seed(view);
+    seed(*scratch_, view);
     bool progressed = true;
     while (progressed) {
       progressed = false;
@@ -153,9 +119,8 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
           limit = allowance;
           if (limit <= 0) continue;
         }
-        const std::int64_t batch = scratch_.max_batch(v, limit);
+        const std::int64_t batch = scratch_->fire_up_to(v, limit);
         if (batch > 0) {
-          scratch_.fire(v, batch);
           if (v == source_) allowance -= batch;
           out.insert(out.end(), static_cast<std::size_t>(batch), v);
           progressed = true;
@@ -178,7 +143,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
   /// firings. Leaves `out` untouched when c cannot move at all.
   void plan_component(std::int64_t c, const EngineView& view,
                       std::vector<sdf::NodeId>& out) {
-    scratch_.seed(view);
+    seed(*scratch_, view);
     std::int64_t credit = view.input_credit();
     bool progressed = true;
     while (progressed) {
@@ -189,9 +154,8 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
           limit = credit;
           if (limit <= 0) continue;
         }
-        const std::int64_t batch = scratch_.max_batch(v, limit);
+        const std::int64_t batch = scratch_->fire_up_to(v, limit);
         if (batch > 0) {
-          scratch_.fire(v, batch);
           if (v == source_ && credit != kUnlimitedCredit) credit -= batch;
           out.insert(out.end(), static_cast<std::size_t>(batch), v);
           progressed = true;
@@ -203,7 +167,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
   std::vector<sdf::NodeId> chain_;
   std::vector<sdf::EdgeId> cross_;  ///< cross_[i] = edge from comp i to i+1.
   sdf::RepetitionVector reps_;
-  ScratchSim scratch_;
+  std::optional<TokenSim> scratch_;  ///< Planning scratch over caps_.
 };
 
 /// The asynchronous homogeneous-dag rule: incoming cross buffers full (M
@@ -212,7 +176,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
  public:
   HomogeneousMBatchPolicy(const sdf::SdfGraph& g, const partition::Partition& p,
                           std::int64_t m)
-      : OnlinePolicy("homogeneous-m-batch", g), m_(m), scratch_(g, caps_) {
+      : OnlinePolicy("homogeneous-m-batch", g), m_(m) {
     CCS_EXPECTS(m > 0, "online policy requires a positive cache size");
     if (!g.is_homogeneous()) {
       throw Error("dynamic homogeneous scheduling requires unit rates everywhere");
@@ -238,6 +202,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
         caps_[static_cast<std::size_t>(e)] = m;
       }
     }
+    scratch_.emplace(g, caps_);
   }
 
   std::int64_t next_component(const EngineView& view) const override {
@@ -266,7 +231,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
     // on) so every component's state is loaded O(1) times; the source admits
     // no new inputs while draining.
     std::vector<sdf::NodeId> out;
-    scratch_.seed(view);
+    seed(*scratch_, view);
     bool draining = true;
     while (draining) {
       draining = false;
@@ -277,9 +242,8 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
           for (const sdf::NodeId v : members_[static_cast<std::size_t>(c)]) {
             if (v == source_) continue;
             const std::int64_t batch =
-                scratch_.max_batch(v, std::numeric_limits<std::int64_t>::max());
+                scratch_->fire_up_to(v, std::numeric_limits<std::int64_t>::max());
             if (batch > 0) {
-              scratch_.fire(v, batch);
               out.insert(out.end(), static_cast<std::size_t>(batch), v);
               progressed = true;
               draining = true;
@@ -301,6 +265,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
   std::int32_t comp_of(sdf::NodeId v) const { return comp_[static_cast<std::size_t>(v)]; }
 
   bool schedulable(std::int64_t c, const EngineView& view) const {
+    if (view.in_flight(c)) return false;
     for (const sdf::NodeId v : members_[static_cast<std::size_t>(c)]) {
       for (const sdf::EdgeId e : graph_->in_edges(v)) {
         if (comp_of(graph_->edge(e).src) != c && view.tokens(e) < m_) return false;
@@ -317,7 +282,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
 
   std::int64_t m_;
   std::vector<std::int32_t> comp_;  ///< node -> topologically renumbered component.
-  ScratchSim scratch_;
+  std::optional<TokenSim> scratch_;  ///< Planning scratch over caps_.
 };
 
 }  // namespace

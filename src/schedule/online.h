@@ -9,10 +9,11 @@
 // read-only EngineView of whatever is executing (a cache-measuring
 // runtime::Engine behind core::Stream, or a bare TokenSim behind the batch
 // wrappers in schedule/dynamic.h) -- plans one component execution at a
-// time. Policies are pure planners: they never mutate the execution state,
-// so a driver may discard or replay a plan, and the same policy object
-// drives both the online serving path and the batch materialization
-// bit-identically.
+// time. Policies are pure planners: each simulates a burst on its own
+// TokenSim scratch seeded from the view and never mutates the execution
+// state, so a driver may discard or replay a plan, and the same policy
+// object drives the online serving path, the batch materialization and the
+// parallel simulator (core::simulate_parallel_on_pool) bit-identically.
 //
 // Policies are string-keyed in OnlineRegistry ("pipeline-half-full",
 // "homogeneous-m-batch"); resolve_auto_policy() picks the applicable rule
@@ -59,6 +60,13 @@ class EngineView {
   /// Source firings the external input can still cover, or kUnlimitedCredit
   /// when arrivals are not metered.
   virtual std::int64_t input_credit() const = 0;
+
+  /// True while component c (numbered as OnlinePolicy::members) is still
+  /// executing a claimed burst whose outputs have not landed: an
+  /// asynchronous driver (core::simulate_parallel_on_pool) runs several
+  /// at once, and the M-batch rule never claims a component twice.
+  /// Synchronous drivers finish every burst before planning the next.
+  virtual bool in_flight(std::int64_t /*c*/) const { return false; }
 };
 
 /// One planned component execution: the firings of a single run-to-blocking

@@ -1,33 +1,17 @@
-// Parallel asynchronous component scheduling (Section 3's extension and the
-// multiprocessor direction of Section 7).
+// Result of the parallel asynchronous component simulator (Section 3's
+// extension and the multiprocessor direction of Section 7).
 //
-// The paper observes that the homogeneous component schedule "readily
-// generalizes to the asynchronous or parallel case": any component with M
-// tokens on all incoming cross edges and empty outgoing cross edges may
-// execute, independently of the others. This module simulates P workers,
-// each with a private cache, claiming schedulable components greedily:
-//
-//  * token state is shared; a component's effects commit when its batch
-//    finishes (claim-time checks make concurrent neighbors impossible, so
-//    commit order cannot oversubscribe a buffer);
-//  * execution time of a batch is its firing count (unit work per firing);
-//  * each worker's misses are simulated on its own LRU cache, so component
-//    migration between workers pays real reload costs.
-//
-// The paper's §7 remark -- the optimal uniprocessor schedule trivially
-// minimizes total misses, and multiprocessors trade extra (re)loads for
-// load balance -- is exactly what experiment E14 measures with this
-// simulator: near-flat total misses and near-linear makespan scaling while
-// enough independent components exist.
+// The simulator itself is core::simulate_parallel_on_pool: the
+// homogeneous-m-batch online policy decides which component a worker
+// claims, and one runtime::Engine runs each claimed batch on that worker's
+// private cache. The result lives here, below core, because
+// schedule::write_parallel_json serializes it.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "iomodel/cache.h"
-#include "partition/partition.h"
-#include "sdf/graph.h"
 
 namespace ccs::schedule {
 
@@ -43,7 +27,7 @@ struct ParallelResult {
   std::vector<std::int64_t> worker_batches;   ///< Component batches per worker.
 
   /// Shared-LLC counters when the run executed over a pool with a shared
-  /// last level (core::simulate_parallel_on_pool); all-zero otherwise.
+  /// last level; all-zero otherwise.
   iomodel::CacheStats llc;
 
   /// Busy-time balance: worst worker / average of busy time (1.0 = perfect
@@ -52,19 +36,5 @@ struct ParallelResult {
   /// reading of an idle pool, and it keeps the value finite.
   double imbalance() const;
 };
-
-/// Simulates the asynchronous homogeneous schedule on caller-provided
-/// per-worker caches (one per worker, all sharing one block size, typically
-/// fresh/cold) until the sink completes at least `min_outputs` firings.
-/// Requires a homogeneous graph and a well-ordered partition whose
-/// components have state at most the worker cache size. A
-/// runtime::WorkerPool's private L1s plug in through
-/// core::simulate_parallel_on_pool (bit-identical per-worker counters,
-/// since a private level's behaviour is independent of any shared level
-/// behind it). The caches must outlive the call.
-ParallelResult simulate_parallel_homogeneous(const sdf::SdfGraph& g,
-                                             const partition::Partition& p, std::int64_t m,
-                                             std::span<iomodel::CacheSim* const> worker_caches,
-                                             std::int64_t min_outputs);
 
 }  // namespace ccs::schedule

@@ -58,6 +58,14 @@ class TokenSim {
   /// its capacity.
   void advance(std::span<const NodeFirings> block);
 
+  /// Overwrites edge e's token count with n, in [0, capacity(e)], leaving
+  /// peaks and fired counts alone: seeds a planning scratch from a live
+  /// execution state.
+  void set_tokens(sdf::EdgeId e, std::int64_t n) {
+    CCS_EXPECTS(n >= 0 && n <= capacity(e), "token count outside the edge capacity");
+    tokens_[static_cast<std::size_t>(e)] = n;
+  }
+
   /// Tokens currently queued on edge e.
   std::int64_t tokens(sdf::EdgeId e) const {
     return tokens_[static_cast<std::size_t>(e)];

@@ -1,7 +1,10 @@
 #include "util/args.h"
 
+#include <exception>
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/contract.h"
 #include "util/error.h"
@@ -36,6 +39,29 @@ void ArgParser::add_flag(const std::string& name, const std::string& help) {
   specs_[name] = Spec{Kind::kFlag, help, "0"};
 }
 
+void ArgParser::add_int_list(const std::string& name,
+                            const std::vector<std::int64_t>& default_value,
+                            const std::string& help) {
+  CCS_EXPECTS(!specs_.count(name), "duplicate flag " + name);
+  std::string text;
+  for (const std::int64_t v : default_value) text += (text.empty() ? "" : ",") + std::to_string(v);
+  specs_[name] = Spec{Kind::kIntList, help, text};
+}
+
+namespace {
+
+/// Items of a comma-separated list value ("" is one empty item).
+std::vector<std::string> split_list(const std::string& value) {
+  std::vector<std::string> items(1);
+  for (const char c : value) {
+    if (c == ',') items.emplace_back();
+    else items.back() += c;
+  }
+  return items;
+}
+
+}  // namespace
+
 bool ArgParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -64,22 +90,26 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       value = argv[++i];
     }
     // Validate numeric flags eagerly so errors point at the flag. The whole
-    // value must parse: "4x" or "4096.9" on an int flag is an error, not 4.
-    if (spec.kind == Kind::kInt || spec.kind == Kind::kDouble) {
+    // value (each item of a list) must parse: "4x" or "4096.9" on an int
+    // flag is an error, not 4.
+    std::vector<std::string> numbers;
+    if (spec.kind == Kind::kInt || spec.kind == Kind::kDouble) numbers = {*value};
+    if (spec.kind == Kind::kIntList) numbers = split_list(*value);
+    for (const std::string& number : numbers) {
       bool whole = false;
       try {
         std::size_t consumed = 0;
-        if (spec.kind == Kind::kInt) {
-          (void)std::stoll(*value, &consumed);
+        if (spec.kind == Kind::kDouble) {
+          (void)std::stod(number, &consumed);
         } else {
-          (void)std::stod(*value, &consumed);
+          (void)std::stoll(number, &consumed);
         }
-        whole = consumed == value->size();
+        whole = consumed == number.size();
       } catch (const std::exception&) {
         // No digits at all, or out of range: `whole` stays false.
       }
       if (!whole) {
-        throw Error("flag --" + name + " expects a number, got '" + *value + "'");
+        throw Error("flag --" + name + " expects a number, got '" + number + "'");
       }
     }
     spec.value = *value;
@@ -110,6 +140,15 @@ bool ArgParser::get_flag(const std::string& name) const {
   return find(name, Kind::kFlag).value == "1";
 }
 
+std::vector<std::int64_t> ArgParser::get_int_list(const std::string& name) const {
+  const std::string& text = find(name, Kind::kIntList).value;
+  std::vector<std::int64_t> out;
+  if (!text.empty()) {  // else an empty default
+    for (const std::string& item : split_list(text)) out.push_back(std::stoll(item));
+  }
+  return out;
+}
+
 std::string ArgParser::usage() const {
   std::ostringstream os;
   os << program_ << " -- " << description_ << "\nflags:\n";
@@ -119,6 +158,7 @@ std::string ArgParser::usage() const {
       case Kind::kInt: os << "=<int>"; break;
       case Kind::kDouble: os << "=<float>"; break;
       case Kind::kString: os << "=<str>"; break;
+      case Kind::kIntList: os << "=<int,...>"; break;
       case Kind::kFlag: break;
     }
     os << "  " << spec.help << " (default: " << spec.value << ")\n";

@@ -19,6 +19,7 @@ namespace ccs {
 ///   ArgParser args("e01", "misses vs cache size");
 ///   args.add_int("cache-kw", 64, "cache size in kilo-words");
 ///   args.add_flag("csv", "emit CSV instead of aligned table");
+///   args.add_int_list("sizes", {256, 512}, "cache sizes");
 ///   args.parse(argc, argv);              // throws ccs::Error on bad input
 ///   const auto m = args.get_int("cache-kw");
 class ArgParser {
@@ -31,6 +32,10 @@ class ArgParser {
   void add_string(const std::string& name, const std::string& default_value,
                   const std::string& help);
   void add_flag(const std::string& name, const std::string& help);
+  /// A comma-separated integer list (`--sizes=256,512`); every item must
+  /// parse whole, like an add_int value.
+  void add_int_list(const std::string& name, const std::vector<std::int64_t>& default_value,
+                    const std::string& help);
 
   /// Parse argv. Throws ccs::Error on unknown or malformed flags. If
   /// `--help` is present, prints usage and returns false.
@@ -40,12 +45,13 @@ class ArgParser {
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
   bool get_flag(const std::string& name) const;
+  std::vector<std::int64_t> get_int_list(const std::string& name) const;
 
   /// Usage text (also printed by --help).
   std::string usage() const;
 
  private:
-  enum class Kind { kInt, kDouble, kString, kFlag };
+  enum class Kind { kInt, kDouble, kString, kFlag, kIntList };
   struct Spec {
     Kind kind;
     std::string help;

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "iomodel/cache.h"
+#include "core/cluster.h"
 #include "partition/dag_greedy.h"
+#include "runtime/worker_pool.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "workloads/pipelines.h"
@@ -15,18 +14,13 @@
 namespace ccs::schedule {
 namespace {
 
-/// The simulator on `workers` fresh flat LRU caches of `cache_words` words
-/// (B = 8).
+/// The simulator on a fresh pool of `workers` flat `cache_words`-word
+/// caches (B = 8, no shared LLC).
 ParallelResult simulate(const sdf::SdfGraph& g, const partition::Partition& p,
                         std::int64_t m, std::int64_t cache_words, std::int32_t workers,
                         std::int64_t min_outputs) {
-  std::vector<iomodel::LruCache> caches;
-  caches.reserve(static_cast<std::size_t>(workers));
-  std::vector<iomodel::CacheSim*> views;
-  for (std::int32_t w = 0; w < workers; ++w) {
-    views.push_back(&caches.emplace_back(iomodel::CacheConfig{cache_words, 8}));
-  }
-  return simulate_parallel_homogeneous(g, p, m, views, min_outputs);
+  runtime::WorkerPool pool(runtime::WorkerPoolOptions{workers, {cache_words, 8}, 0});
+  return core::simulate_parallel_on_pool(g, p, m, pool, min_outputs);
 }
 
 workloads::LayeredSpec wide_spec() {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/error.h"
 
@@ -83,6 +85,54 @@ TEST(Args, NumbersMustParseWhole) {
   EXPECT_TRUE(p.parse(3, argv));
   EXPECT_EQ(p.get_int("n"), -12);
   EXPECT_DOUBLE_EQ(p.get_double("ratio"), 1e-3);
+}
+
+TEST(Args, IntListsParseEveryItemWhole) {
+  const auto make = [] {
+    ArgParser p("prog", "test parser");
+    p.add_int_list("sizes", {256, 512}, "cache sizes");
+    return p;
+  };
+  {
+    auto p = make();
+    const char* argv[] = {"prog"};
+    EXPECT_TRUE(p.parse(1, argv));
+    EXPECT_EQ(p.get_int_list("sizes"), (std::vector<std::int64_t>{256, 512}));
+  }
+  {
+    auto p = make();
+    const char* argv[] = {"prog", "--sizes=-1,4096,7"};
+    EXPECT_TRUE(p.parse(2, argv));
+    EXPECT_EQ(p.get_int_list("sizes"), (std::vector<std::int64_t>{-1, 4096, 7}));
+  }
+  {
+    auto p = make();
+    const char* argv[] = {"prog", "--sizes", "64"};
+    EXPECT_TRUE(p.parse(3, argv));
+    EXPECT_EQ(p.get_int_list("sizes"), (std::vector<std::int64_t>{64}));
+  }
+  {
+    ArgParser p("prog", "test parser");
+    p.add_int_list("sizes", {}, "cache sizes");
+    const char* argv[] = {"prog"};
+    EXPECT_TRUE(p.parse(1, argv));
+    EXPECT_TRUE(p.get_int_list("sizes").empty());
+    EXPECT_NE(p.usage().find("--sizes=<int,...>"), std::string::npos);
+  }
+  // Each item goes through the same whole-number check as an int flag, and
+  // an empty item is not a number either.
+  for (const char* arg : {"--sizes=512x", "--sizes=256,512x", "--sizes=1e3", "--sizes=2.5",
+                          "--sizes=abc", "--sizes=", "--sizes=256,,512", "--sizes=256,",
+                          "--sizes=99999999999999999999"}) {
+    auto p = make();
+    const char* argv[] = {"prog", arg};
+    try {
+      p.parse(2, argv);
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("expects a number"), std::string::npos) << arg;
+    }
+  }
 }
 
 TEST(Args, FlagWithValueThrows) {
