@@ -3,15 +3,19 @@
 // Every experiment binary prints one or more ccs::Table blocks to stdout and
 // exits 0; `for b in build/bench/*; do $b; done` regenerates every table in
 // EXPERIMENTS.md. Binaries accept no required arguments so the sweep is
-// hands-off; optional --csv switches the output format.
+// hands-off; optional --csv switches the output format, and any other flag
+// is an error.
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "core/planner.h"
 #include "core/scheduler.h"
 #include "schedule/schedule.h"
+#include "util/args.h"
+#include "util/error.h"
 #include "util/table.h"
 
 namespace ccs::bench {
@@ -23,9 +27,24 @@ inline runtime::RunResult run(const sdf::SdfGraph& g, const schedule::Schedule& 
   return core::simulate(g, s, iomodel::CacheConfig{cache_words, block_words}, outputs);
 }
 
-/// Prints a table, honoring a --csv flag in argv.
-inline void emit(const Table& t, int argc, char** argv) {
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+/// Parses a driver's flags -- --csv is the only one -- at the top of main,
+/// so a typo fails before the run. Returns whether --csv was given; prints
+/// usage and exits 0 on --help, prints "error: ..." and exits 1 on any
+/// other flag.
+inline bool parse_flags(int argc, char** argv) {
+  ArgParser args(argc > 0 ? argv[0] : "bench", "prints this experiment's tables");
+  args.add_flag("csv", "emit CSV instead of aligned tables");
+  try {
+    if (!args.parse(argc, argv)) std::exit(0);
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(1);
+  }
+  return args.get_flag("csv");
+}
+
+/// Prints a table, as CSV when `csv` is set.
+inline void emit(const Table& t, bool csv) {
   if (csv) t.print_csv(std::cout);
   else t.print(std::cout);
   std::cout << "\n";

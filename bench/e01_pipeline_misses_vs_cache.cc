@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const auto g = workloads::uniform_pipeline(24, 256);
   const std::int64_t b = 8;
   const std::int64_t outputs = 4096;
@@ -39,6 +40,6 @@ int main(int argc, char** argv) {
                Table::num(r_part.misses_per_output(), 3),
                bench::safe_ratio(r_naive.misses_per_output(), r_part.misses_per_output(), 1)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

@@ -15,6 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t m = 512;
   const std::int64_t b = 8;
   Rng rng(2024);
@@ -45,6 +46,6 @@ int main(int argc, char** argv) {
                Table::num(static_cast<std::int64_t>(r_naive.cache.misses)),
                bench::safe_ratio(static_cast<double>(r_naive.cache.misses), lb_naive)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

@@ -17,6 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t m = 512;
   const std::int64_t b = 8;
   const std::int64_t outputs = 2048;
@@ -57,6 +58,6 @@ int main(int argc, char** argv) {
                Table::num(r_greedy.misses_per_output(), 3),
                Table::num(r_dp.misses_per_output(), 3)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

@@ -13,6 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t m = 512;
   const std::int64_t b = 8;
   const std::int64_t outputs = 2048;
@@ -34,6 +35,6 @@ int main(int argc, char** argv) {
     t.add_row({Table::num(factor), Table::num(r_pipe.misses_per_output(), 3),
                Table::num(r_dag.misses_per_output(), 3)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

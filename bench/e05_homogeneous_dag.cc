@@ -17,6 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t b = 8;
   const std::int64_t outputs = 2048;
   Rng rng(404);
@@ -51,6 +52,6 @@ int main(int argc, char** argv) {
                Table::num(static_cast<std::int64_t>(r_naive.cache.misses)),
                bench::safe_ratio(r_naive.misses_per_output(), r_part.misses_per_output(), 1)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

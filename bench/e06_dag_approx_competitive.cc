@@ -18,6 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t m = 512;
   const std::int64_t b = 8;
   const std::int64_t outputs = 4096;
@@ -70,6 +71,6 @@ int main(int argc, char** argv) {
                Table::num(r.misses_per_output(), 3),
                bench::safe_ratio(r.misses_per_output(), exact_misses)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

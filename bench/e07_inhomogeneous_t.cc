@@ -15,6 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t m = 512;
   const std::int64_t b = 8;
   const std::int64_t outputs = 4096;
@@ -34,6 +35,6 @@ int main(int argc, char** argv) {
                Table::num(sched.total_buffer_words()),
                Table::num(r.misses_per_output(), 3)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

@@ -16,6 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t b = 8;
   const std::int64_t outputs = 1024;
 
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
                Table::num(r_scaled.misses_per_output(), 2), kohli_cell,
                Table::num(r_part.misses_per_output(), 2), Table::ratio(reduction, 1)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   std::cout << "geometric-mean miss reduction vs naive: "
             << Table::ratio(geometric_mean(reductions), 2) << "\n";
   return 0;

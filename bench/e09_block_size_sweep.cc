@@ -11,6 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t m = 1024;
   const std::int64_t outputs = 4096;
   const auto g = workloads::uniform_pipeline(24, 256);
@@ -26,6 +27,6 @@ int main(int argc, char** argv) {
     t.add_row({Table::num(b), Table::num(r.misses_per_output(), 3),
                Table::num(r.misses_per_output() * static_cast<double>(b), 2)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

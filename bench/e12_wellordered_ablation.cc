@@ -17,6 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t m = 512;
   const std::int64_t b = 8;
 
@@ -71,6 +72,6 @@ int main(int argc, char** argv) {
   const auto exact = partition::dag_exact_partition(g, eopts);
   if (exact.has_value()) report("exact optimum", exact->partition);
 
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

@@ -16,6 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t b = 8;
   const std::int64_t l1 = 256;
   const std::int64_t l2 = 2048;
@@ -48,6 +49,6 @@ int main(int argc, char** argv) {
                               static_cast<double>(total.sink_firings),
                           3)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

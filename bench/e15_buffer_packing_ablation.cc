@@ -16,6 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t b = 8;
   const std::int64_t outputs = 1024;
   const auto g = workloads::fft(4);
@@ -44,6 +45,6 @@ int main(int argc, char** argv) {
                Table::num(total.misses_per_output(), 3), Table::num(total.state_misses),
                Table::num(total.channel_misses)});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

@@ -16,6 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccs;
+  const bool csv = bench::parse_flags(argc, argv);
   const std::int64_t m = 256;
   const std::int64_t b = 8;
   const std::int64_t outputs = 2048;
@@ -46,6 +47,6 @@ int main(int argc, char** argv) {
                Table::num(r_dyn.misses_per_output(), 3),
                bench::safe_ratio(r_dyn.misses_per_output(), r_stat.misses_per_output())});
   }
-  bench::emit(t, argc, argv);
+  bench::emit(t, csv);
   return 0;
 }

@@ -42,18 +42,26 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// `--name`'s integer list as counts, each of which must fit an int32 (a
-/// count outside it is an error, not a truncated count).
+/// `v`, a value of flag `--name`, as a count: it must fit an int32 (a count
+/// outside it is an error, not a truncated count).
+std::int32_t as_count(std::int64_t v, const std::string& name) {
+  if (v < std::numeric_limits<std::int32_t>::min() ||
+      v > std::numeric_limits<std::int32_t>::max()) {
+    throw ccs::Error("flag --" + name + " value " + std::to_string(v) + " is out of range");
+  }
+  return static_cast<std::int32_t>(v);
+}
+
+/// `--name`'s integer list as counts.
 std::vector<std::int32_t> count_list(const ccs::ArgParser& args, const std::string& name) {
   std::vector<std::int32_t> out;
-  for (const std::int64_t v : args.get_int_list(name)) {
-    if (v < std::numeric_limits<std::int32_t>::min() ||
-        v > std::numeric_limits<std::int32_t>::max()) {
-      throw ccs::Error("flag --" + name + " value " + std::to_string(v) + " is out of range");
-    }
-    out.push_back(static_cast<std::int32_t>(v));
-  }
+  for (const std::int64_t v : args.get_int_list(name)) out.push_back(as_count(v, name));
   return out;
+}
+
+/// `--name`'s integer as a count.
+std::int32_t count(const ccs::ArgParser& args, const std::string& name) {
+  return as_count(args.get_int(name), name);
 }
 
 }  // namespace
@@ -128,7 +136,7 @@ int main(int argc, char** argv) {
     spec.baselines = split_csv(args.get_string("baselines"));
     spec.t_multipliers = args.get_int_list("t-multipliers");
     spec.target_outputs = args.get_int("outputs");
-    spec.repetitions = static_cast<std::int32_t>(args.get_int("repetitions"));
+    spec.repetitions = count(args, "repetitions");
     spec.sim_capacity_factor = args.get_double("sim-factor");
     spec.cluster.arrivals = split_csv(args.get_string("cluster-arrivals"));
     spec.cluster.worker_counts = count_list(args, "cluster-workers");
@@ -138,8 +146,7 @@ int main(int argc, char** argv) {
     spec.cluster.slo_p99 = args.get_int("cluster-slo-p99");
     spec.cluster.ticks = args.get_int("cluster-ticks");
     spec.cluster.llc_factor = args.get_int("cluster-llc-factor");
-    spec.cluster.llc_shards =
-        static_cast<std::int32_t>(args.get_int("cluster-llc-shards"));
+    spec.cluster.llc_shards = count(args, "cluster-llc-shards");
     spec.cluster.churn_sessions = args.get_int("cluster-churn");
     spec.cluster.churn_max_live = args.get_int("cluster-churn-max-live");
     if (args.get_int("cluster-max-live-sessions") > 0) {
@@ -149,8 +156,7 @@ int main(int argc, char** argv) {
     spec.cluster.swap = args.get_flag("cluster-swap");
 
     const core::Experiment experiment(spec);
-    const auto result =
-        experiment.run(static_cast<std::int32_t>(args.get_int("threads")));
+    const auto result = experiment.run(count(args, "threads"));
 
     if (args.get_flag("csv")) {
       result.write_csv(std::cout);

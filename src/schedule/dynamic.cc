@@ -4,7 +4,7 @@
 #include <string>
 
 #include "schedule/online.h"
-#include "schedule/token_sim.h"
+#include "sdf/token_sim.h"
 #include "util/contract.h"
 #include "util/error.h"
 
@@ -15,7 +15,7 @@ namespace {
 /// EngineView over a bare TokenSim plus a driver-held credit counter.
 class TokenSimView final : public EngineView {
  public:
-  TokenSimView(const TokenSim& sim, const std::int64_t* credit)
+  TokenSimView(const sdf::TokenSim& sim, const std::int64_t* credit)
       : sim_(&sim), credit_(credit) {}
 
   std::int64_t tokens(sdf::EdgeId e) const override { return sim_->tokens(e); }
@@ -24,7 +24,7 @@ class TokenSimView final : public EngineView {
   std::int64_t input_credit() const override { return *credit_; }
 
  private:
-  const TokenSim* sim_;
+  const sdf::TokenSim* sim_;
   const std::int64_t* credit_;
 };
 
@@ -38,7 +38,7 @@ Schedule run_policy(const sdf::SdfGraph& g, OnlinePolicy& policy, std::int64_t m
   out.name = schedule_name;
   out.buffer_caps = policy.buffer_caps();
 
-  TokenSim sim(g, out.buffer_caps);
+  sdf::TokenSim sim(g, out.buffer_caps);
   std::int64_t credit = policy.batch_credit(min_outputs);
   const TokenSimView view(sim, &credit);
   const sdf::NodeId source = policy.source();

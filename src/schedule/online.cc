@@ -4,9 +4,9 @@
 #include <optional>
 #include <utility>
 
-#include "schedule/token_sim.h"
 #include "sdf/min_buffer.h"
 #include "sdf/repetition.h"
+#include "sdf/token_sim.h"
 #include "sdf/topology.h"
 #include "util/error.h"
 #include "util/int_math.h"
@@ -16,9 +16,9 @@ namespace ccs::schedule {
 namespace {
 
 /// Seeds a policy's planning scratch with `view`'s token counts; the
-/// policy then plans a burst with TokenSim::fire_up_to, the arithmetic the
+/// policy then plans a burst with TokenSim::sweep, the arithmetic the
 /// engine (or a TokenSim driver) will accept.
-void seed(TokenSim& scratch, const EngineView& view) {
+void seed(sdf::TokenSim& scratch, const EngineView& view) {
   for (sdf::EdgeId e = 0; e < scratch.graph().edge_count(); ++e) {
     scratch.set_tokens(e, view.tokens(e));
   }
@@ -59,13 +59,20 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
       cross_.push_back(e);
     }
 
+    const auto cross_cap = [m](const sdf::Edge& edge) {
+      return std::max(m, sdf::edge_min_buffer(edge.out_rate, edge.in_rate) * 2);
+    };
     caps_ = sdf::feasible_buffers(g);
-    for (const sdf::EdgeId e : cross_) {
-      const sdf::Edge& edge = g.edge(e);
-      caps_[static_cast<std::size_t>(e)] =
-          std::max(m, sdf::edge_min_buffer(edge.out_rate, edge.in_rate) * 2);
+    for (const sdf::EdgeId e : cross_) caps_[static_cast<std::size_t>(e)] = cross_cap(g.edge(e));
+    // A full cross edge out of the source's component ends its burst. A
+    // single component has none, so nothing would stop an unmetered source:
+    // one burst admits at most what that cross edge would hold.
+    if (k_ == 1) {
+      const auto& out = g.out_edges(source_);
+      source_cap_ = out.empty() ? m : cross_cap(g.edge(out.front()));
     }
     scratch_.emplace(g, caps_);
+    limit_.assign(static_cast<std::size_t>(g.node_count()), sdf::kUnbounded);
   }
 
   std::int64_t next_component(const EngineView& view) const override {
@@ -106,27 +113,12 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     const std::int64_t reps_src = reps_.count(source_);
     const std::int64_t fired_src = view.fired(source_);
     const std::int64_t target = ceil_div(fired_src, reps_src) * reps_src;
-    std::int64_t allowance = std::min(target - fired_src, view.input_credit());
+    const std::int64_t allowance = std::min(target - fired_src, view.input_credit());
 
     std::vector<sdf::NodeId> out;
     seed(*scratch_, view);
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (const sdf::NodeId v : chain_) {
-        std::int64_t limit = std::numeric_limits<std::int64_t>::max();
-        if (v == source_) {
-          limit = allowance;
-          if (limit <= 0) continue;
-        }
-        const std::int64_t batch = scratch_->fire_up_to(v, limit);
-        if (batch > 0) {
-          if (v == source_) allowance -= batch;
-          out.insert(out.end(), static_cast<std::size_t>(batch), v);
-          progressed = true;
-        }
-      }
-    }
+    limit_[static_cast<std::size_t>(source_)] = scratch_->fired(source_) + allowance;
+    scratch_->sweep(chain_, limit_, sdf::kUnbounded, out);
     return out;
   }
 
@@ -139,35 +131,27 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
 
  private:
   /// Simulates one run-to-blocking execution of component c from `view`
-  /// (the source limited to the remaining input credit), appending the
-  /// firings. Leaves `out` untouched when c cannot move at all.
+  /// (the source limited to the remaining input credit, and to source_cap_),
+  /// appending the firings. Leaves `out` untouched when c cannot move at all.
   void plan_component(std::int64_t c, const EngineView& view,
                       std::vector<sdf::NodeId>& out) {
     seed(*scratch_, view);
-    std::int64_t credit = view.input_credit();
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (const sdf::NodeId v : members_[static_cast<std::size_t>(c)]) {
-        std::int64_t limit = std::numeric_limits<std::int32_t>::max();
-        if (v == source_) {
-          limit = credit;
-          if (limit <= 0) continue;
-        }
-        const std::int64_t batch = scratch_->fire_up_to(v, limit);
-        if (batch > 0) {
-          if (v == source_ && credit != kUnlimitedCredit) credit -= batch;
-          out.insert(out.end(), static_cast<std::size_t>(batch), v);
-          progressed = true;
-        }
-      }
-    }
+    // fired + allowance, or no limit when that does not fit (unmetered).
+    const std::int64_t fired = scratch_->fired(source_);
+    const std::int64_t allowance = std::min(view.input_credit(), source_cap_);
+    limit_[static_cast<std::size_t>(source_)] =
+        allowance >= sdf::kUnbounded - fired ? sdf::kUnbounded : fired + allowance;
+    scratch_->sweep(members_[static_cast<std::size_t>(c)], limit_, sdf::kUnbounded, out);
   }
 
   std::vector<sdf::NodeId> chain_;
   std::vector<sdf::EdgeId> cross_;  ///< cross_[i] = edge from comp i to i+1.
   sdf::RepetitionVector reps_;
-  std::optional<TokenSim> scratch_;  ///< Planning scratch over caps_.
+  /// Most source firings one burst may plan: kUnbounded when a cross edge
+  /// leaves the source's component.
+  std::int64_t source_cap_ = sdf::kUnbounded;
+  std::optional<sdf::TokenSim> scratch_;  ///< Planning scratch over caps_.
+  std::vector<std::int64_t> limit_;       ///< Sweep limits; only the source's binds.
 };
 
 /// The asynchronous homogeneous-dag rule: incoming cross buffers full (M
@@ -203,6 +187,7 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
       }
     }
     scratch_.emplace(g, caps_);
+    limit_.assign(static_cast<std::size_t>(g.node_count()), sdf::kUnbounded);
   }
 
   std::int64_t next_component(const EngineView& view) const override {
@@ -232,24 +217,13 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
     // no new inputs while draining.
     std::vector<sdf::NodeId> out;
     seed(*scratch_, view);
-    bool draining = true;
-    while (draining) {
-      draining = false;
+    limit_[static_cast<std::size_t>(source_)] = scratch_->fired(source_);
+    bool moved = true;
+    while (moved) {
+      moved = false;
       for (std::int64_t c = 0; c < k_; ++c) {
-        bool progressed = true;
-        while (progressed) {
-          progressed = false;
-          for (const sdf::NodeId v : members_[static_cast<std::size_t>(c)]) {
-            if (v == source_) continue;
-            const std::int64_t batch =
-                scratch_->fire_up_to(v, std::numeric_limits<std::int64_t>::max());
-            if (batch > 0) {
-              out.insert(out.end(), static_cast<std::size_t>(batch), v);
-              progressed = true;
-              draining = true;
-            }
-          }
-        }
+        moved |= scratch_->sweep(members_[static_cast<std::size_t>(c)], limit_,
+                                 sdf::kUnbounded, out) > 0;
       }
     }
     return out;
@@ -282,7 +256,8 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
 
   std::int64_t m_;
   std::vector<std::int32_t> comp_;  ///< node -> topologically renumbered component.
-  std::optional<TokenSim> scratch_;  ///< Planning scratch over caps_.
+  std::optional<sdf::TokenSim> scratch_;  ///< Planning scratch over caps_.
+  std::vector<std::int64_t> limit_;       ///< Sweep limits; only the source's binds.
 };
 
 }  // namespace

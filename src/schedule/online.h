@@ -7,13 +7,14 @@
 // it is bound to one (graph, partition, M) at construction, dictates the
 // buffer capacities execution must provide, and -- consulted through a
 // read-only EngineView of whatever is executing (a cache-measuring
-// runtime::Engine behind core::Stream, or a bare TokenSim behind the batch
-// wrappers in schedule/dynamic.h) -- plans one component execution at a
-// time. Policies are pure planners: each simulates a burst on its own
-// TokenSim scratch seeded from the view and never mutates the execution
-// state, so a driver may discard or replay a plan, and the same policy
-// object drives the online serving path, the batch materialization and the
-// parallel simulator (core::simulate_parallel_on_pool) bit-identically.
+// runtime::Engine behind core::Stream, or a bare sdf::TokenSim behind the
+// batch wrappers in schedule/dynamic.h) -- plans one component execution at
+// a time. Policies are pure planners: each plans a burst with
+// TokenSim::sweep (sdf/token_sim.h) on its own scratch seeded from the view
+// and never mutates the execution state, so a driver may discard or replay
+// a plan, and the same policy object drives the online serving path, the
+// batch materialization and the parallel simulator
+// (core::simulate_parallel_on_pool) bit-identically.
 //
 // Policies are string-keyed in OnlineRegistry ("pipeline-half-full",
 // "homogeneous-m-batch"); resolve_auto_policy() picks the applicable rule

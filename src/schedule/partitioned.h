@@ -17,12 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "partition/partition.h"
 #include "schedule/schedule.h"
-#include "schedule/token_sim.h"
 #include "sdf/graph.h"
 
 namespace ccs::schedule {
@@ -39,16 +37,6 @@ struct PartitionedOptions {
 /// would indicate an invalid partition/buffer combination).
 Schedule partitioned_schedule(const sdf::SdfGraph& g, const partition::Partition& p,
                               const PartitionedOptions& options);
-
-/// The low level for one component: repeated sweeps over `order` (the
-/// component's modules in topological order), each module firing as many
-/// times as `sim` allows up to target[v] - sim.fired(v), until every module
-/// reaches its target. Appends the firings to `period`. Throws DeadlockError
-/// when a sweep makes no progress. partitioned_schedule() calls it once per
-/// component; it is exposed so tests can compare `sim` edge by edge.
-void run_component_share(TokenSim& sim, std::span<const sdf::NodeId> order,
-                         std::span<const std::int64_t> target,
-                         std::vector<sdf::NodeId>& period);
 
 /// The batch granularity the scheduler would use (exposed for tests and the
 /// E7 sweep).

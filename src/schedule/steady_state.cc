@@ -1,7 +1,7 @@
 #include "schedule/steady_state.h"
 
-#include "schedule/token_sim.h"
 #include "sdf/repetition.h"
+#include "sdf/token_sim.h"
 #include "sdf/topology.h"
 #include "util/error.h"
 
@@ -11,25 +11,11 @@ std::vector<sdf::NodeId> demand_driven_iteration(const sdf::SdfGraph& g,
                                                  std::span<const std::int64_t> caps) {
   const sdf::RepetitionVector reps(g);
   const auto topo = sdf::topological_sort(g);
-  TokenSim sim(g, caps);
+  sdf::TokenSim sim(g, caps);
   std::vector<sdf::NodeId> out;
   out.reserve(static_cast<std::size_t>(reps.total_firings()));
-
-  std::int64_t outstanding = reps.total_firings();
-  while (outstanding > 0) {
-    bool progressed = false;
-    for (const sdf::NodeId v : topo) {
-      const std::int64_t want = reps.count(v) - sim.fired(v);
-      if (want <= 0) continue;
-      const std::int64_t batch = sim.fire_up_to(v, want);
-      if (batch <= 0) continue;
-      out.insert(out.end(), static_cast<std::size_t>(batch), v);
-      outstanding -= batch;
-      progressed = true;
-    }
-    if (!progressed) {
-      throw DeadlockError("steady-state iteration deadlocked under given capacities");
-    }
+  if (sim.sweep(topo, reps.counts(), sdf::kUnbounded, out) < reps.total_firings()) {
+    throw DeadlockError("steady-state iteration deadlocked under given capacities");
   }
   CCS_ENSURES(sim.drained(), "iteration must return channels to empty");
   return out;

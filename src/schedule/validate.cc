@@ -1,6 +1,6 @@
 #include "schedule/validate.h"
 
-#include "schedule/token_sim.h"
+#include "sdf/token_sim.h"
 #include "util/error.h"
 
 namespace ccs::schedule {
@@ -17,7 +17,7 @@ ScheduleReport check_schedule(const sdf::SdfGraph& g, const Schedule& s,
     return report;
   }
   try {
-    TokenSim sim(g, s.buffer_caps);
+    sdf::TokenSim sim(g, s.buffer_caps);
     std::int64_t prev_source = 0;
     std::int64_t prev_sink = 0;
     const sdf::NodeId source = g.sources().front();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sdf/token_sim.h"
 #include "sdf/topology.h"
 #include "util/error.h"
 #include "util/int_math.h"
@@ -12,79 +13,6 @@ std::int64_t edge_min_buffer(std::int64_t out_rate, std::int64_t in_rate) {
   CCS_EXPECTS(out_rate > 0 && in_rate > 0, "rates must be positive");
   return out_rate + in_rate - gcd64(out_rate, in_rate);
 }
-
-namespace {
-
-/// Simulates one steady-state iteration with the given capacities using a
-/// batched topological sweep. Returns true on completion; on deadlock,
-/// `blocked_edge` receives an output edge to enlarge.
-bool simulate_iteration(const SdfGraph& g, const RepetitionVector& reps,
-                        const std::vector<NodeId>& topo,
-                        const std::vector<std::int64_t>& cap, EdgeId* blocked_edge) {
-  std::vector<std::int64_t> tokens(static_cast<std::size_t>(g.edge_count()), 0);
-  std::vector<std::int64_t> remaining(static_cast<std::size_t>(g.node_count()));
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    remaining[static_cast<std::size_t>(v)] = reps.count(v);
-  }
-  std::int64_t outstanding = reps.total_firings();
-
-  while (outstanding > 0) {
-    bool progressed = false;
-    for (const NodeId v : topo) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (remaining[vi] == 0) continue;
-      // Largest batch of firings possible right now.
-      std::int64_t batch = remaining[vi];
-      for (const EdgeId e : g.in_edges(v)) {
-        batch = std::min(batch, tokens[static_cast<std::size_t>(e)] / g.edge(e).in_rate);
-      }
-      for (const EdgeId e : g.out_edges(v)) {
-        const std::int64_t space = cap[static_cast<std::size_t>(e)] -
-                                   tokens[static_cast<std::size_t>(e)];
-        batch = std::min(batch, space / g.edge(e).out_rate);
-      }
-      if (batch <= 0) continue;
-      for (const EdgeId e : g.in_edges(v)) {
-        tokens[static_cast<std::size_t>(e)] -= batch * g.edge(e).in_rate;
-      }
-      for (const EdgeId e : g.out_edges(v)) {
-        tokens[static_cast<std::size_t>(e)] += batch * g.edge(e).out_rate;
-      }
-      remaining[vi] -= batch;
-      outstanding -= batch;
-      progressed = true;
-    }
-    if (!progressed) {
-      // Deadlock. The topologically-first unfinished module has all of its
-      // producers finished, so by the balance equations its inputs are
-      // sufficient; it must be output-blocked. Grow its fullest blocked edge.
-      for (const NodeId v : topo) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (remaining[vi] == 0) continue;
-        for (const EdgeId e : g.out_edges(v)) {
-          const std::int64_t space =
-              cap[static_cast<std::size_t>(e)] - tokens[static_cast<std::size_t>(e)];
-          if (space < g.edge(e).out_rate) {
-            *blocked_edge = e;
-            return false;
-          }
-        }
-        // Input-blocked topologically-first module: producers all finished
-        // yet tokens are short -- impossible for a rate-matched graph.
-        throw RateError("module '" + g.node(v).name +
-                        "' starved in steady state; graph is not rate matched");
-      }
-      CCS_CHECK(false, "outstanding firings with no unfinished module");
-    }
-  }
-
-  for (std::size_t e = 0; e < tokens.size(); ++e) {
-    CCS_CHECK(tokens[e] == 0, "steady-state iteration must drain all channels");
-  }
-  return true;
-}
-
-}  // namespace
 
 std::vector<std::int64_t> feasible_buffers(const SdfGraph& g) {
   const RepetitionVector reps(g);
@@ -101,8 +29,37 @@ std::vector<std::int64_t> feasible_buffers(const SdfGraph& g) {
         std::max(cap[static_cast<std::size_t>(e)], std::max(edge.out_rate, edge.in_rate));
   }
 
-  EdgeId blocked = kInvalidEdge;
-  while (!simulate_iteration(g, reps, topo, cap, &blocked)) {
+  // Run one iteration's sweep -- every module limited to q(v) firings --
+  // under the current capacities, and on a deadlock grow a blocked edge.
+  TokenSim sim(g, cap);
+  std::vector<NodeId> firings;
+  firings.reserve(static_cast<std::size_t>(reps.total_firings()));
+  while (true) {
+    firings.clear();
+    sim.sweep(topo, reps.counts(), kUnbounded, firings);
+    // The topologically-first unfinished module has all of its producers
+    // finished, so by the balance equations its inputs are sufficient; it
+    // must be output-blocked. Grow its fullest blocked edge.
+    const auto unfinished = std::find_if(topo.begin(), topo.end(), [&](NodeId v) {
+      return sim.fired(v) < reps.count(v);
+    });
+    if (unfinished == topo.end()) {
+      CCS_CHECK(sim.drained(), "steady-state iteration must drain all channels");
+      break;
+    }
+    EdgeId blocked = kInvalidEdge;
+    for (const EdgeId e : g.out_edges(*unfinished)) {
+      if (sim.space(e) < g.edge(e).out_rate) {
+        blocked = e;
+        break;
+      }
+    }
+    if (blocked == kInvalidEdge) {
+      // Input-blocked topologically-first module: producers all finished
+      // yet tokens are short -- impossible for a rate-matched graph.
+      throw RateError("module '" + g.node(*unfinished).name +
+                      "' starved in steady state; graph is not rate matched");
+    }
     auto& c = cap[static_cast<std::size_t>(blocked)];
     // Grow by one producer burst, never beyond one full iteration's traffic
     // (which is always sufficient: the producer can then finish outright).
@@ -110,6 +67,7 @@ std::vector<std::int64_t> feasible_buffers(const SdfGraph& g) {
                                         g.edge(blocked).out_rate + g.edge(blocked).in_rate);
     CCS_CHECK(c < limit, "buffer growth exceeded steady-state traffic");
     c = std::min(limit, checked_add(c, g.edge(blocked).out_rate));
+    sim.reset(cap);
   }
   return cap;
 }

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/planner.h"
 #include "iomodel/cache.h"
 #include "partition/pipeline_dp.h"
@@ -114,6 +117,34 @@ TEST(Stream, StarvesWithoutArrivalsAndResumesOnPush) {
   stream.push(64);
   EXPECT_GT(stream.run_until_idle().firings, 0);
   EXPECT_EQ(stream.inputs_consumed(), 128);
+}
+
+/// A single-component pipeline has no cross edge to end its burst, so an
+/// unmetered source would plan without bound. One step admits at most what
+/// a cross edge out of the source would hold, max(M, 2 minBuf) = M here.
+TEST(Stream, OneComponentPipelineStepIsBoundedUnderUnlimitedArrivals) {
+  const auto g = workloads::uniform_pipeline(3, 16);
+  const std::int64_t m = 512;
+  Stream stream(g, partition::Partition::whole(g), CacheConfig{m, 8});
+  stream.push(std::numeric_limits<std::int64_t>::max());
+  const StepResult r = stream.step();
+  EXPECT_TRUE(r.progressed());
+  EXPECT_EQ(stream.inputs_consumed(), m);
+  EXPECT_EQ(r.run.firings, 3 * m);  // the burst flushes what it admitted
+  EXPECT_EQ(stream.outputs_produced(), m);
+  EXPECT_TRUE(stream.step().progressed());
+  EXPECT_EQ(stream.inputs_consumed(), 2 * m);
+}
+
+/// Finite arrivals below that bound plan exactly as before: one step takes
+/// them all.
+TEST(Stream, OneComponentPipelineStepTakesFewerArrivalsThanTheBound) {
+  const auto g = workloads::uniform_pipeline(3, 16);
+  Stream stream(g, partition::Partition::whole(g), CacheConfig{512, 8});
+  stream.push(100);
+  EXPECT_EQ(stream.step().run.firings, 300);
+  EXPECT_EQ(stream.inputs_consumed(), 100);
+  EXPECT_FALSE(stream.step().progressed());
 }
 
 TEST(Stream, BackpressureClampsPushes) {

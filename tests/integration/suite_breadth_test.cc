@@ -1,5 +1,5 @@
 // Breadth sweeps across the full application suite: every auxiliary
-// facility (stats, DOT, schedule serialization, hierarchy equivalences)
+// facility (DOT, schedule serialization, hierarchy equivalences)
 // must handle every workload, not just the ones its unit tests picked.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "schedule/naive.h"
 #include "schedule/serialize.h"
 #include "schedule/validate.h"
-#include "sdf/graph_stats.h"
 #include "sdf/serialize.h"
 #include "workloads/streamit.h"
 
@@ -25,20 +24,6 @@ class AppSweep : public ::testing::TestWithParam<std::size_t> {
     return suite[GetParam()];
   }
 };
-
-TEST_P(AppSweep, StatsAreInternallyConsistent) {
-  const auto& g = app().graph;
-  const auto stats = sdf::compute_stats(g);
-  EXPECT_EQ(stats.nodes, g.node_count());
-  EXPECT_EQ(stats.edges, g.edge_count());
-  EXPECT_EQ(stats.total_state, g.total_state());
-  EXPECT_GE(stats.depth, 2);
-  EXPECT_GE(stats.width, 1);
-  EXPECT_LE(stats.width, stats.nodes);
-  EXPECT_LE(stats.min_edge_gain, stats.max_edge_gain);
-  EXPECT_EQ(stats.pipeline, g.is_pipeline());
-  EXPECT_EQ(stats.homogeneous, g.is_homogeneous());
-}
 
 TEST_P(AppSweep, DotExportMentionsEveryModule) {
   const auto& g = app().graph;

@@ -6,7 +6,7 @@
 
 #include "partition/pipeline_dp.h"
 #include "schedule/dynamic.h"
-#include "schedule/token_sim.h"
+#include "sdf/token_sim.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "workloads/pipelines.h"
@@ -14,6 +14,8 @@
 
 namespace ccs::schedule {
 namespace {
+
+using sdf::TokenSim;
 
 /// Minimal driver view over a TokenSim plus an explicit credit counter.
 class TestView final : public EngineView {

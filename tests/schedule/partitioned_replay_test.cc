@@ -1,9 +1,10 @@
-// Differential test for run_component_share(), the low level of the
-// partitioned scheduler. The per-sweep generator it replaced -- every sweep
+// Differential test for TokenSim::sweep, the one fire-until-stuck loop, and
+// its sweep-cycle replay. The per-sweep generator it replaced -- every sweep
 // of every component fires for real -- is kept below as the reference. For
-// each graph, partition and batch size, the library and the reference run
-// side by side on two TokenSims, component by component, and must agree on
-// the firings appended and, on every edge, on tokens and peak(); the full
+// each graph, partition and batch size, the library (library_share: the
+// sweep as partitioned_schedule() runs it) and the reference run side by
+// side on two TokenSims, component by component, and must agree on the
+// firings appended and, on every edge, on tokens and peak(); the full
 // partitioned_schedule() must then equal the reference's period,
 // buffer_caps, inputs_per_period and outputs_per_period.
 //
@@ -11,32 +12,44 @@
 // seeded family) x every applicable registry partitioner x M in {256, 512,
 // 1024, 2048} x t_multiplier in {1, 2, 3}. Hand-built cases add the shapes
 // where a replay must stop early or where a component has no internal edge.
+// The SweepShapes cases hold the other callers' limits against a plain
+// reference sweep: a limited source with every other module unbounded (the
+// pipeline drains), a source that may not fire (the M-batch drain), a step
+// cap (kohli), and a middle segment bounded only by its cross edges (the
+// pipeline policy's plan_component).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../support/plan_sweep_graphs.h"
 #include "partition/partition.h"
 #include "partition/registry.h"
+#include "schedule/kohli.h"
 #include "schedule/partitioned.h"
-#include "schedule/token_sim.h"
 #include "sdf/gain.h"
 #include "sdf/min_buffer.h"
+#include "sdf/repetition.h"
+#include "sdf/token_sim.h"
 #include "sdf/topology.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace ccs::schedule {
 namespace {
 
 using partition::Partition;
+using sdf::kUnbounded;
 using sdf::NodeId;
 using sdf::SdfGraph;
+using sdf::TokenSim;
 
 /// The generator before sweep-cycle replay: repeated maximal sweeps over the
 /// component, every one fired for real.
@@ -58,6 +71,18 @@ void reference_share(TokenSim& sim, std::span<const NodeId> order,
       progressed = true;
     }
     if (!progressed) {
+      throw DeadlockError("component could not complete its batch share");
+    }
+  }
+}
+
+/// partitioned_schedule()'s low level for one component: the library sweep
+/// limited to the targets, then the same deadlock check.
+void library_share(TokenSim& sim, std::span<const NodeId> order,
+                   std::span<const std::int64_t> target, std::vector<NodeId>& period) {
+  sim.sweep(order, target, kUnbounded, period);
+  for (const NodeId v : order) {
+    if (sim.fired(v) < target[static_cast<std::size_t>(v)]) {
       throw DeadlockError("component could not complete its batch share");
     }
   }
@@ -117,10 +142,10 @@ std::int64_t expect_same_generation(const SdfGraph& g, const Partition& p,
       ref_error = e.what();
     }
     if (!ref_error.empty()) {
-      EXPECT_THROW(run_component_share(lib, s.orders[c], s.target, lib_period), Error);
+      EXPECT_THROW(library_share(lib, s.orders[c], s.target, lib_period), Error);
       break;
     }
-    run_component_share(lib, s.orders[c], s.target, lib_period);
+    library_share(lib, s.orders[c], s.target, lib_period);
     EXPECT_EQ(lib_period, ref_period) << "component " << c;
     for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
       EXPECT_EQ(lib.tokens(e), ref.tokens(e)) << "component " << c << " edge " << e;
@@ -238,7 +263,7 @@ void expect_same_share(const SdfGraph& g, std::span<const std::int64_t> caps,
   std::string lib_error = "none";
   std::string ref_error = "none";
   try {
-    run_component_share(lib, order, target, lib_period);
+    library_share(lib, order, target, lib_period);
   } catch (const std::exception& e) {
     lib_error = e.what();
   }
@@ -308,6 +333,223 @@ TEST(ReplayCases, ComponentWithNoInternalEdge) {
       EXPECT_GT(expect_same_generation(g, Partition{{0, 1, 1, 2}, 3}, options, "branches"), 0);
     }
   }
+}
+
+/// TokenSim::sweep without the replay: every sweep fires for real.
+void reference_sweep(TokenSim& sim, std::span<const NodeId> order,
+                     std::span<const std::int64_t> limit, std::int64_t step_cap,
+                     std::vector<NodeId>& out) {
+  bool progressed = true;
+  while (progressed) {
+    progressed = false;
+    for (const NodeId v : order) {
+      const std::int64_t lim = limit[static_cast<std::size_t>(v)];
+      const std::int64_t want = lim == kUnbounded ? step_cap : lim - sim.fired(v);
+      if (want <= 0) continue;
+      const std::int64_t batch = sim.fire_up_to(v, want);
+      if (batch <= 0) continue;
+      out.insert(out.end(), static_cast<std::size_t>(batch), v);
+      progressed = true;
+    }
+  }
+}
+
+/// One sweep on each sim, the library against the reference, from equal
+/// states; both must append the same firings and leave every edge and
+/// every module equal. Returns the number of firings appended.
+std::int64_t expect_same_sweep(TokenSim& lib, TokenSim& ref, std::span<const NodeId> order,
+                               std::span<const std::int64_t> limit, std::int64_t step_cap) {
+  std::vector<NodeId> lib_out;
+  std::vector<NodeId> ref_out;
+  const std::int64_t n = lib.sweep(order, limit, step_cap, lib_out);
+  reference_sweep(ref, order, limit, step_cap, ref_out);
+  EXPECT_EQ(n, static_cast<std::int64_t>(lib_out.size()));
+  EXPECT_EQ(lib_out, ref_out);
+  const SdfGraph& g = lib.graph();
+  for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
+    EXPECT_EQ(lib.tokens(e), ref.tokens(e)) << "edge " << e;
+    EXPECT_EQ(lib.peak(e), ref.peak(e)) << "edge " << e;
+  }
+  for (NodeId v = 0; v < g.node_count(); ++v) EXPECT_EQ(lib.fired(v), ref.fired(v));
+  return n;
+}
+
+/// Two sims under `caps`, both seeded with the same random token counts.
+std::pair<TokenSim, TokenSim> random_state(const SdfGraph& g,
+                                           const std::vector<std::int64_t>& caps, Rng& rng) {
+  std::pair<TokenSim, TokenSim> sims{TokenSim(g, caps), TokenSim(g, caps)};
+  for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
+    const std::int64_t n = rng.uniform(0, caps[static_cast<std::size_t>(e)]);
+    sims.first.set_tokens(e, n);
+    sims.second.set_tokens(e, n);
+  }
+  return sims;
+}
+
+/// A pipeline's capacities under the pipeline policy's sizing for `cuts`
+/// (the chain edges after which a segment ends): Theta(M) on those,
+/// minimal feasible buffers elsewhere.
+std::vector<std::int64_t> segment_caps(const SdfGraph& g, const std::vector<NodeId>& chain,
+                                       const std::vector<std::size_t>& cuts, std::int64_t m) {
+  std::vector<std::int64_t> caps = sdf::feasible_buffers(g);
+  for (const std::size_t i : cuts) {
+    const sdf::EdgeId e = g.out_edges(chain[i]).front();
+    const sdf::Edge& edge = g.edge(e);
+    caps[static_cast<std::size_t>(e)] =
+        std::max(m, 2 * sdf::edge_min_buffer(edge.out_rate, edge.in_rate));
+  }
+  return caps;
+}
+
+std::vector<workloads::NamedGraph> pipelines() {
+  std::vector<workloads::NamedGraph> out;
+  for (auto& app : ccs::test_support::plan_sweep_graphs(1)) {
+    if (app.graph.is_pipeline()) out.push_back(std::move(app));
+  }
+  return out;
+}
+
+/// The pipeline policy's drain: the whole chain, the source limited to a
+/// few more firings, every other module unbounded, from random states.
+TEST(SweepShapes, SourceLimitedDrainsMatchThePlainSweep) {
+  Rng rng(11);
+  std::int64_t firings = 0;
+  for (const auto& app : pipelines()) {
+    SCOPED_TRACE(app.name);
+    const SdfGraph& g = app.graph;
+    const auto chain = sdf::topological_sort(g);
+    const std::size_t n = chain.size();
+    for (const std::int64_t m : {64, 1024}) {
+      const auto caps = segment_caps(g, chain, {n / 3, 2 * n / 3}, m);
+      for (const std::int64_t allowance : {0, 1, 7, 300}) {
+        auto [lib, ref] = random_state(g, caps, rng);
+        std::vector<std::int64_t> limit(static_cast<std::size_t>(g.node_count()), kUnbounded);
+        limit[static_cast<std::size_t>(chain.front())] = allowance;
+        firings += expect_same_sweep(lib, ref, chain, limit, kUnbounded);
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(firings, 10'000);
+}
+
+/// The M-batch policy's drain: one sweep per component of a homogeneous
+/// dag, the source held at its firing count, repeated until no component
+/// moves, from random states.
+TEST(SweepShapes, SourceExcludedComponentDrainsMatchThePlainSweep) {
+  Rng rng(12);
+  const auto& registry = partition::Registry::global();
+  std::int64_t firings = 0;
+  std::int64_t cases = 0;
+  for (const auto& app : ccs::test_support::plan_sweep_graphs(1)) {
+    const SdfGraph& g = app.graph;
+    if (!g.is_homogeneous()) continue;
+    for (const std::int64_t m : {256, 1024}) {
+      partition::StrategyContext ctx;
+      ctx.cache_words = m;
+      ctx.state_bound = 3 * m;
+      Partition p;
+      try {
+        p = partition::renumber_topological(g, registry.build("dag-greedy", g, ctx));
+      } catch (const Error&) {
+        continue;
+      }
+      SCOPED_TRACE(app.name + "@" + std::to_string(m));
+      std::vector<std::int64_t> caps(static_cast<std::size_t>(g.edge_count()), 1);
+      for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
+        if (p.comp(g.edge(e).src) != p.comp(g.edge(e).dst)) {
+          caps[static_cast<std::size_t>(e)] = m;
+        }
+      }
+      const auto comps = p.components();
+      auto [lib, ref] = random_state(g, caps, rng);
+      std::vector<std::int64_t> limit(static_cast<std::size_t>(g.node_count()), kUnbounded);
+      limit[static_cast<std::size_t>(g.sources().front())] = 0;
+      bool moved = true;
+      while (moved) {
+        moved = false;
+        for (const auto& members : comps) {
+          std::vector<NodeId> order;
+          for (const NodeId v : sdf::topological_sort(g)) {
+            if (p.comp(v) == p.comp(members.front())) order.push_back(v);
+          }
+          const std::int64_t n = expect_same_sweep(lib, ref, order, limit, kUnbounded);
+          if (HasFailure()) return;
+          moved |= n > 0;
+          firings += n;
+        }
+      }
+      ++cases;
+    }
+  }
+  EXPECT_GT(cases, 4);
+  EXPECT_GT(firings, 1'000);
+}
+
+/// Kohli's sweep: the whole chain, the source limited to its fill target,
+/// every other module capped per step -- at sum(q), as kohli_schedule()
+/// runs it, and at caps small enough to bind on every step.
+TEST(SweepShapes, StepCapMatchesThePlainSweep) {
+  std::int64_t firings = 0;
+  for (const auto& app : pipelines()) {
+    const SdfGraph& g = app.graph;
+    const auto chain = sdf::pipeline_order(g);
+    const sdf::RepetitionVector reps(g);
+    for (const std::int64_t m : {256, 1024, 4096, 65536}) {
+      SCOPED_TRACE(app.name + "@" + std::to_string(m));
+      // kohli_schedule()'s sizing, restated.
+      const std::int64_t share = std::max<std::int64_t>(m / (2 * g.edge_count()), 1);
+      std::vector<std::int64_t> caps;
+      for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
+        const sdf::Edge& edge = g.edge(e);
+        caps.push_back(std::max(share, sdf::edge_min_buffer(edge.out_rate, edge.in_rate)));
+      }
+      const std::int64_t q_src = reps.count(chain.front());
+      std::vector<std::int64_t> limit(static_cast<std::size_t>(g.node_count()), kUnbounded);
+      limit[static_cast<std::size_t>(chain.front())] = std::max<std::int64_t>(
+          1, (share + q_src - 1) / q_src) * q_src;
+      for (const std::int64_t cap : {reps.total_firings(), std::int64_t{1}, std::int64_t{3}}) {
+        TokenSim lib(g, caps);
+        TokenSim ref(g, caps);
+        firings += expect_same_sweep(lib, ref, chain, limit, cap);
+        if (HasFailure()) return;
+      }
+      std::vector<NodeId> ref_period;
+      TokenSim ref(g, caps);
+      reference_sweep(ref, chain, limit, reps.total_firings(), ref_period);
+      EXPECT_EQ(kohli_schedule(g, m).period, ref_period);
+    }
+  }
+  EXPECT_GT(firings, 100'000);
+}
+
+/// The pipeline policy's plan_component on a middle segment: every limit
+/// unbounded, so only the segment's cross edges stop it, from random states.
+TEST(SweepShapes, CrossEdgeBoundedSegmentsMatchThePlainSweep) {
+  Rng rng(13);
+  std::int64_t firings = 0;
+  for (const auto& app : pipelines()) {
+    SCOPED_TRACE(app.name);
+    const SdfGraph& g = app.graph;
+    const auto chain = sdf::topological_sort(g);
+    const std::size_t n = chain.size();
+    if (n < 3) continue;
+    for (const std::int64_t m : {64, 1024, 8192}) {
+      const std::size_t first = n / 3;
+      const std::size_t last = std::max(first + 1, 2 * n / 3);
+      const auto caps = segment_caps(g, chain, {first, last}, m);
+      const std::vector<NodeId> middle(chain.begin() + static_cast<std::ptrdiff_t>(first) + 1,
+                                       chain.begin() + static_cast<std::ptrdiff_t>(last) + 1);
+      const std::vector<std::int64_t> limit(static_cast<std::size_t>(g.node_count()),
+                                            kUnbounded);
+      for (std::int32_t round = 0; round < 3; ++round) {
+        auto [lib, ref] = random_state(g, caps, rng);
+        firings += expect_same_sweep(lib, ref, middle, limit, kUnbounded);
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(firings, 10'000);
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "schedule/token_sim.h"
 #include "sdf/min_buffer.h"
 #include "sdf/repetition.h"
+#include "sdf/token_sim.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "workloads/random_dag.h"
@@ -12,6 +12,8 @@
 
 namespace ccs::schedule {
 namespace {
+
+using sdf::TokenSim;
 
 TEST(SteadyState, DemandDrivenCompletesOneIteration) {
   for (const auto& app : ccs::workloads::streamit_suite()) {

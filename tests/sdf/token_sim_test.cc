@@ -1,15 +1,13 @@
-#include "schedule/token_sim.h"
+#include "sdf/token_sim.h"
 
 #include <gtest/gtest.h>
 
 #include "util/error.h"
 #include "workloads/pipelines.h"
 
-namespace ccs::schedule {
+namespace ccs::sdf {
 namespace {
 
-using sdf::NodeId;
-using sdf::SdfGraph;
 
 SdfGraph two_rate() {
   SdfGraph g;
@@ -106,6 +104,55 @@ TEST(TokenSim, AdvanceRejectsACountThatLeavesAnEdgeOutOfRange) {
   EXPECT_THROW(fresh.advance(overflow), ScheduleError);
 }
 
+/// src -(1:1)-> mid -(1:1)-> sink, unit capacities.
+SdfGraph unit_chain() {
+  SdfGraph g;
+  for (const char* name : {"src", "mid", "sink"}) g.add_node(name, 1);
+  g.add_edge(0, 1, 1, 1);
+  g.add_edge(1, 2, 1, 1);
+  return g;
+}
+
+TEST(TokenSim, SweepFiresUntilTheLimitsStopIt) {
+  const auto g = unit_chain();
+  const std::int64_t caps[] = {1, 1};
+  TokenSim sim(g, caps);
+  const NodeId order[] = {0, 1, 2};
+  const std::int64_t limit[] = {5, kUnbounded, kUnbounded};
+  std::vector<NodeId> out;
+  EXPECT_EQ(sim.sweep(order, limit, kUnbounded, out), 15);
+  EXPECT_EQ(out.size(), 15u);
+  EXPECT_EQ(sim.fired(2), 5);
+  EXPECT_TRUE(sim.drained());
+  // A second sweep under the same limits has nothing left to fire.
+  EXPECT_EQ(sim.sweep(order, limit, kUnbounded, out), 0);
+  EXPECT_EQ(out.size(), 15u);
+}
+
+TEST(TokenSim, SweepStepCapBindsOnlyModulesWithoutALimit) {
+  const auto g = two_rate();
+  const std::int64_t caps[] = {12};
+  TokenSim sim(g, caps);
+  const NodeId order[] = {0, 1};
+  const std::int64_t limit[] = {4, kUnbounded};
+  std::vector<NodeId> out;
+  EXPECT_EQ(sim.sweep(order, limit, 2, out), 10);
+  // The source fires all 4 at once; the consumer 2 a step.
+  EXPECT_EQ(out, (std::vector<NodeId>{0, 0, 0, 0, 1, 1, 1, 1, 1, 1}));
+  EXPECT_TRUE(sim.drained());
+}
+
+TEST(TokenSim, SweepRefusesACycleThatNothingStops) {
+  const auto g = unit_chain();
+  const std::int64_t caps[] = {1, 1};
+  TokenSim sim(g, caps);
+  const NodeId order[] = {0, 1, 2};
+  const std::int64_t limit[] = {kUnbounded, kUnbounded, kUnbounded};
+  std::vector<NodeId> out;
+  EXPECT_THROW(sim.sweep(order, limit, kUnbounded, out), ScheduleError);
+  EXPECT_LT(out.size(), 100u);
+}
+
 TEST(TokenSim, TooSmallCapacityRejected) {
   const auto g = two_rate();
   const std::int64_t caps[] = {2};  // out_rate 3 cannot fit
@@ -113,4 +160,4 @@ TEST(TokenSim, TooSmallCapacityRejected) {
 }
 
 }  // namespace
-}  // namespace ccs::schedule
+}  // namespace ccs::sdf
