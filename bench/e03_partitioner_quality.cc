@@ -12,6 +12,7 @@
 #include "partition/pipeline_greedy.h"
 #include "schedule/partitioned.h"
 #include "sdf/gain.h"
+#include "sdf/min_buffer.h"
 #include "util/rng.h"
 #include "workloads/pipelines.h"
 
@@ -46,8 +47,8 @@ int main(int argc, char** argv) {
         g, partition::max_component_state(g, greedy.partition));
     schedule::PartitionedOptions sopts;
     sopts.m = m;
-    const auto s_greedy = schedule::partitioned_schedule(g, greedy.partition, sopts);
-    const auto s_dp = schedule::partitioned_schedule(g, dp.partition, sopts);
+    const auto s_greedy = schedule::partitioned_schedule(g, greedy.partition, sopts, sdf::feasible_buffers(g));
+    const auto s_dp = schedule::partitioned_schedule(g, dp.partition, sopts, sdf::feasible_buffers(g));
     const auto r_greedy = bench::run(g, s_greedy, 8 * m, b, outputs);
     const auto r_dp = bench::run(g, s_dp, 8 * m, b, outputs);
     t.add_row({family.name,

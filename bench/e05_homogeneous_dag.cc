@@ -12,6 +12,7 @@
 #include "partition/dag_exact.h"
 #include "schedule/naive.h"
 #include "schedule/partitioned.h"
+#include "sdf/min_buffer.h"
 #include "util/rng.h"
 #include "workloads/random_dag.h"
 
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
     if (!exact.has_value()) continue;
     schedule::PartitionedOptions sopts;
     sopts.m = m;
-    const auto sched = schedule::partitioned_schedule(g, exact->partition, sopts);
+    const auto sched = schedule::partitioned_schedule(g, exact->partition, sopts, sdf::feasible_buffers(g));
     const auto r_part = bench::run(g, sched, 4 * m, b, outputs);
     const auto r_naive =
         bench::run(g, schedule::naive_minimal_buffer_schedule(g), 4 * m, b, outputs);

@@ -13,6 +13,7 @@
 #include "partition/dag_refine.h"
 #include "schedule/partitioned.h"
 #include "sdf/gain.h"
+#include "sdf/min_buffer.h"
 #include "util/rng.h"
 #include "workloads/random_dag.h"
 
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
   t.set_header({"partition", "bandwidth", "alpha", "misses/output", "miss ratio"});
   t.set_align({Align::kLeft, Align::kRight, Align::kRight, Align::kRight, Align::kRight});
   for (const auto& entry : entries) {
-    const auto sched = schedule::partitioned_schedule(g, entry.partition, sopts);
+    const auto sched = schedule::partitioned_schedule(g, entry.partition, sopts, sdf::feasible_buffers(g));
     const auto r = bench::run(g, sched, 4 * m, b, outputs);
     const auto bw = partition::bandwidth(g, gains, entry.partition);
     if (entry.name == "exact") exact_misses = r.misses_per_output();

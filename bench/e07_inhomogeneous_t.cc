@@ -10,6 +10,7 @@
 #include "bench/common.h"
 #include "partition/pipeline_dp.h"
 #include "schedule/partitioned.h"
+#include "sdf/min_buffer.h"
 #include "util/rng.h"
 #include "workloads/pipelines.h"
 
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
     schedule::PartitionedOptions sopts;
     sopts.m = m;
     sopts.t_multiplier = mult;
-    const auto sched = schedule::partitioned_schedule(g, dp.partition, sopts);
+    const auto sched = schedule::partitioned_schedule(g, dp.partition, sopts, sdf::feasible_buffers(g));
     const auto r = bench::run(g, sched, 8 * m, b, outputs);
     t.add_row({Table::num(mult), Table::num(schedule::compute_batch_t(g, sopts)),
                Table::num(sched.total_buffer_words()),

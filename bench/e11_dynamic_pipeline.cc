@@ -11,6 +11,7 @@
 #include "partition/pipeline_dp.h"
 #include "schedule/dynamic.h"
 #include "schedule/partitioned.h"
+#include "sdf/min_buffer.h"
 #include "util/rng.h"
 #include "workloads/pipelines.h"
 
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
     const auto dp = partition::pipeline_optimal_partition(g, 3 * m);
     schedule::PartitionedOptions sopts;
     sopts.m = m;
-    const auto stat = schedule::partitioned_schedule(g, dp.partition, sopts);
+    const auto stat = schedule::partitioned_schedule(g, dp.partition, sopts, sdf::feasible_buffers(g));
     const auto dyn = schedule::dynamic_pipeline_schedule(g, dp.partition, m, outputs);
     const auto r_stat = bench::run(g, stat, 8 * m, b, outputs);
     const auto r_dyn = bench::run(g, dyn, 8 * m, b, outputs);

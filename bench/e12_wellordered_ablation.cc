@@ -13,6 +13,7 @@
 #include "partition/dag_exact.h"
 #include "schedule/partitioned.h"
 #include "sdf/gain.h"
+#include "sdf/min_buffer.h"
 #include "util/error.h"
 
 int main(int argc, char** argv) {
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
     try {
       schedule::PartitionedOptions sopts;
       sopts.m = m;
-      const auto sched = schedule::partitioned_schedule(g, p, sopts);
+      const auto sched = schedule::partitioned_schedule(g, p, sopts, sdf::feasible_buffers(g));
       const auto r = bench::run(g, sched, 4 * m, b, 2048);
       misses = Table::num(r.misses_per_output(), 3);
     } catch (const Error&) {

@@ -11,6 +11,7 @@
 #include "partition/dag_greedy.h"
 #include "schedule/dynamic.h"
 #include "schedule/partitioned.h"
+#include "sdf/min_buffer.h"
 #include "util/rng.h"
 #include "workloads/random_dag.h"
 
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
 
     schedule::PartitionedOptions sopts;
     sopts.m = m;
-    const auto stat = schedule::partitioned_schedule(g, p, sopts);
+    const auto stat = schedule::partitioned_schedule(g, p, sopts, sdf::feasible_buffers(g));
     const auto dyn = schedule::dynamic_homogeneous_schedule(g, p, m, outputs);
     const auto r_stat = bench::run(g, stat, 4 * m, b, outputs);
     const auto r_dyn = bench::run(g, dyn, 4 * m, b, outputs);

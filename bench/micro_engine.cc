@@ -28,7 +28,7 @@ void run_engine(benchmark::State& state, const sdf::SdfGraph& g, std::int64_t ca
   std::int64_t firings = 0;
   for (auto _ : state) {
     engine.run(naive.period);
-    firings += static_cast<std::int64_t>(naive.period.size());
+    firings += naive.period.size();
   }
   state.SetItemsProcessed(firings);
 }
@@ -59,7 +59,7 @@ void BM_EngineWithAttribution(benchmark::State& state) {
   std::int64_t firings = 0;
   for (auto _ : state) {
     engine.run(naive.period);
-    firings += static_cast<std::int64_t>(naive.period.size());
+    firings += naive.period.size();
   }
   state.SetItemsProcessed(firings);
 }

@@ -10,6 +10,7 @@
 #include "schedule/naive.h"
 #include "schedule/partitioned.h"
 #include "schedule/scaled.h"
+#include "sdf/min_buffer.h"
 #include "workloads/pipelines.h"
 
 namespace {
@@ -39,9 +40,9 @@ void BM_PartitionedSchedule(benchmark::State& state) {
   opts.m = state.range(0);
   std::int64_t firings = 0;
   for (auto _ : state) {
-    const auto s = schedule::partitioned_schedule(g, dp.partition, opts);
-    firings += static_cast<std::int64_t>(s.period.size());
-    benchmark::DoNotOptimize(s.period.data());
+    const auto s = schedule::partitioned_schedule(g, dp.partition, opts, sdf::feasible_buffers(g));
+    firings += s.period.size();
+    benchmark::DoNotOptimize(s.period.blocks().data());
   }
   state.SetItemsProcessed(firings);  // generated firings
   state.SetLabel("T=" + std::to_string(schedule::compute_batch_t(g, opts)));

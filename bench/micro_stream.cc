@@ -44,7 +44,7 @@ void BM_BatchDynamicReplay(benchmark::State& state) {
   std::int64_t firings = 0;
   for (auto _ : state) {
     engine.run(dyn.period);
-    firings += static_cast<std::int64_t>(dyn.period.size());
+    firings += dyn.period.size();
   }
   state.SetItemsProcessed(firings);
 }

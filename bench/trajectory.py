@@ -6,7 +6,9 @@ root; shapes differ by era (the earliest are hand-rolled summaries, then
 raw google-benchmark --benchmark_format=json dumps, and the latest are
 "perfbench-ab" records: alternating parent/change runs of the repository
 benchmark, perfbench/run.py, plus a microbenchmark table -- see
-rows_from_perfbench_ab for the exact shape). This script normalizes all
+rows_from_perfbench_ab for the exact shape; an A/B whose pair records were
+not kept is backfilled from its CHANGES.md medians as a
+"perfbench-ab-transcribed" record). This script normalizes all
 of them into one long-format table -- one row per (pr, benchmark, metric) --
 and emits it as CSV plus a grouped markdown report, so CI can publish the
 whole perf trajectory as a single artifact on every run.
@@ -134,7 +136,8 @@ def rows_from_perfbench_ab(pr, source, doc):
                   "parent": RUN, "change": RUN}, ...],
        "micro": {"reps": int, "rows": [{"benchmark": str,
                  "parent_items_per_second": num,
-                 "change_items_per_second": num}, ...]}}
+                 "change_items_per_second": num}, ...]},
+       "ladder": {...}}  (optional; see _ladder_rows)
     where RUN is a perfbench record reduced to {"stamp": {...}, "correct":
     true, "failed": 0, "metrics": {name: {"value": num, "unit": str}}}.
     Both sides of a pair must name the same workload and seed and differ in
@@ -205,6 +208,79 @@ def rows_from_perfbench_ab(pr, source, doc):
         rows.append([pr, source, name, "items_per_second", change, "items/s", note])
         rows.append([pr, source, name, "items_per_second_parent", parent, "items/s", note])
         rows.append([pr, source, name, "speedup_vs_parent", change / parent, "x", note])
+    if "ladder" in doc:
+        rows += _ladder_rows(pr, source, doc["ladder"])
+    return rows
+
+
+def _ladder_rows(pr, source, ladder):
+    """Optional "ladder" section of a perfbench-ab record: within-run ratios
+    of two layer-ladder rows, each measured in one traced run so host phases
+    cancel. Shape: {"runs": str, "ratios": [{"ratio": str, "side": "parent"
+    | "change", "values": [num, ...]}, ...]}. Emits the median per ratio and
+    side, with the spread (min-max) in the note."""
+    if not isinstance(ladder["runs"], str) or not ladder["runs"]:
+        raise TrajectoryError(f"{source}: 'ladder.runs' must describe the runs")
+    if not ladder["ratios"]:
+        raise TrajectoryError(f"{source}: 'ladder.ratios' is empty")
+    rows = []
+    for entry in ladder["ratios"]:
+        name = entry["ratio"]
+        side = entry["side"]
+        if side not in ("parent", "change"):
+            raise TrajectoryError(f"{source}: ladder {name}: bad side {side!r}")
+        values = [_number(v, f"{source}: ladder {name}") for v in entry["values"]]
+        if not values:
+            raise TrajectoryError(f"{source}: ladder {name} has no values")
+        note = (f"median of {len(values)} traced runs, "
+                f"spread {min(values):.3f}-{max(values):.3f}")
+        suffix = "" if side == "change" else "_parent"
+        rows.append([pr, source, f"ladder/{name}", f"ratio{suffix}", _median(values), "x", note])
+    return rows
+
+
+def rows_from_perfbench_ab_transcribed(pr, source, doc):
+    """An A/B of the repository benchmark whose per-pair records were not
+    kept, transcribed from the medians its CHANGES.md entry reports.
+
+    Shape (every field required but change_wins):
+      {"shape": "perfbench-ab-transcribed", "pr": N, "transcribed_from": str,
+       "description": str,
+       "workloads": [{"workload": str, "pairs": int, "seeds": str,
+                      "metrics": [{"metric": str, "unit": str,
+                                   "parent_median": num, "change_median": num,
+                                   "change_wins": int (optional)}, ...]}, ...]}
+    Emits the same rows as perfbench-ab, each note marked as transcribed.
+    """
+    if doc.get("pr") != pr:
+        raise TrajectoryError(f"{source}: 'pr' field {doc.get('pr')!r} != {pr}")
+    if not isinstance(doc["transcribed_from"], str) or not doc["transcribed_from"]:
+        raise TrajectoryError(f"{source}: 'transcribed_from' must name the source")
+    if not isinstance(doc["description"], str):
+        raise TrajectoryError(f"{source}: 'description' must be a string")
+    if not doc["workloads"]:
+        raise TrajectoryError(f"{source}: 'workloads' is empty")
+    rows = []
+    for block in doc["workloads"]:
+        workload = block["workload"]
+        pairs = int(_number(block["pairs"], f"{source}: {workload} pairs"))
+        seeds = block["seeds"]
+        if not block["metrics"]:
+            raise TrajectoryError(f"{source}: {workload} has no metrics")
+        bench = f"perfbench/{workload}"
+        note = f"transcribed median of {pairs} alternating pairs (seeds {seeds})"
+        for m in block["metrics"]:
+            metric, unit = m["metric"], m["unit"]
+            parent = _number(m["parent_median"], f"{source}: {workload} {metric} parent")
+            change = _number(m["change_median"], f"{source}: {workload} {metric} change")
+            rows.append([pr, source, bench, metric, change, unit, note])
+            rows.append([pr, source, bench, f"{metric}_parent", parent, unit, note])
+            if parent != 0:
+                wins = m.get("change_wins")
+                ratio_note = (f"transcribed; change better in {int(wins)}/{pairs} pairs"
+                              if wins is not None else "transcribed")
+                rows.append([pr, source, bench, f"{metric}_vs_parent", change / parent, "x",
+                             ratio_note])
     return rows
 
 
@@ -222,6 +298,8 @@ def normalize(path):
     try:
         if isinstance(doc, dict) and doc.get("shape") == "perfbench-ab":
             return rows_from_perfbench_ab(pr, source, doc)
+        if isinstance(doc, dict) and doc.get("shape") == "perfbench-ab-transcribed":
+            return rows_from_perfbench_ab_transcribed(pr, source, doc)
         if isinstance(doc, dict) and "benchmarks" in doc:
             return rows_from_google_benchmark(pr, source, doc)
         if isinstance(doc, dict) and "gated" in doc:

@@ -3,17 +3,18 @@
 #include <cmath>
 
 #include "sdf/gain.h"
-#include "sdf/min_buffer.h"
 #include "util/int_math.h"
 
 namespace ccs::analysis {
 
 CostPrediction predict_partitioned_cost(const sdf::SdfGraph& g,
                                         const partition::Partition& p, std::int64_t t,
-                                        std::int64_t b) {
+                                        std::int64_t b,
+                                        std::span<const std::int64_t> feasible_buffers) {
   CCS_EXPECTS(t > 0 && b > 0, "batch size and block size must be positive");
   const sdf::GainMap gains(g);
-  const auto internal_caps = sdf::feasible_buffers(g);
+  CCS_EXPECTS(feasible_buffers.size() == static_cast<std::size_t>(g.edge_count()),
+              "one feasible buffer per edge required");
   const auto states = partition::component_states(g, p);
 
   CostPrediction cost;
@@ -24,7 +25,7 @@ CostPrediction predict_partitioned_cost(const sdf::SdfGraph& g,
     const sdf::Edge& edge = g.edge(e);
     if (p.comp(edge.src) == p.comp(edge.dst)) {
       cost.buffer_term +=
-          static_cast<double>(ceil_div(internal_caps[static_cast<std::size_t>(e)], b));
+          static_cast<double>(ceil_div(feasible_buffers[static_cast<std::size_t>(e)], b));
     } else {
       // Written by the producer component and read by the consumer: the
       // batch's tokens cross the cache boundary twice.

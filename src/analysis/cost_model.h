@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "partition/partition.h"
 #include "sdf/graph.h"
@@ -27,9 +28,10 @@ struct CostPrediction {
 
 /// Predicts the partitioned scheduler's cost for batch size `t` source
 /// firings on geometry (m, b). Uses the same internal buffer sizing as the
-/// scheduler (sdf::feasible_buffers).
+/// scheduler: `feasible_buffers` must be sdf::feasible_buffers(g).
 CostPrediction predict_partitioned_cost(const sdf::SdfGraph& g,
                                         const partition::Partition& p, std::int64_t t,
-                                        std::int64_t b);
+                                        std::int64_t b,
+                                        std::span<const std::int64_t> feasible_buffers);
 
 }  // namespace ccs::analysis

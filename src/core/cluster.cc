@@ -11,6 +11,7 @@
 
 #include "runtime/engine.h"
 #include "schedule/online.h"
+#include "sdf/min_buffer.h"
 #include "util/contract.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -354,11 +355,19 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   }
   const std::int64_t effective_m = m > 0 ? m : options_.l1.capacity_words;
 
+  // The pipeline rule sizes internal buffers with the graph's feasible
+  // buffers: compute them once for the pricing policy below, the Stream's
+  // and every rehydration's (they travel in the options). No other rule
+  // reads them, and that one applies only to pipelines.
+  if (options.feasible_buffers.empty() && g.is_pipeline()) {
+    options.feasible_buffers = sdf::feasible_buffers(g);
+  }
   // Price the candidate before building anything: the admission decision
   // needs its layout footprint, which is a pure function of the graph and
   // the online policy's buffer capacities.
   schedule::OnlineContext ctx;
   ctx.m = effective_m;
+  ctx.feasible_buffers = options.feasible_buffers;
   const auto pricing_policy =
       schedule::OnlineRegistry::global().build(options.policy, g, p, ctx);
   const std::int64_t layout_words = runtime::layout_footprint_words(
@@ -1009,7 +1018,7 @@ schedule::ParallelResult simulate_parallel_on_pool(const sdf::SdfGraph& g,
   auto try_dispatch = [&] {
     for (std::int32_t w = 0; w < workers; ++w) {
       if (!worker_idle[static_cast<std::size_t>(w)]) continue;
-      const schedule::StepPlan plan = policy->next_step(view);
+      const schedule::StepPlan& plan = policy->next_step(view);
       if (plan.idle()) return;  // nothing claimable until a batch completes
       view.running[static_cast<std::size_t>(plan.component)] = true;
       move_cross(plan.component, false, -m);

@@ -6,6 +6,7 @@
 
 #include "analysis/lower_bound.h"
 #include "schedule/partitioned.h"
+#include "sdf/min_buffer.h"
 #include "sdf/validate.h"
 #include "util/error.h"
 
@@ -64,10 +65,12 @@ Plan Planner::plan() const { return plan(options_.partitioner); }
 
 Plan Planner::plan(const std::string& partitioner) const {
   const std::string name = partitioner == "auto" ? resolve_auto() : partitioner;
-  return finish_plan(registry_->build(name, graph_, strategy_context()), name);
+  return finish_plan(registry_->build(name, graph_, strategy_context()), name,
+                     sdf::feasible_buffers(graph_));
 }
 
-Plan Planner::finish_plan(partition::Partition partition, const std::string& name) const {
+Plan Planner::finish_plan(partition::Partition partition, const std::string& name,
+                          std::span<const std::int64_t> feasible_buffers) const {
   Plan out;
   out.partition = std::move(partition);
   out.partitioner_name = name;
@@ -76,17 +79,19 @@ Plan Planner::finish_plan(partition::Partition partition, const std::string& nam
   sched.m = options_.cache.capacity_words;
   sched.t_multiplier = options_.t_multiplier;
   out.batch_t = schedule::compute_batch_t(graph_, sched);
-  out.schedule = schedule::partitioned_schedule(graph_, out.partition, sched);
+  out.schedule = schedule::partitioned_schedule(graph_, out.partition, sched, feasible_buffers);
   out.schedule.name = "partitioned/" + name;
 
   out.partition_bandwidth = partition::bandwidth(graph_, gains_, out.partition);
   out.predicted = analysis::predict_partitioned_cost(graph_, out.partition, out.batch_t,
-                                                     options_.cache.block_words);
+                                                     options_.cache.block_words,
+                                                     feasible_buffers);
   return out;
 }
 
 std::vector<Plan> Planner::plan_all() const {
   const partition::StrategyContext ctx = strategy_context();
+  const std::vector<std::int64_t> feasible_buffers = sdf::feasible_buffers(graph_);
   std::vector<Plan> out;
   for (const std::string& name : registry_->applicable_keys(graph_, ctx)) {
     partition::Partition partition = registry_->build(name, graph_, ctx);
@@ -98,7 +103,7 @@ std::vector<Plan> Planner::plan_all() const {
              earlier.partition.assignment == partition.assignment;
     });
     if (same == out.end()) {
-      out.push_back(finish_plan(std::move(partition), name));
+      out.push_back(finish_plan(std::move(partition), name, feasible_buffers));
       continue;
     }
     Plan shared = *same;

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,7 +116,10 @@ class Planner {
  private:
   /// Schedule, batch, bandwidth and prediction for a strategy's partition:
   /// everything plan() and plan_all() derive once the partition is built.
-  Plan finish_plan(partition::Partition partition, const std::string& name) const;
+  /// `feasible_buffers` is sdf::feasible_buffers(graph()), computed once per
+  /// plan()/plan_all() call and shared by the schedule and the prediction.
+  Plan finish_plan(partition::Partition partition, const std::string& name,
+                   std::span<const std::int64_t> feasible_buffers) const;
 
   /// Lower-bound bandwidth (Theorems 3/7/10), computed once on demand.
   std::optional<Rational> lower_bound_bandwidth() const;

@@ -34,6 +34,7 @@ Stream::Stream(sdf::SdfGraph g, const partition::Partition& p, std::int64_t m,
       registry != nullptr ? *registry : schedule::OnlineRegistry::global();
   schedule::OnlineContext ctx;
   ctx.m = m;
+  ctx.feasible_buffers = options_.feasible_buffers;
   policy_ = reg.build(options_.policy, graph_, p, ctx);
   options_.engine.credit_input = true;  // a Stream is always metered
   engine_ = std::make_unique<runtime::Engine>(graph_, policy_->buffer_caps(), *cache_,
@@ -73,7 +74,7 @@ std::int64_t Stream::push(std::int64_t items) {
 
 StepResult Stream::step() {
   StepResult result;
-  schedule::StepPlan plan = policy_->next_step(*view_);
+  const schedule::StepPlan& plan = policy_->next_step(*view_);
   if (plan.idle()) return result;
   result.component = plan.component;
   // On a shared cache another tenant may have run since our last step; its
@@ -98,7 +99,7 @@ runtime::RunResult Stream::run_until_idle() {
 }
 
 runtime::RunResult Stream::drain() {
-  const std::vector<sdf::NodeId> plan = policy_->plan_drain(*view_);
+  const sdf::FiringProgram plan = policy_->plan_drain(*view_);
   engine_->resync_cache_baseline();
   runtime::RunResult result = engine_->run(plan);
   if (cost_model_ != nullptr) {

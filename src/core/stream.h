@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/planner.h"
 #include "iomodel/cache.h"
@@ -55,6 +56,11 @@ struct StreamOptions {
 
   /// Engine knobs. credit_input is forced on -- a Stream is always metered.
   runtime::EngineOptions engine;
+
+  /// sdf::feasible_buffers of the graph, handed to the policy build
+  /// (schedule::OnlineContext) when the caller already computed it; empty:
+  /// the policy computes it if it needs it.
+  std::vector<std::int64_t> feasible_buffers;
 };
 
 /// The complete mutable state of a Stream at a quiescent point: the

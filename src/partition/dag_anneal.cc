@@ -81,7 +81,7 @@ Partition anneal_partition(const sdf::SdfGraph& g, const Partition& start,
   // Every buffer the loop touches is sized here, so a step allocates nothing.
   std::vector<std::int32_t> targets;
   targets.reserve(max_degree + 1);
-  sdf::ContractionScratch scratch;
+  sdf::ContractionLabels labels(g, cur.assignment, cur.num_components);
   for (std::int32_t it = 0; it < options.iterations; ++it, temp *= options.cooling) {
     const auto v = static_cast<sdf::NodeId>(rng.uniform(0, g.node_count() - 1));
     const std::int32_t from = cur.comp(v);
@@ -119,7 +119,7 @@ Partition anneal_partition(const sdf::SdfGraph& g, const Partition& start,
     // Make the move in place; undo it if it breaks well-ordering.
     cur.assignment[static_cast<std::size_t>(v)] = target;
     if (fresh) ++cur.num_components;
-    if (!sdf::contraction_is_acyclic(g, cur.assignment, cur.num_components, scratch)) {
+    if (!labels.accept(cur.assignment, cur.num_components, v, fresh)) {
       cur.assignment[static_cast<std::size_t>(v)] = from;
       if (fresh) --cur.num_components;
       continue;

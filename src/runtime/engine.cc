@@ -14,6 +14,19 @@ namespace {
 constexpr iomodel::Addr kExternalInBase = iomodel::Addr{1} << 40;
 constexpr iomodel::Addr kExternalOutBase = iomodel::Addr{1} << 41;
 
+// Reach bounds (see Engine::Reach). A count 2^63 away from where it started
+// has left [0, capacity] whatever the start, so values are clamped there and
+// the products of the proof (a repeat count times a clamped value, plus a
+// few clamped terms) stay below 2^127. An edge nothing consumes from never
+// falls (net >= 0), and one nothing produces onto never rises, so the
+// sentinels, one step beyond the clamp, never fail a bound.
+using Wide = __int128;
+constexpr Wide kClamp = Wide{1} << 63;
+constexpr Wide kNoLow = kClamp * 2;
+constexpr Wide kNoHigh = -kNoLow;
+
+Wide clamp(Wide x) { return std::clamp(x, -kClamp, kClamp); }
+
 }  // namespace
 
 std::int64_t layout_footprint_words(const sdf::SdfGraph& g,
@@ -142,40 +155,150 @@ void Engine::throw_blocked(sdf::NodeId v, const Port& p, bool underflow) const {
                       std::to_string(p.channel));
 }
 
-bool Engine::validate_sequence(std::span<const sdf::NodeId> firings) {
-  // Token-count replay: pure integer arithmetic, no cache traffic. Proves
-  // the whole sequence feasible so the execution loop can skip per-firing
-  // re-validation; throws the same errors fire() would, before any firing
-  // has executed.
-  for (std::size_t e = 0; e < channels_.size(); ++e) sizes_scratch_[e] = channels_[e].size();
-  std::int64_t credit = input_credit_;
-  for (const sdf::NodeId v : firings) {
+void Engine::Reach::reset(std::size_t edges) {
+  if (seen.size() != edges) {
+    net.assign(edges, 0);
+    low.assign(edges, 0);
+    high.assign(edges, 0);
+    seen.assign(edges, 0);
+  } else {
+    for (const sdf::EdgeId e : touched) seen[static_cast<std::size_t>(e)] = 0;
+  }
+  touched.clear();
+  sources = 0;
+}
+
+void Engine::Reach::touch(sdf::EdgeId e) {
+  const auto i = static_cast<std::size_t>(e);
+  seen[i] = 1;
+  net[i] = 0;
+  low[i] = kNoLow;
+  high[i] = kNoHigh;
+  touched.push_back(e);
+}
+
+void Engine::measure(std::span<const sdf::NodeId> body, Reach& out) const {
+  out.reset(channels_.size());
+  for (const sdf::NodeId v : body) {
     CCS_EXPECTS(v >= 0 && v < graph_->node_count(), "node id out of range");
-    if (options_.credit_input && v == source_ && credit-- <= 0) {
-      throw ScheduleError("firing '" + graph_->node(v).name +
-                          "' exceeds the granted external input credit");
-    }
-    bool underflow = false;
-    const auto replayed = [this](std::int32_t ch) {
-      return sizes_scratch_[static_cast<std::size_t>(ch)];
-    };
-    if (const Port* p = first_blocked_port(v, replayed, underflow)) {
-      throw_blocked(v, *p, underflow);
-    }
     const FiringPlan& plan = plans_[static_cast<std::size_t>(v)];
+    if (plan.is_source) ++out.sources;
     for (std::int32_t i = plan.in_begin; i < plan.in_end; ++i) {
       const Port& p = in_ports_[static_cast<std::size_t>(i)];
-      sizes_scratch_[static_cast<std::size_t>(p.channel)] -= p.rate;
+      const auto e = static_cast<std::size_t>(p.channel);
+      if (out.seen[e] == 0) out.touch(p.channel);
+      out.net[e] -= p.rate;
+      out.low[e] = std::min(out.low[e], out.net[e]);
     }
     for (std::int32_t i = plan.out_begin; i < plan.out_end; ++i) {
       const Port& p = out_ports_[static_cast<std::size_t>(i)];
-      sizes_scratch_[static_cast<std::size_t>(p.channel)] += p.rate;
+      const auto e = static_cast<std::size_t>(p.channel);
+      if (out.seen[e] == 0) out.touch(p.channel);
+      out.net[e] += p.rate;
+      out.high[e] = std::max(out.high[e], out.net[e]);
     }
   }
-  for (std::size_t e = 0; e < channels_.size(); ++e) {
-    if (sizes_scratch_[e] != channels_[e].size()) return false;
+  for (const sdf::EdgeId edge : out.touched) {
+    const auto e = static_cast<std::size_t>(edge);
+    out.net[e] = clamp(out.net[e]);
+    if (out.low[e] != kNoLow) out.low[e] = clamp(out.low[e]);
+    if (out.high[e] != kNoHigh) out.high[e] = clamp(out.high[e]);
+  }
+}
+
+void Engine::fold(const Reach& body, std::int64_t repeats, Reach& into) {
+  // Repetition k of the body starts k * net further along, so over all k
+  // the lowest count is the first or the last repetition's low, and the
+  // highest likewise.
+  const Wide last = repeats - 1;
+  into.sources = clamp(into.sources + repeats * body.sources);
+  for (const sdf::EdgeId edge : body.touched) {
+    const auto e = static_cast<std::size_t>(edge);
+    if (into.seen[e] == 0) into.touch(edge);
+    const Wide start = into.net[e];
+    const Wide drift = last * body.net[e];
+    if (body.low[e] != kNoLow) {
+      into.low[e] = std::min(into.low[e], clamp(start + body.low[e] + std::min<Wide>(drift, 0)));
+    }
+    if (body.high[e] != kNoHigh) {
+      into.high[e] =
+          std::max(into.high[e], clamp(start + body.high[e] + std::max<Wide>(drift, 0)));
+    }
+    into.net[e] = clamp(start + repeats * body.net[e]);
+  }
+}
+
+template <typename Start>
+bool Engine::fits(const Reach& r, Wide k, Start&& start, Wide credit) const {
+  // Under metered input the last source firing of repetition k needs one
+  // credit left after (k + 1) * sources - 1 others.
+  if (options_.credit_input && (k + 1) * r.sources > credit) return false;
+  for (const sdf::EdgeId edge : r.touched) {
+    const auto e = static_cast<std::size_t>(edge);
+    const Wide at = start(edge) + k * r.net[e];
+    if (at + r.low[e] < 0 || at + r.high[e] > channels_[e].capacity()) return false;
   }
   return true;
+}
+
+template <typename Start>
+std::int64_t Engine::first_misfit(const Reach& r, std::int64_t repeats, Start&& start,
+                                  Wide credit) const {
+  // Each bound is linear in k: the first and the last repetition decide.
+  if (!fits(r, 0, start, credit)) return 0;
+  if (repeats == 1 || fits(r, repeats - 1, start, credit)) return repeats;
+  // Every bound that holds at k = 0 and fails later tightens with k, so the
+  // misfits form a suffix: bisect for its first repetition.
+  std::int64_t fit = 0;
+  std::int64_t misfit = repeats - 1;
+  while (misfit - fit > 1) {
+    const std::int64_t mid = fit + (misfit - fit) / 2;
+    (fits(r, mid, start, credit) ? fit : misfit) = mid;
+  }
+  return misfit;
+}
+
+void Engine::reject(const sdf::FiringProgram& program, std::int64_t round) {
+  for (std::size_t e = 0; e < channels_.size(); ++e) sizes_scratch_[e] = channels_[e].size();
+  std::int64_t credit = input_credit_;
+  const auto at = [this](std::int32_t e) { return sizes_scratch_[static_cast<std::size_t>(e)]; };
+  // Moves past k repetitions that fit: each leaves a real, in-range state.
+  const auto skip = [&](const Reach& r, std::int64_t k) {
+    for (const sdf::EdgeId e : r.touched) {
+      sizes_scratch_[static_cast<std::size_t>(e)] +=
+          static_cast<std::int64_t>(k * r.net[static_cast<std::size_t>(e)]);
+    }
+    if (options_.credit_input) credit -= static_cast<std::int64_t>(k * r.sources);
+  };
+  skip(program_reach_, round);
+  for (const sdf::FiringProgram::Block& block : program.blocks()) {
+    const std::span<const sdf::NodeId> body = program.body(block);
+    measure(body, block_reach_);
+    const std::int64_t k = first_misfit(block_reach_, block.repeats, at, credit);
+    skip(block_reach_, k);
+    if (k == block.repeats) continue;
+    // Repetition k of this block holds the first infeasible firing: replay
+    // it with the per-firing rule for fire()'s own error.
+    for (const sdf::NodeId v : body) {
+      if (options_.credit_input && v == source_ && credit-- <= 0) {
+        throw ScheduleError("firing '" + graph_->node(v).name +
+                            "' exceeds the granted external input credit");
+      }
+      bool underflow = false;
+      if (const Port* p = first_blocked_port(v, at, underflow)) throw_blocked(v, *p, underflow);
+      const FiringPlan& plan = plans_[static_cast<std::size_t>(v)];
+      for (std::int32_t i = plan.in_begin; i < plan.in_end; ++i) {
+        const Port& p = in_ports_[static_cast<std::size_t>(i)];
+        sizes_scratch_[static_cast<std::size_t>(p.channel)] -= p.rate;
+      }
+      for (std::int32_t i = plan.out_begin; i < plan.out_end; ++i) {
+        const Port& p = out_ports_[static_cast<std::size_t>(i)];
+        sizes_scratch_[static_cast<std::size_t>(p.channel)] += p.rate;
+      }
+    }
+    CCS_CHECK(false, "a repetition that does not fit blocks one of its firings");
+  }
+  CCS_CHECK(false, "a run that does not fit fails in one of its blocks");
 }
 
 void Engine::fire(sdf::NodeId v) {
@@ -283,7 +406,7 @@ void Engine::audit_invariants() const {
     CCS_CHECK(c.size() <= c.capacity(), "channel holds more tokens than its capacity");
   }
   // Credit plane: consuming credit below zero means a source firing slipped
-  // past the metering gate (can_fire/try_fire/validate_sequence).
+  // past the metering gate (can_fire/try_fire/run).
   CCS_CHECK(input_credit_ >= 0 || input_credit_ == kUnlimitedCredit,
             "external input credit went negative");
   // Firing-plan plane: every plan's port spans must be well-formed windows
@@ -337,18 +460,27 @@ RunResult Engine::take() {
   return result;
 }
 
-RunResult Engine::run(std::span<const sdf::NodeId> firings) { return run(firings, 1); }
-
-RunResult Engine::run(std::span<const sdf::NodeId> firings, std::int64_t repeats) {
+RunResult Engine::run(const sdf::FiringProgram& program, std::int64_t repeats) {
   CCS_EXPECTS(repeats >= 0, "negative repeat count");
-  if (repeats == 0) return take();
-  // A balanced replay proves every repetition feasible: each one starts
-  // from the token counts the first started from. Metered input is not
-  // periodic (each repetition spends credit), so it is checked every time.
-  const bool periodic = validate_sequence(firings) && !options_.credit_input;
+  if (repeats == 0 || program.empty()) return take();
+  // Prove every firing feasible before the first one executes: each block
+  // body replayed once gives the program's reach, and the first and the
+  // last of the `repeats` rounds bound all the others.
+  program_reach_.reset(channels_.size());
+  for (const sdf::FiringProgram::Block& block : program.blocks()) {
+    measure(program.body(block), block_reach_);
+    fold(block_reach_, block.repeats, program_reach_);
+  }
+  const auto live = [this](std::int32_t e) { return channels_[static_cast<std::size_t>(e)].size(); };
+  const std::int64_t round = first_misfit(program_reach_, repeats, live, input_credit_);
+  if (round < repeats) reject(program, round);
   for (std::int64_t r = 0; r < repeats; ++r) {
-    if (r > 0 && !periodic) validate_sequence(firings);
-    for (const sdf::NodeId v : firings) fire_unchecked(v);
+    for (const sdf::FiringProgram::Block& block : program.blocks()) {
+      const std::span<const sdf::NodeId> body = program.body(block);
+      for (std::int64_t k = 0; k < block.repeats; ++k) {
+        for (const sdf::NodeId v : body) fire_unchecked(v);
+      }
+    }
   }
   return take();
 }

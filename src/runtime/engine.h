@@ -14,24 +14,33 @@
 // and never interfere with partitioning decisions.
 //
 // Two driving modes:
-//  * Batch: run(firings) validates a whole materialized sequence once and
-//    replays it -- the classic schedule-then-measure workflow; run(firings,
-//    repeats) fires a period many times behind a single validation when
-//    the period returns every channel to where it started.
+//  * Batch: run(program, repeats) fires a sdf::FiringProgram -- blocks of
+//    firings, each body run some number of times -- `repeats` times over,
+//    the classic schedule-then-measure workflow. It is the one entry point
+//    for every plan: a schedule's period, an online step or drain, a
+//    deserialized or hand-built sequence (a flat sequence is a one-block
+//    program). It proves the whole run feasible before the first firing
+//    and then fires in flat order.
 //  * Incremental: try_fire() is a noexcept feasibility-check-and-fire for
-//    online drivers (core::Stream) that decide the next firing from live
-//    state; push_input() meters the external input so the source can only
-//    fire against tokens that have actually arrived (EngineOptions::
+//    online drivers that decide the next firing from live state;
+//    push_input() meters the external input so the source can only fire
+//    against tokens that have actually arrived (EngineOptions::
 //    credit_input), and snapshot()/take() poll the counters accumulated
 //    since the last take without needing a run() boundary.
 //
+// The proof replays each block's body once against token counters only
+// (pure integer arithmetic, no memory traffic) and records, per edge it
+// touches, the net change D, the lowest count right after a consumption
+// and the highest right after a production. Repetition k of the body
+// starts D*k tokens further along, so every bound is linear in k and the
+// first and the last repetition decide all of them (docs/ARCHITECTURE.md,
+// "Planning cost"). An infeasible run throws the ScheduleError a
+// per-firing check would, naming the same first offending firing, before
+// any firing executes.
+//
 // Hot path: construction precomputes one FiringPlan per module (flattened
 // input/output port spans, the state region, source/sink flags), so a firing
-// never re-derives edge lists or rates from the graph. run() validates the
-// whole firing sequence once with a token-count replay (pure integer
-// arithmetic, no memory traffic) and then executes it through the unchecked
-// fast path; an infeasible sequence throws the same ScheduleError a
-// per-firing check would, before any firing executes. State scans and
+// never re-derives edge lists or rates from the graph. State scans and
 // channel ring operations are issued as bulk block-granular cache
 // transactions (at most two per channel operation).
 #pragma once
@@ -45,6 +54,7 @@
 #include "iomodel/layout.h"
 #include "runtime/channel.h"
 #include "runtime/run_result.h"
+#include "sdf/firing_program.h"
 #include "sdf/graph.h"
 
 namespace ccs::runtime {
@@ -170,23 +180,15 @@ class Engine {
     return options_.credit_input ? input_credit_ : kUnlimitedCredit;
   }
 
-  /// Fires the sequence in order, returning the counters accumulated since
-  /// the previous take (or construction). The whole sequence is validated
-  /// up front; an infeasible sequence throws ScheduleError naming the first
-  /// offending firing, with no tokens moved and no memory traffic.
-  RunResult run(std::span<const sdf::NodeId> firings);
-
-  /// Fires the sequence `repeats` times in a row and returns what the sum
-  /// of `repeats` run(firings) calls would: the same counters, per-node
-  /// attribution included. Validation replays the sequence once. When that
-  /// replay returns every channel to its starting count and the input is
-  /// not credit-metered, every repetition starts from the same token state,
-  /// so the rest fire without another replay; otherwise each repetition is
-  /// validated before it fires. An infeasible first repetition throws
-  /// before any cache traffic (a later one throws with the earlier
-  /// repetitions fired and not yet taken). `repeats == 0` fires nothing and
-  /// returns take().
-  RunResult run(std::span<const sdf::NodeId> firings, std::int64_t repeats);
+  /// Fires `program` `repeats` times in flat order and returns the counters
+  /// accumulated since the previous take (or construction), per-node
+  /// attribution included. The whole run is proven feasible first (each
+  /// block body replayed once, see the file comment); an infeasible run
+  /// throws ScheduleError naming the first offending firing -- a blocked
+  /// channel, or under metered input a source firing beyond the granted
+  /// credit -- with no tokens moved and no memory traffic. `repeats == 0`
+  /// or an empty program fires nothing and returns take().
+  RunResult run(const sdf::FiringProgram& program, std::int64_t repeats = 1);
 
   /// Counters accumulated since the last take()/run() boundary, without
   /// resetting the baseline: polling twice returns the same deltas.
@@ -311,8 +313,8 @@ class Engine {
   /// Shared feasibility scan: returns the first port of v that cannot fire
   /// given per-channel token counts `size_of(channel)`, or nullptr if all
   /// can; sets `underflow` to distinguish the failure direction. The single
-  /// home of the firing-feasibility rule — can_fire, fire, and
-  /// validate_sequence all go through it.
+  /// home of the firing-feasibility rule -- can_fire, fire, and run's
+  /// rejection replay all go through it.
   template <typename SizeOf>
   const Port* first_blocked_port(sdf::NodeId v, SizeOf&& size_of, bool& underflow) const {
     const FiringPlan& plan = plans_[static_cast<std::size_t>(v)];
@@ -337,11 +339,47 @@ class Engine {
   /// Builds the ScheduleError for a blocked port found by first_blocked_port.
   [[noreturn]] void throw_blocked(sdf::NodeId v, const Port& p, bool underflow) const;
 
-  /// Replays `firings` against token counters only (no cache traffic),
-  /// throwing on the first infeasible firing (including a source firing
-  /// beyond the granted input credit when the input is metered). Returns
-  /// true when the replay ends with every channel at its starting count.
-  bool validate_sequence(std::span<const sdf::NodeId> firings);
+  /// Wide enough for (repeat count) x (token count) without overflow.
+  using Wide = __int128;
+
+  /// What running a firing sequence once does to the token counts, relative
+  /// to where it starts: per touched edge the net change, the lowest count
+  /// right after a consumption (kNoLow if none) and the highest right after
+  /// a production (kNoHigh if none), plus the source firings it spends.
+  /// Values are clamped to +-2^63: beyond that a count has left [0, cap]
+  /// whatever the start, so the clamp decides nothing differently.
+  struct Reach {
+    std::vector<Wide> net, low, high;  ///< Per edge; valid where touched.
+    std::vector<std::uint8_t> seen;    ///< Per edge: listed in `touched`.
+    std::vector<sdf::EdgeId> touched;
+    Wide sources = 0;
+    void reset(std::size_t edges);     ///< Empties it (sizes it on first use).
+    void touch(sdf::EdgeId e);         ///< Lists e with no change yet.
+  };
+
+  /// Replays `body` once into `out` (range-checks every node id).
+  void measure(std::span<const sdf::NodeId> body, Reach& out) const;
+
+  /// Folds `repeats` runs of `body` into `into`, as if appended to it.
+  static void fold(const Reach& body, std::int64_t repeats, Reach& into);
+
+  /// True iff repetition k of a sequence with reach `r` fits: started from
+  /// start(e) + k * net(e) tokens (credit - k * sources credit), every count
+  /// stays in [0, capacity] and every source firing is covered.
+  template <typename Start>
+  bool fits(const Reach& r, Wide k, Start&& start, Wide credit) const;
+
+  /// The first of `repeats` repetitions that does not fit, or `repeats`:
+  /// the ends decide whether all fit, bisection finds the first that
+  /// does not.
+  template <typename Start>
+  std::int64_t first_misfit(const Reach& r, std::int64_t repeats, Start&& start,
+                            Wide credit) const;
+
+  /// Throws the error of the first infeasible firing of `program`, which
+  /// round `round` of a run holds: finds the first block repetition of that
+  /// round that does not fit and replays it firing by firing.
+  [[noreturn]] void reject(const sdf::FiringProgram& program, std::int64_t round);
 
   /// Executes one pre-validated firing.
   void fire_unchecked(sdf::NodeId v);
@@ -361,7 +399,8 @@ class Engine {
   std::vector<Port> in_ports_;        // all input ports, grouped by node
   std::vector<Port> out_ports_;       // all output ports, grouped by node
   std::vector<std::int64_t> fired_;   // per node, lifetime
-  std::vector<std::int64_t> sizes_scratch_;  // per edge, for validate_sequence
+  Reach block_reach_, program_reach_;  // run()'s proof scratch
+  std::vector<std::int64_t> sizes_scratch_;  // per edge, for reject()
   std::int64_t state_words_ = 0;
 
   sdf::NodeId source_ = sdf::kInvalidNode;

@@ -44,16 +44,16 @@ Schedule run_policy(const sdf::SdfGraph& g, OnlinePolicy& policy, std::int64_t m
   const sdf::NodeId source = policy.source();
   const sdf::NodeId sink = policy.sink();
 
-  const auto execute = [&](const std::vector<sdf::NodeId>& firings) {
-    for (const sdf::NodeId v : firings) {
+  const auto execute = [&](const sdf::FiringProgram& firings) {
+    firings.for_each_firing([&](sdf::NodeId v) {
       sim.fire(v);
       if (v == source && credit != kUnlimitedCredit) --credit;
-    }
-    out.period.insert(out.period.end(), firings.begin(), firings.end());
+    });
+    out.period.append(firings);
   };
 
   while (sim.fired(sink) < min_outputs) {
-    const StepPlan step = policy.next_step(view);
+    const StepPlan& step = policy.next_step(view);
     if (step.idle()) {
       throw DeadlockError(label + " scheduler made no progress");
     }

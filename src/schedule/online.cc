@@ -31,7 +31,7 @@ void seed(sdf::TokenSim& scratch, const EngineView& view) {
 class PipelineHalfFullPolicy final : public OnlinePolicy {
  public:
   PipelineHalfFullPolicy(const sdf::SdfGraph& g, const partition::Partition& p,
-                         std::int64_t m)
+                         std::int64_t m, std::span<const std::int64_t> feasible)
       : OnlinePolicy("pipeline-half-full", g), reps_(g) {
     CCS_EXPECTS(m > 0, "online policy requires a positive cache size");
     chain_ = sdf::pipeline_order(g);  // throws if not a pipeline
@@ -62,7 +62,13 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     const auto cross_cap = [m](const sdf::Edge& edge) {
       return std::max(m, sdf::edge_min_buffer(edge.out_rate, edge.in_rate) * 2);
     };
-    caps_ = sdf::feasible_buffers(g);
+    if (feasible.empty()) {
+      caps_ = sdf::feasible_buffers(g);
+    } else {
+      CCS_EXPECTS(feasible.size() == static_cast<std::size_t>(g.edge_count()),
+                  "one feasible buffer per edge required");
+      caps_.assign(feasible.begin(), feasible.end());
+    }
     for (const sdf::EdgeId e : cross_) caps_[static_cast<std::size_t>(e)] = cross_cap(g.edge(e));
     // A full cross edge out of the source's component ends its burst. A
     // single component has none, so nothing would stop an unmetered source:
@@ -86,8 +92,9 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     return k_ - 1;
   }
 
-  StepPlan next_step(const EngineView& view) override {
-    StepPlan plan;
+  const StepPlan& next_step(const EngineView& view) override {
+    StepPlan& plan = plan_;
+    plan.firings.clear();
     plan.component = next_component(view);
     plan_component(plan.component, view, plan.firings);
     if (!plan.firings.empty()) return plan;
@@ -105,7 +112,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     return plan;
   }
 
-  std::vector<sdf::NodeId> plan_drain(const EngineView& view) override {
+  sdf::FiringProgram plan_drain(const EngineView& view) override {
     // Align the source on a whole number of steady-state iterations, then
     // greedy-sweep the chain until nothing moves. With enough remaining
     // input credit (a batch driver always has it) this empties every
@@ -115,7 +122,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     const std::int64_t target = ceil_div(fired_src, reps_src) * reps_src;
     const std::int64_t allowance = std::min(target - fired_src, view.input_credit());
 
-    std::vector<sdf::NodeId> out;
+    sdf::FiringProgram out;
     seed(*scratch_, view);
     limit_[static_cast<std::size_t>(source_)] = scratch_->fired(source_) + allowance;
     scratch_->sweep(chain_, limit_, sdf::kUnbounded, out);
@@ -134,7 +141,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
   /// (the source limited to the remaining input credit, and to source_cap_),
   /// appending the firings. Leaves `out` untouched when c cannot move at all.
   void plan_component(std::int64_t c, const EngineView& view,
-                      std::vector<sdf::NodeId>& out) {
+                      sdf::FiringProgram& out) {
     seed(*scratch_, view);
     // fired + allowance, or no limit when that does not fit (unmetered).
     const std::int64_t fired = scratch_->fired(source_);
@@ -197,25 +204,22 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
     return kNoComponent;
   }
 
-  StepPlan next_step(const EngineView& view) override {
-    StepPlan plan;
+  const StepPlan& next_step(const EngineView& view) override {
+    StepPlan& plan = plan_;
+    plan.firings.clear();
     plan.component = next_component(view);
     if (plan.component == kNoComponent) return plan;
     // Execute = m local iterations, each one topological pass over members
     // (schedulability guarantees the whole burst is feasible).
-    const auto& mem = members_[static_cast<std::size_t>(plan.component)];
-    plan.firings.reserve(static_cast<std::size_t>(m_) * mem.size());
-    for (std::int64_t iter = 0; iter < m_; ++iter) {
-      plan.firings.insert(plan.firings.end(), mem.begin(), mem.end());
-    }
+    plan.firings.append_block(members_[static_cast<std::size_t>(plan.component)], m_);
     return plan;
   }
 
-  std::vector<sdf::NodeId> plan_drain(const EngineView& view) override {
+  sdf::FiringProgram plan_drain(const EngineView& view) override {
     // Drain component-major (run each component to exhaustion before moving
     // on) so every component's state is loaded O(1) times; the source admits
     // no new inputs while draining.
-    std::vector<sdf::NodeId> out;
+    sdf::FiringProgram out;
     seed(*scratch_, view);
     limit_[static_cast<std::size_t>(source_)] = scratch_->fired(source_);
     bool moved = true;
@@ -262,10 +266,10 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
 
 }  // namespace
 
-std::unique_ptr<OnlinePolicy> make_pipeline_half_full_policy(const sdf::SdfGraph& g,
-                                                             const partition::Partition& p,
-                                                             std::int64_t m) {
-  return std::make_unique<PipelineHalfFullPolicy>(g, p, m);
+std::unique_ptr<OnlinePolicy> make_pipeline_half_full_policy(
+    const sdf::SdfGraph& g, const partition::Partition& p, std::int64_t m,
+    std::span<const std::int64_t> feasible_buffers) {
+  return std::make_unique<PipelineHalfFullPolicy>(g, p, m, feasible_buffers);
 }
 
 std::unique_ptr<OnlinePolicy> make_homogeneous_m_batch_policy(const sdf::SdfGraph& g,
@@ -309,7 +313,7 @@ std::string resolve_auto_policy(const sdf::SdfGraph& g) {
 void register_builtin_online_policies(OnlineRegistry& r) {
   r.add("pipeline-half-full",
         {[](const sdf::SdfGraph& g, const partition::Partition& p, const OnlineContext& ctx) {
-           return make_pipeline_half_full_policy(g, p, ctx.m);
+           return make_pipeline_half_full_policy(g, p, ctx.m, ctx.feasible_buffers);
          },
          [](const sdf::SdfGraph& g) { return g.is_pipeline(); },
          "Section 3 pipeline rule: run the first component whose input cross "

@@ -25,10 +25,12 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "partition/partition.h"
+#include "sdf/firing_program.h"
 #include "sdf/graph.h"
 #include "util/registry.h"
 
@@ -71,12 +73,13 @@ class EngineView {
 };
 
 /// One planned component execution: the firings of a single run-to-blocking
-/// (pipeline) or M-iteration (homogeneous) burst, in execution order. An
-/// empty plan means the policy is idle -- every component is blocked on
-/// arrivals or downstream space.
+/// (pipeline) or M-iteration (homogeneous) burst, in execution order, as a
+/// program (a sweep's repeated cycles, or the members x M block). An empty
+/// plan means the policy is idle -- every component is blocked on arrivals
+/// or downstream space.
 struct StepPlan {
   std::int64_t component = kNoComponent;  ///< Which component the burst runs.
-  std::vector<sdf::NodeId> firings;       ///< Firing order of the burst.
+  sdf::FiringProgram firings;             ///< Firing order of the burst.
 
   bool idle() const noexcept { return firings.empty(); }
 };
@@ -123,13 +126,15 @@ class OnlinePolicy {
   /// Plans the next component execution from `view`: picks the component
   /// (including the pipeline progress fallback when the designated one is
   /// blocked) and simulates its full burst. Idle plan = nothing can move.
-  virtual StepPlan next_step(const EngineView& view) = 0;
+  /// The plan lives in the policy until the next call, which reuses its
+  /// storage, so a serving step allocates nothing for it.
+  virtual const StepPlan& next_step(const EngineView& view) = 0;
 
   /// Plans the end-of-stream drain from `view`: aligns the source on whole
   /// steady-state iterations (never beyond the remaining input credit) and
   /// flushes every channel. Executing the plan empties all buffers whenever
   /// the alignment was reachable.
-  virtual std::vector<sdf::NodeId> plan_drain(const EngineView& view) = 0;
+  virtual sdf::FiringProgram plan_drain(const EngineView& view) = 0;
 
   /// Source-firing allowance a batch driver should grant so the rule can
   /// produce at least `min_outputs` sink firings and still drain on a whole
@@ -141,6 +146,7 @@ class OnlinePolicy {
 
   std::string name_;
   const sdf::SdfGraph* graph_;
+  StepPlan plan_;  ///< next_step()'s result.
   std::vector<std::int64_t> caps_;                 ///< Per-edge capacities.
   std::vector<std::vector<sdf::NodeId>> members_;  ///< Per component.
   std::int64_t k_ = 0;
@@ -152,10 +158,11 @@ class OnlinePolicy {
 /// its input cross buffer is at least half full and its output cross buffer
 /// at most half full; it runs until one of them blocks. Requires a
 /// well-ordered segmentation of a pipeline graph (throws GraphError /
-/// ccs::Error otherwise).
-std::unique_ptr<OnlinePolicy> make_pipeline_half_full_policy(const sdf::SdfGraph& g,
-                                                             const partition::Partition& p,
-                                                             std::int64_t m);
+/// ccs::Error otherwise). `feasible_buffers` is sdf::feasible_buffers(g), or
+/// empty to compute it here.
+std::unique_ptr<OnlinePolicy> make_pipeline_half_full_policy(
+    const sdf::SdfGraph& g, const partition::Partition& p, std::int64_t m,
+    std::span<const std::int64_t> feasible_buffers = {});
 
 /// The asynchronous homogeneous-dag rule (Section 5 variant): a component is
 /// schedulable when every incoming cross buffer holds M tokens and every
@@ -169,6 +176,10 @@ std::unique_ptr<OnlinePolicy> make_homogeneous_m_batch_policy(const sdf::SdfGrap
 /// rule's Theta(M) buffers amortize against.
 struct OnlineContext {
   std::int64_t m = 64 * 1024;  ///< Cache capacity in words.
+  /// sdf::feasible_buffers of the graph when the caller already has it (a
+  /// rule that sizes internal buffers with it then skips recomputing it);
+  /// empty: the rule computes it if it needs it. Must outlive the build.
+  std::span<const std::int64_t> feasible_buffers;
 };
 
 /// A named online-policy factory.

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sdf/gain.h"
-#include "sdf/min_buffer.h"
 #include "sdf/token_sim.h"
 #include "sdf/topology.h"
 #include "util/error.h"
@@ -38,7 +37,8 @@ std::int64_t compute_batch_t(const sdf::SdfGraph& g, const PartitionedOptions& o
 }
 
 Schedule partitioned_schedule(const sdf::SdfGraph& g, const partition::Partition& p,
-                              const PartitionedOptions& options) {
+                              const PartitionedOptions& options,
+                              std::span<const std::int64_t> feasible_buffers) {
   const auto problems = partition::validate_partition(g, p);
   if (!problems.empty()) throw Error("invalid partition: " + problems.front());
   if (!partition::is_well_ordered(g, p)) {
@@ -53,7 +53,8 @@ Schedule partitioned_schedule(const sdf::SdfGraph& g, const partition::Partition
   out.inputs_per_period = t;
 
   // Buffers: exact batch traffic on cross edges, minimal feasible inside.
-  const auto internal_caps = sdf::feasible_buffers(g);
+  CCS_EXPECTS(feasible_buffers.size() == static_cast<std::size_t>(g.edge_count()),
+              "one feasible buffer per edge required");
   out.buffer_caps.resize(static_cast<std::size_t>(g.edge_count()));
   for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
     const sdf::Edge& edge = g.edge(e);
@@ -62,20 +63,17 @@ Schedule partitioned_schedule(const sdf::SdfGraph& g, const partition::Partition
       CCS_CHECK(batch_tokens.is_integer(), "T was chosen to make batch traffic integral");
       out.buffer_caps[static_cast<std::size_t>(e)] = batch_tokens.num();
     } else {
-      out.buffer_caps[static_cast<std::size_t>(e)] = internal_caps[static_cast<std::size_t>(e)];
+      out.buffer_caps[static_cast<std::size_t>(e)] = feasible_buffers[static_cast<std::size_t>(e)];
     }
   }
 
   // Per-batch firing target of every module: T * gain(v).
   std::vector<std::int64_t> target(static_cast<std::size_t>(g.node_count()));
-  std::int64_t period_length = 0;
   for (sdf::NodeId v = 0; v < g.node_count(); ++v) {
     const Rational f = gains.node_gain(v) * Rational(t);
     CCS_CHECK(f.is_integer(), "T was chosen to make firing counts integral");
     target[static_cast<std::size_t>(v)] = f.num();
-    period_length = checked_add(period_length, f.num());
   }
-  out.period.reserve(static_cast<std::size_t>(period_length));
 
   // Generate one batch: components in topological order; inside a component,
   // repeated topological sweeps with maximal batching until every member

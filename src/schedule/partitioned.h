@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "partition/partition.h"
@@ -34,9 +35,12 @@ struct PartitionedOptions {
 /// Builds the batch schedule. The partition must be well ordered; it is
 /// renumbered topologically internally. Throws ccs::Error on infeasible
 /// inputs and DeadlockError if a component cannot complete its share (which
-/// would indicate an invalid partition/buffer combination).
+/// would indicate an invalid partition/buffer combination). Internal edges
+/// get `feasible_buffers`, which must be sdf::feasible_buffers(g): a caller
+/// scheduling several partitions of one graph computes it once.
 Schedule partitioned_schedule(const sdf::SdfGraph& g, const partition::Partition& p,
-                              const PartitionedOptions& options);
+                              const PartitionedOptions& options,
+                              std::span<const std::int64_t> feasible_buffers);
 
 /// The batch granularity the scheduler would use (exposed for tests and the
 /// E7 sweep).

@@ -46,9 +46,8 @@ Schedule scaled_schedule(const sdf::SdfGraph& g, std::int64_t m, std::int64_t ma
   for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
     out.buffer_caps[static_cast<std::size_t>(e)] = checked_mul(s, reps.edge_tokens(e));
   }
-  out.period.reserve(static_cast<std::size_t>(checked_mul(s, reps.total_firings())));
   for (const sdf::NodeId v : topo) {
-    out.period.insert(out.period.end(), static_cast<std::size_t>(s * reps.count(v)), v);
+    out.period.append_block(std::span(&v, 1), checked_mul(s, reps.count(v)));
   }
   out.inputs_per_period = s * reps.count(g.sources().front());
   out.outputs_per_period = s * reps.count(g.sinks().front());

@@ -1,6 +1,7 @@
 // Schedule representation shared by all schedulers.
 //
-// A Schedule is a *periodic* plan: a firing sequence for one period plus a
+// A Schedule is a *periodic* plan: a firing program for one period (a
+// sdf::FiringProgram, blocks of firings with repeat counts) plus a
 // buffer-capacity assignment under which the period (a) never underflows or
 // overflows a channel and (b) returns every channel to empty, so the period
 // can repeat indefinitely -- the execution model of a long-running streaming
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "sdf/firing_program.h"
 #include "sdf/graph.h"
 
 namespace ccs::schedule {
@@ -20,7 +22,7 @@ namespace ccs::schedule {
 /// One periodic schedule for a specific graph.
 struct Schedule {
   std::string name;                        ///< Scheduler label for tables.
-  std::vector<sdf::NodeId> period;         ///< Firing order of one period.
+  sdf::FiringProgram period;               ///< Firing order of one period.
   std::vector<std::int64_t> buffer_caps;   ///< Ring capacity per edge (tokens).
   std::int64_t inputs_per_period = 0;      ///< Source firings per period.
   std::int64_t outputs_per_period = 0;     ///< Sink firings per period.

@@ -16,7 +16,7 @@ void write_schedule(const sdf::SdfGraph& g, const Schedule& s, std::ostream& os)
   for (const auto cap : s.buffer_caps) os << ' ' << cap;
   os << '\n';
   os << "period";
-  for (const auto v : s.period) os << ' ' << g.node(v).name;
+  s.period.for_each_firing([&](sdf::NodeId v) { os << ' ' << g.node(v).name; });
   os << '\n';
 }
 
@@ -59,7 +59,7 @@ Schedule read_schedule(const sdf::SdfGraph& g, std::istream& is) {
       while (ls >> name) {
         const sdf::NodeId v = g.find_node(name);
         if (v == sdf::kInvalidNode) throw Error("unknown module '" + name + "' in period");
-        s.period.push_back(v);
+        s.period.append(v);
       }
       saw_period = true;
     } else {

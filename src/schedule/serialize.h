@@ -12,9 +12,12 @@
 //   buffers <cap0> <cap1> ...          # one per edge, edge-id order
 //   period <name> <name> ...           # firing order (possibly long)
 //
-// Reading validates the schedule against the graph (module names must
-// resolve; buffer arity must match) but does not replay it -- callers who
-// distrust the source should run schedule::check_schedule afterwards.
+// The period is written flat, every block of the program spelled out
+// repeats times; reading yields a one-block program. Reading validates the
+// schedule against the graph (module names must resolve; buffer arity must
+// match) but does not replay it -- callers who distrust the source should
+// run schedule::check_schedule afterwards (runtime::Engine::run proves it
+// before firing either way).
 #pragma once
 
 #include <iosfwd>

@@ -7,13 +7,12 @@
 
 namespace ccs::schedule {
 
-std::vector<sdf::NodeId> demand_driven_iteration(const sdf::SdfGraph& g,
-                                                 std::span<const std::int64_t> caps) {
+sdf::FiringProgram demand_driven_iteration(const sdf::SdfGraph& g,
+                                           std::span<const std::int64_t> caps) {
   const sdf::RepetitionVector reps(g);
   const auto topo = sdf::topological_sort(g);
   sdf::TokenSim sim(g, caps);
-  std::vector<sdf::NodeId> out;
-  out.reserve(static_cast<std::size_t>(reps.total_firings()));
+  sdf::FiringProgram out;
   if (sim.sweep(topo, reps.counts(), sdf::kUnbounded, out) < reps.total_firings()) {
     throw DeadlockError("steady-state iteration deadlocked under given capacities");
   }
@@ -21,8 +20,8 @@ std::vector<sdf::NodeId> demand_driven_iteration(const sdf::SdfGraph& g,
   return out;
 }
 
-std::vector<sdf::NodeId> single_appearance_iteration(const sdf::SdfGraph& g,
-                                                     std::vector<std::int64_t>* caps_out) {
+sdf::FiringProgram single_appearance_iteration(const sdf::SdfGraph& g,
+                                               std::vector<std::int64_t>* caps_out) {
   const sdf::RepetitionVector reps(g);
   const auto topo = sdf::topological_sort(g);
   if (caps_out != nullptr) {
@@ -31,11 +30,8 @@ std::vector<sdf::NodeId> single_appearance_iteration(const sdf::SdfGraph& g,
       (*caps_out)[static_cast<std::size_t>(e)] = reps.edge_tokens(e);
     }
   }
-  std::vector<sdf::NodeId> out;
-  out.reserve(static_cast<std::size_t>(reps.total_firings()));
-  for (const sdf::NodeId v : topo) {
-    out.insert(out.end(), static_cast<std::size_t>(reps.count(v)), v);
-  }
+  sdf::FiringProgram out;
+  for (const sdf::NodeId v : topo) out.append_block(std::span(&v, 1), reps.count(v));
   return out;
 }
 

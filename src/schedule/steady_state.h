@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "sdf/firing_program.h"
 #include "sdf/graph.h"
 
 namespace ccs::schedule {
@@ -20,13 +21,14 @@ namespace ccs::schedule {
 /// Firing sequence completing one steady-state iteration within the given
 /// capacities. Throws DeadlockError if the capacities cannot support an
 /// iteration (use sdf::feasible_buffers to obtain workable ones).
-std::vector<sdf::NodeId> demand_driven_iteration(const sdf::SdfGraph& g,
-                                                 std::span<const std::int64_t> caps);
+sdf::FiringProgram demand_driven_iteration(const sdf::SdfGraph& g,
+                                           std::span<const std::int64_t> caps);
 
-/// Single-appearance iteration: topological order, q(v) firings each.
+/// Single-appearance iteration: topological order, q(v) firings each (one
+/// block [v] x q(v) per module).
 /// `caps_out`, if non-null, receives the per-edge capacities this shape
 /// needs (the full per-iteration traffic of each edge).
-std::vector<sdf::NodeId> single_appearance_iteration(const sdf::SdfGraph& g,
-                                                     std::vector<std::int64_t>* caps_out);
+sdf::FiringProgram single_appearance_iteration(const sdf::SdfGraph& g,
+                                               std::vector<std::int64_t>* caps_out);
 
 }  // namespace ccs::schedule

@@ -23,7 +23,7 @@ ScheduleReport check_schedule(const sdf::SdfGraph& g, const Schedule& s,
     const sdf::NodeId source = g.sources().front();
     const sdf::NodeId sink = g.sinks().front();
     for (std::int32_t r = 0; r < repeats; ++r) {
-      for (const sdf::NodeId v : s.period) sim.fire(v, 1);
+      s.period.for_each_firing([&sim](sdf::NodeId v) { sim.fire(v, 1); });
       if (!sim.drained()) {
         report.problem = "channels not drained at end of period " + std::to_string(r + 1);
         return report;

@@ -32,8 +32,7 @@ std::vector<std::int64_t> feasible_buffers(const SdfGraph& g) {
   // Run one iteration's sweep -- every module limited to q(v) firings --
   // under the current capacities, and on a deadlock grow a blocked edge.
   TokenSim sim(g, cap);
-  std::vector<NodeId> firings;
-  firings.reserve(static_cast<std::size_t>(reps.total_firings()));
+  FiringProgram firings;
   while (true) {
     firings.clear();
     sim.sweep(topo, reps.counts(), kUnbounded, firings);

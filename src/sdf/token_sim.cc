@@ -107,7 +107,7 @@ void TokenSim::advance(std::span<const NodeFirings> block) {
 // forever, the case sweep() refuses.
 std::int64_t TokenSim::sweep(std::span<const NodeId> order,
                              std::span<const std::int64_t> limit, std::int64_t step_cap,
-                             std::vector<NodeId>& out) {
+                             FiringProgram& out) {
   CCS_EXPECTS(limit.size() == static_cast<std::size_t>(graph_->node_count()),
               "one limit per node required");
   CCS_EXPECTS(step_cap > 0, "step cap must be positive");
@@ -151,10 +151,10 @@ std::int64_t TokenSim::sweep(std::span<const NodeId> order,
   // current sweep whenever the distance to it reaches the next power of
   // two. A cycle of L sweeps entered after sweep m is caught within about
   // 2 * (m + L) sweeps, at the cost of one comparison a sweep.
-  std::size_t checkpoint = 0;  // length of `out` when the checkpoint sweep began
+  std::size_t checkpoint = 0;  // out.mark() when the checkpoint sweep began
   std::size_t distance = 0;    // sweeps since the checkpoint; 0 sets a new one
   std::size_t power = 1;
-  const std::size_t start = out.size();
+  const std::int64_t start = out.size();
   while (true) {
     s.snapshot.clear();
     for (const EdgeId e : s.internal) s.snapshot.push_back(tokens(e));
@@ -180,15 +180,7 @@ std::int64_t TokenSim::sweep(std::span<const NodeId> order,
       }
       distance = 0;
       if (repeats > 0) {
-        // Copy the block `repeats` times. Never insert a vector's own range
-        // into itself: grow first, then copy from the (stable) first pass.
-        const std::size_t len = out.size() - checkpoint;
-        out.resize(out.size() + static_cast<std::size_t>(checked_mul(
-                                    repeats, static_cast<std::int64_t>(len))));
-        NodeId* const pass = out.data() + checkpoint;
-        for (std::size_t k = 1; k <= static_cast<std::size_t>(repeats); ++k) {
-          std::copy_n(pass, len, pass + k * len);
-        }
+        out.repeat_since(checkpoint, repeats);
         advance(s.block);
         // Internal tokens are back where this block began; start afresh.
         power = 1;
@@ -202,7 +194,7 @@ std::int64_t TokenSim::sweep(std::span<const NodeId> order,
     if (distance == 0) {
       s.saved.swap(s.snapshot);
       s.steps.clear();
-      checkpoint = out.size();
+      checkpoint = out.mark();
     }
     ++distance;
 
@@ -214,7 +206,7 @@ std::int64_t TokenSim::sweep(std::span<const NodeId> order,
       if (want <= 0) continue;
       const std::int64_t batch = fire_up_to(v, want);
       if (batch <= 0) continue;
-      out.insert(out.end(), static_cast<std::size_t>(batch), v);
+      out.append(v, batch);
       progressed = true;
       std::int64_t headroom = lim == kUnbounded ? kUnbounded : want - batch;
       for (std::size_t c = s.cross_begin[static_cast<std::size_t>(i)];
@@ -227,7 +219,7 @@ std::int64_t TokenSim::sweep(std::span<const NodeId> order,
     }
     if (!progressed) break;
   }
-  return static_cast<std::int64_t>(out.size() - start);
+  return out.size() - start;
 }
 
 bool TokenSim::drained() const {

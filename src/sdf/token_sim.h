@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "sdf/firing_program.h"
 #include "sdf/graph.h"
 #include "util/contract.h"
 
@@ -60,12 +61,12 @@ class TokenSim {
   /// most `step_cap` in one step -- and sweeps again until one sweep fires
   /// nothing. Appends the firings to `out` and returns how many. Repeated
   /// sweep cycles are replayed in bulk, with exactly the result of running
-  /// them (see token_sim.cc). Whether every limit was reached is the
-  /// caller's check. Throws ScheduleError, leaving the sim mid-sweep, when a
-  /// cycle would repeat forever: no limit and no edge leaving `order` stops
-  /// it.
+  /// them (see token_sim.cc), and land in `out` as one block run 1 + R
+  /// times. Whether every limit was reached is the caller's check. Throws
+  /// ScheduleError, leaving the sim mid-sweep, when a cycle would repeat
+  /// forever: no limit and no edge leaving `order` stops it.
   std::int64_t sweep(std::span<const NodeId> order, std::span<const std::int64_t> limit,
-                     std::int64_t step_cap, std::vector<NodeId>& out);
+                     std::int64_t step_cap, FiringProgram& out);
 
   /// One module's firing count in a bulk advance.
   struct NodeFirings {

@@ -1,6 +1,7 @@
 #include "sdf/topology.h"
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 
 #include "util/error.h"
@@ -114,6 +115,7 @@ bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& 
     scratch.adj[static_cast<std::size_t>(scratch.cursor[static_cast<std::size_t>(cs)]++)] = cd;
   }
   scratch.ready.clear();
+  scratch.order.clear();
   for (std::int32_t c = 0; c < num_components; ++c) {
     if (scratch.indegree[static_cast<std::size_t>(c)] == 0) scratch.ready.push_back(c);
   }
@@ -121,6 +123,7 @@ bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& 
   while (!scratch.ready.empty()) {
     const auto c = static_cast<std::size_t>(scratch.ready.back());
     scratch.ready.pop_back();
+    scratch.order.push_back(static_cast<std::int32_t>(c));
     ++seen;
     for (std::int32_t i = scratch.offset[c]; i < scratch.offset[c + 1]; ++i) {
       const std::int32_t d = scratch.adj[static_cast<std::size_t>(i)];
@@ -128,6 +131,57 @@ bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& 
     }
   }
   return seen == num_components;
+}
+
+ContractionLabels::ContractionLabels(const SdfGraph& g,
+                                     const std::vector<std::int32_t>& assignment,
+                                     std::int32_t num_components)
+    : graph_(&g) {
+  CCS_EXPECTS(contraction_is_acyclic(g, assignment, num_components, scratch_),
+              "labels need an acyclic contraction");
+  // Fresh singletons append labels: reserve for as many as there are nodes.
+  label_.reserve(static_cast<std::size_t>(std::max(num_components, g.node_count())) + 1);
+  relabel(num_components);
+}
+
+void ContractionLabels::relabel(std::int32_t num_components) {
+  label_.resize(static_cast<std::size_t>(num_components));
+  for (std::size_t i = 0; i < scratch_.order.size(); ++i) {
+    label_[static_cast<std::size_t>(scratch_.order[i])] = static_cast<double>(i);
+  }
+}
+
+bool ContractionLabels::accept(const std::vector<std::int32_t>& assignment,
+                               std::int32_t num_components, NodeId v, bool fresh) {
+  const SdfGraph& g = *graph_;
+  const std::int32_t target = assignment[static_cast<std::size_t>(v)];
+  // v's cross edges after the move must go up into and out of the target.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double lo = -kInf;
+  double hi = kInf;
+  for (const EdgeId e : g.in_edges(v)) {
+    const std::int32_t c = assignment[static_cast<std::size_t>(g.edge(e).src)];
+    if (c != target) lo = std::max(lo, label_[static_cast<std::size_t>(c)]);
+  }
+  for (const EdgeId e : g.out_edges(v)) {
+    const std::int32_t c = assignment[static_cast<std::size_t>(g.edge(e).dst)];
+    if (c != target) hi = std::min(hi, label_[static_cast<std::size_t>(c)]);
+  }
+  const double at = !fresh            ? label_[static_cast<std::size_t>(target)]
+                    : lo == -kInf     ? (hi == kInf ? 0.0 : hi - 1.0)
+                    : hi == kInf      ? lo + 1.0
+                                      : lo + (hi - lo) / 2;
+  // Strict on both sides, which also refuses a midpoint lost to rounding.
+  if (lo < at && at < hi) {
+    CCS_AUDIT(contraction_is_acyclic(g, assignment, num_components, scratch_),
+              "a move the labels keep upward must leave the contraction acyclic");
+    if (fresh) label_.push_back(at);
+    return true;
+  }
+  ++searches_;
+  if (!contraction_is_acyclic(g, assignment, num_components, scratch_)) return false;
+  relabel(num_components);
+  return true;
 }
 
 std::vector<NodeId> pipeline_order(const SdfGraph& g) {

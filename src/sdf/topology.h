@@ -65,6 +65,7 @@ struct ContractionScratch {
   std::vector<std::int32_t> cursor;    ///< Per component: next free adjacency slot.
   std::vector<std::int32_t> adj;       ///< Cross-edge heads, grouped by tail.
   std::vector<std::int32_t> ready;     ///< Kahn's stack of zero-indegree components.
+  std::vector<std::int32_t> order;     ///< Components in the order Kahn's visited them.
 };
 
 /// True iff the contracted multigraph is acyclic, i.e. the partition
@@ -73,8 +74,45 @@ bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& 
                             std::int32_t num_components);
 
 /// As above, with the working buffers taken from (and left in) `scratch`.
+/// On true, scratch.order is a topological order of the components.
 bool contraction_is_acyclic(const SdfGraph& g, const std::vector<std::int32_t>& assignment,
                             std::int32_t num_components, ContractionScratch& scratch);
+
+/// Decides whether moving one node to another component keeps a contraction
+/// acyclic, mostly without a search -- the inner check of a local search
+/// (partition::anneal_partition). It keeps a real label per component such
+/// that every contracted edge goes strictly upward. A move under which every
+/// edge of the moved node still goes upward keeps the labels valid, so the
+/// contraction stays acyclic with no search; a fresh singleton takes the
+/// midpoint between its predecessors' highest and its successors' lowest
+/// label. Any other move runs contraction_is_acyclic, which answers it
+/// exactly and, when the move is kept, relabels every component from its
+/// order. Audit builds check every search-free answer against it.
+class ContractionLabels {
+ public:
+  /// Labels the contraction of `assignment`, which must be acyclic.
+  ContractionLabels(const SdfGraph& g, const std::vector<std::int32_t>& assignment,
+                    std::int32_t num_components);
+
+  /// `assignment` and `num_components` already hold node v's move (into a
+  /// new component num_components - 1 when `fresh`). Returns whether the
+  /// contraction is still acyclic. On true the labels follow the move; on
+  /// false they are unchanged and the caller undoes the move.
+  bool accept(const std::vector<std::int32_t>& assignment, std::int32_t num_components,
+              NodeId v, bool fresh);
+
+  /// accept() calls that needed contraction_is_acyclic.
+  std::int64_t searches() const noexcept { return searches_; }
+
+ private:
+  /// Labels each component by its position in scratch_.order.
+  void relabel(std::int32_t num_components);
+
+  const SdfGraph* graph_;
+  std::vector<double> label_;  ///< Per component of the last accepted contraction.
+  ContractionScratch scratch_;
+  std::int64_t searches_ = 0;
+};
 
 /// Orders modules of a pipeline from source to sink. Throws GraphError if
 /// the graph is not a pipeline.

@@ -4,6 +4,7 @@
 #include "analysis/lower_bound.h"
 #include "partition/pipeline_dp.h"
 #include "sdf/gain.h"
+#include "sdf/min_buffer.h"
 #include "util/rng.h"
 #include "workloads/pipelines.h"
 #include "workloads/random_dag.h"
@@ -90,7 +91,7 @@ TEST(CostModel, BreakdownSumsAndScales) {
   const auto g = ccs::workloads::uniform_pipeline(8, 128);
   const auto p = partition::Partition::from_components(
       g, {{0, 1, 2, 3}, {4, 5, 6, 7}});
-  const auto c = predict_partitioned_cost(g, p, 1024, 8);
+  const auto c = predict_partitioned_cost(g, p, 1024, 8, sdf::feasible_buffers(g));
   EXPECT_DOUBLE_EQ(c.misses_per_batch, c.state_term + c.buffer_term + c.cross_term);
   EXPECT_DOUBLE_EQ(c.misses_per_input, c.misses_per_batch / 1024.0);
   // state: 2 components x 512 words / 8 = 128 misses.
@@ -103,8 +104,8 @@ TEST(CostModel, LargerTAmortizesState) {
   const auto g = ccs::workloads::uniform_pipeline(8, 128);
   const auto p = partition::Partition::from_components(
       g, {{0, 1, 2, 3}, {4, 5, 6, 7}});
-  const auto small = predict_partitioned_cost(g, p, 256, 8);
-  const auto large = predict_partitioned_cost(g, p, 4096, 8);
+  const auto small = predict_partitioned_cost(g, p, 256, 8, sdf::feasible_buffers(g));
+  const auto large = predict_partitioned_cost(g, p, 4096, 8, sdf::feasible_buffers(g));
   EXPECT_LT(large.misses_per_input, small.misses_per_input);
 }
 
@@ -113,8 +114,8 @@ TEST(CostModel, FinerPartitionCostsMoreCross) {
   const auto coarse = partition::Partition::from_components(
       g, {{0, 1, 2, 3}, {4, 5, 6, 7}});
   const auto fine = partition::Partition::singletons(g);
-  const auto c1 = predict_partitioned_cost(g, coarse, 1024, 8);
-  const auto c2 = predict_partitioned_cost(g, fine, 1024, 8);
+  const auto c1 = predict_partitioned_cost(g, coarse, 1024, 8, sdf::feasible_buffers(g));
+  const auto c2 = predict_partitioned_cost(g, fine, 1024, 8, sdf::feasible_buffers(g));
   EXPECT_LT(c1.cross_term, c2.cross_term);
 }
 

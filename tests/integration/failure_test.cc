@@ -74,7 +74,9 @@ TEST(Failure, TamperedPeriodDetected) {
   const auto g = ccs::workloads::uniform_pipeline(4, 8);
   auto s = schedule::naive_minimal_buffer_schedule(g);
   // Swap two firings so a consumer runs before its producer.
-  std::swap(s.period.front(), s.period.back());
+  std::vector<sdf::NodeId> flat = s.period.flatten();
+  std::swap(flat.front(), flat.back());
+  s.period = sdf::FiringProgram(flat);
   const auto report = schedule::check_schedule(g, s);
   EXPECT_FALSE(report.ok);
   EXPECT_FALSE(report.problem.empty());
@@ -87,7 +89,7 @@ TEST(Failure, PartitionedSchedulerValidatesPartitionArity) {
   p.assignment = {0, 0, 1};  // wrong size
   schedule::PartitionedOptions opts;
   opts.m = 64;
-  EXPECT_THROW(schedule::partitioned_schedule(g, p, opts), Error);
+  EXPECT_THROW(schedule::partitioned_schedule(g, p, opts, sdf::feasible_buffers(g)), Error);
 }
 
 TEST(Failure, ZeroAndNegativeCacheGeometriesRejected) {

@@ -59,7 +59,7 @@ TEST_P(PipelineSeedSweep, PartitionedScheduleValidates) {
   const auto dp = partition::pipeline_optimal_partition(g, 3 * 256);
   schedule::PartitionedOptions opts;
   opts.m = 256;
-  const auto s = schedule::partitioned_schedule(g, dp.partition, opts);
+  const auto s = schedule::partitioned_schedule(g, dp.partition, opts, sdf::feasible_buffers(g));
   const auto report = schedule::check_schedule(g, s, 3);
   EXPECT_TRUE(report.ok) << report.problem;
   // Peak occupancy never exceeds declared capacity (check_schedule throws on
@@ -129,7 +129,7 @@ TEST_P(DagSeedSweep, PartitionedScheduleValidatesOnDags) {
   const auto p = partition::dag_greedy_gain_partition(g, 3 * m);
   schedule::PartitionedOptions opts;
   opts.m = m;
-  const auto s = schedule::partitioned_schedule(g, p, opts);
+  const auto s = schedule::partitioned_schedule(g, p, opts, sdf::feasible_buffers(g));
   const auto report = schedule::check_schedule(g, s, 2);
   EXPECT_TRUE(report.ok) << report.problem;
 }

@@ -11,6 +11,7 @@ namespace {
 
 using iomodel::CacheConfig;
 using iomodel::LruCache;
+using sdf::FiringProgram;
 using sdf::NodeId;
 
 TEST(Classification, PartsSumToTotal) {
@@ -21,7 +22,7 @@ TEST(Classification, PartsSumToTotal) {
   for (int iter = 0; iter < 5; ++iter) {
     for (NodeId v = 0; v < 6; ++v) seq.push_back(v);
   }
-  const RunResult r = engine.run(seq);
+  const RunResult r = engine.run(FiringProgram(seq));
   EXPECT_EQ(r.state_misses + r.channel_misses + r.io_misses, r.cache.misses);
   EXPECT_GT(r.state_misses, 0);
 }
@@ -37,7 +38,7 @@ TEST(Classification, ThrashingShowsUpAsStateMisses) {
   for (int iter = 0; iter < 4; ++iter) {
     for (NodeId v = 0; v < 4; ++v) seq.push_back(v);
   }
-  const RunResult r = engine.run(seq);
+  const RunResult r = engine.run(FiringProgram(seq));
   EXPECT_GT(r.state_misses, r.channel_misses * 10);
   EXPECT_EQ(r.io_misses, 0);
 }
@@ -51,7 +52,7 @@ TEST(Classification, ExternalIoIsolated) {
     seq.push_back(0);
     seq.push_back(1);
   }
-  const RunResult r = engine.run(seq);
+  const RunResult r = engine.run(FiringProgram(seq));
   // 64 reads (8 blocks) + 64 writes (8 blocks) of external streams.
   EXPECT_EQ(r.io_misses, 16);
 }
@@ -61,8 +62,8 @@ TEST(Classification, DeltasResetBetweenRuns) {
   LruCache cache(CacheConfig{4096, 8});
   Engine engine(g, sdf::feasible_buffers(g), cache);
   const std::vector<NodeId> seq{0, 1};
-  const RunResult r1 = engine.run(seq);
-  const RunResult r2 = engine.run(seq);
+  const RunResult r1 = engine.run(FiringProgram(seq));
+  const RunResult r2 = engine.run(FiringProgram(seq));
   EXPECT_GT(r1.state_misses, 0);
   EXPECT_EQ(r2.state_misses, 0);  // resident on the second run
 }

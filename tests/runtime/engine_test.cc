@@ -13,6 +13,7 @@ namespace {
 
 using iomodel::CacheConfig;
 using iomodel::LruCache;
+using sdf::FiringProgram;
 using sdf::NodeId;
 using sdf::SdfGraph;
 
@@ -99,7 +100,7 @@ TEST(Engine, ExternalIoCostsOneMissPerBlockOfFirings)
     seq.push_back(0);
     seq.push_back(1);
   }
-  const RunResult r = engine.run(seq);
+  const RunResult r = engine.run(FiringProgram(seq));
   // Source reads 16 external words (2 blocks), sink writes 16 (2 blocks);
   // states (2 blocks) + channel ring (1 block) are cold-missed once.
   EXPECT_EQ(r.cache.misses, 2 + 2 + 2 + 1);
@@ -112,8 +113,8 @@ TEST(Engine, RunReturnsDeltasBetweenCalls) {
   LruCache cache(CacheConfig{1024, 8});
   Engine engine(g, {4}, cache);
   const std::vector<NodeId> seq{0, 1};
-  const RunResult r1 = engine.run(seq);
-  const RunResult r2 = engine.run(seq);
+  const RunResult r1 = engine.run(FiringProgram(seq));
+  const RunResult r2 = engine.run(FiringProgram(seq));
   EXPECT_EQ(r1.firings, 2);
   EXPECT_EQ(r2.firings, 2);
   // Second run hits cache: strictly fewer misses.
@@ -134,9 +135,9 @@ void expect_repeat_matches_summed_runs(const SdfGraph& g, const std::vector<std:
     once.push_input(credit);
     summed.push_input(credit);
   }
-  const RunResult got = once.run(seq, repeats);
+  const RunResult got = once.run(FiringProgram(seq), repeats);
   RunResult want;
-  for (std::int64_t r = 0; r < repeats; ++r) want += summed.run(seq);
+  for (std::int64_t r = 0; r < repeats; ++r) want += summed.run(FiringProgram(seq));
   EXPECT_EQ(got, want);
   EXPECT_EQ(cache_once.stats(), cache_summed.stats());
   EXPECT_EQ(once.save_state(), summed.save_state());
@@ -145,7 +146,7 @@ void expect_repeat_matches_summed_runs(const SdfGraph& g, const std::vector<std:
 TEST(Engine, RepeatedRunEqualsSummedRunsOnABalancedPeriod) {
   const auto g = ccs::workloads::uniform_pipeline(4, 40);
   const auto s = schedule::naive_minimal_buffer_schedule(g);
-  expect_repeat_matches_summed_runs(g, s.buffer_caps, s.period, 7);
+  expect_repeat_matches_summed_runs(g, s.buffer_caps, s.period.flatten(), 7);
 }
 
 TEST(Engine, RepeatedRunEqualsSummedRunsOnAnUnbalancedSequence) {
@@ -166,11 +167,12 @@ TEST(Engine, RepeatedRunRevalidatesEachUnbalancedRepetition) {
   const auto g = two_stage();
   LruCache cache(CacheConfig{1024, 8});
   Engine engine(g, {4}, cache);
-  // The first two repetitions fill the buffer; the third would overflow and
-  // throws before it fires.
-  EXPECT_THROW(engine.run(std::vector<NodeId>{0}, 3), ScheduleError);
-  EXPECT_EQ(engine.fired(0), 2);
-  EXPECT_EQ(engine.tokens(0), 4);
+  // The first two repetitions fill the buffer; the third would overflow, so
+  // the run throws before any repetition fires.
+  EXPECT_THROW(engine.run(FiringProgram(std::vector<NodeId>{0}), 3), ScheduleError);
+  EXPECT_EQ(engine.fired(0), 0);
+  EXPECT_EQ(engine.tokens(0), 0);
+  EXPECT_EQ(cache.stats().accesses, 0);
 }
 
 TEST(Engine, RepeatedRunSpendsCreditPerRepetition) {
@@ -180,17 +182,19 @@ TEST(Engine, RepeatedRunSpendsCreditPerRepetition) {
   opts.credit_input = true;
   Engine engine(g, {4}, cache, opts);
   engine.push_input(2);
-  // Balanced, but metered: the third repetition has no credit left.
-  EXPECT_THROW(engine.run(std::vector<NodeId>{0, 1}, 3), ScheduleError);
-  EXPECT_EQ(engine.fired(0), 2);
-  EXPECT_EQ(engine.input_credit(), 0);
+  // Balanced, but metered: the third repetition has no credit left, so the
+  // run throws before any repetition fires or spends credit.
+  EXPECT_THROW(engine.run(FiringProgram(std::vector<NodeId>{0, 1}), 3), ScheduleError);
+  EXPECT_EQ(engine.fired(0), 0);
+  EXPECT_EQ(engine.input_credit(), 2);
+  EXPECT_EQ(cache.stats().accesses, 0);
 }
 
 TEST(Engine, RepeatedRunOfAnInfeasibleSequenceThrowsBeforeAnyTraffic) {
   const auto g = two_stage();
   LruCache cache(CacheConfig{1024, 8});
   Engine engine(g, {4}, cache);
-  EXPECT_THROW(engine.run(std::vector<NodeId>{0, 1, 1}, 4), ScheduleError);
+  EXPECT_THROW(engine.run(FiringProgram(std::vector<NodeId>{0, 1, 1}), 4), ScheduleError);
   EXPECT_EQ(cache.stats().accesses, 0);
   EXPECT_EQ(engine.fired(0), 0);
   EXPECT_EQ(engine.tokens(0), 0);
@@ -200,12 +204,12 @@ TEST(Engine, ZeroRepeatsReturnsAnEmptyTake) {
   const auto g = two_stage();
   LruCache cache(CacheConfig{1024, 8});
   Engine engine(g, {4}, cache);
-  const RunResult r = engine.run(std::vector<NodeId>{0, 1}, 0);
+  const RunResult r = engine.run(FiringProgram(std::vector<NodeId>{0, 1}), 0);
   EXPECT_EQ(r.firings, 0);
   EXPECT_EQ(r.cache.accesses, 0);
   EXPECT_EQ(cache.stats().accesses, 0);
   EXPECT_EQ(engine.fired(0), 0);
-  EXPECT_THROW(engine.run(std::vector<NodeId>{0, 1}, -1), ContractViolation);
+  EXPECT_THROW(engine.run(FiringProgram(std::vector<NodeId>{0, 1}), -1), ContractViolation);
 }
 
 TEST(Engine, PerNodeAttributionSumsToTotal) {
@@ -216,7 +220,7 @@ TEST(Engine, PerNodeAttributionSumsToTotal) {
   for (int iter = 0; iter < 3; ++iter) {
     for (NodeId v = 0; v < 4; ++v) seq.push_back(v);
   }
-  const RunResult r = engine.run(seq);
+  const RunResult r = engine.run(FiringProgram(seq));
   std::int64_t attributed = 0;
   for (const auto m : r.node_misses) attributed += m;
   EXPECT_EQ(attributed, r.cache.misses);
@@ -227,7 +231,7 @@ TEST(Engine, MissesPerInputAndOutput) {
   LruCache cache(CacheConfig{1024, 8});
   Engine engine(g, {4}, cache);
   const std::vector<NodeId> seq{0, 1};
-  const RunResult r = engine.run(seq);
+  const RunResult r = engine.run(FiringProgram(seq));
   EXPECT_GT(r.misses_per_input(), 0.0);
   EXPECT_GT(r.misses_per_output(), 0.0);
   EXPECT_DOUBLE_EQ(r.misses_per_input(), static_cast<double>(r.cache.misses));
@@ -272,14 +276,14 @@ TEST(Engine, RebindCacheReproducesAFreshEngineExactly) {
 
   LruCache first_cache(CacheConfig{256, 8});
   Engine engine(g, caps, first_cache);
-  const RunResult fresh = engine.run(seq);
+  const RunResult fresh = engine.run(FiringProgram(seq));
   EXPECT_GT(fresh.cache.misses, 0);
 
   LruCache second_cache(CacheConfig{256, 8});
   engine.rebind_cache(second_cache);
   EXPECT_TRUE(engine.drained());
   EXPECT_EQ(engine.fired(0), 0);
-  const RunResult reused = engine.run(seq);
+  const RunResult reused = engine.run(FiringProgram(seq));
 
   // Named fields first for readable failures, then the exhaustive
   // defaulted operator== (covers counters added later too).

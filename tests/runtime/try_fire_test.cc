@@ -13,6 +13,7 @@ namespace {
 
 using iomodel::CacheConfig;
 using iomodel::LruCache;
+using sdf::FiringProgram;
 using sdf::NodeId;
 using sdf::SdfGraph;
 
@@ -100,11 +101,11 @@ TEST(InputCredit, RunValidatesCreditUpFrontWithoutTokenMovement) {
   Engine engine(g, {4}, cache, opts);
   engine.push_input(1);
   const std::vector<NodeId> two_sources{0, 1, 0, 1};  // needs credit 2
-  EXPECT_THROW(engine.run(two_sources), ScheduleError);
+  EXPECT_THROW(engine.run(FiringProgram(two_sources)), ScheduleError);
   EXPECT_EQ(engine.fired(0), 0);  // validation failed before any firing
   EXPECT_EQ(engine.tokens(0), 0);
   const std::vector<NodeId> affordable{0, 1};
-  EXPECT_EQ(engine.run(affordable).firings, 2);
+  EXPECT_EQ(engine.run(FiringProgram(affordable)).firings, 2);
 }
 
 TEST(InputCredit, UnmeteredEngineIgnoresCreditAndRejectsPush) {
@@ -172,7 +173,7 @@ TEST(SnapshotTake, RunEqualsFireAllPlusTake) {
   LruCache c2(CacheConfig{512, 8});
   Engine via_run(g, caps, c1);
   Engine via_steps(g, caps, c2);
-  const RunResult from_run = via_run.run(period);
+  const RunResult from_run = via_run.run(FiringProgram(period));
   for (const NodeId v : period) ASSERT_TRUE(via_steps.try_fire(v));
   EXPECT_EQ(from_run, via_steps.take());
 }

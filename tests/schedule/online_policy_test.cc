@@ -174,12 +174,12 @@ TEST(Wrappers, PipelineWrapperReproducesPolicyRunExactly) {
   TokenSim sim(g, policy->buffer_caps());
   TestView view(sim, policy->batch_credit(outputs));
   std::vector<sdf::NodeId> period;
-  const auto execute = [&](const std::vector<sdf::NodeId>& firings) {
-    for (const sdf::NodeId v : firings) {
+  const auto execute = [&](const sdf::FiringProgram& firings) {
+    firings.for_each_firing([&](sdf::NodeId v) {
       sim.fire(v);
       if (v == policy->source()) view.consume(1);
-    }
-    period.insert(period.end(), firings.begin(), firings.end());
+      period.push_back(v);
+    });
   };
   while (sim.fired(policy->sink()) < outputs) {
     const StepPlan step = policy->next_step(view);
@@ -189,7 +189,7 @@ TEST(Wrappers, PipelineWrapperReproducesPolicyRunExactly) {
   execute(policy->plan_drain(view));
 
   EXPECT_TRUE(sim.drained());
-  EXPECT_EQ(period, wrapper.period);
+  EXPECT_EQ(period, wrapper.period.flatten());
   EXPECT_EQ(sim.fired(policy->source()), wrapper.inputs_per_period);
   EXPECT_EQ(sim.fired(policy->sink()), wrapper.outputs_per_period);
 }

@@ -77,7 +77,7 @@ std::string render_golden() {
         for (const core::Plan& plan : planner.plan_all()) {
           const Schedule& s = plan.schedule;
           Fnv1a hash;
-          for (const sdf::NodeId v : s.period) hash.add(v);
+          for (const sdf::NodeId v : s.period.flatten()) hash.add(v);
           for (const std::int64_t cap : s.buffer_caps) hash.add(cap);
           os << cell << " " << plan.partitioner_name << " period=" << s.period.size()
              << " in=" << s.inputs_per_period << " out=" << s.outputs_per_period

@@ -79,7 +79,7 @@ void reference_share(TokenSim& sim, std::span<const NodeId> order,
 /// partitioned_schedule()'s low level for one component: the library sweep
 /// limited to the targets, then the same deadlock check.
 void library_share(TokenSim& sim, std::span<const NodeId> order,
-                   std::span<const std::int64_t> target, std::vector<NodeId>& period) {
+                   std::span<const std::int64_t> target, sdf::FiringProgram& period) {
   sim.sweep(order, target, kUnbounded, period);
   for (const NodeId v : order) {
     if (sim.fired(v) < target[static_cast<std::size_t>(v)]) {
@@ -132,7 +132,7 @@ std::int64_t expect_same_generation(const SdfGraph& g, const Partition& p,
   const Setup s = make_setup(g, p, options);
   TokenSim lib(g, s.caps);
   TokenSim ref(g, s.caps);
-  std::vector<NodeId> lib_period;
+  sdf::FiringProgram lib_period;
   std::vector<NodeId> ref_period;
   std::string ref_error;
   for (std::size_t c = 0; c < s.orders.size() && ref_error.empty(); ++c) {
@@ -146,7 +146,7 @@ std::int64_t expect_same_generation(const SdfGraph& g, const Partition& p,
       break;
     }
     library_share(lib, s.orders[c], s.target, lib_period);
-    EXPECT_EQ(lib_period, ref_period) << "component " << c;
+    EXPECT_EQ(lib_period.flatten(), ref_period) << "component " << c;
     for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
       EXPECT_EQ(lib.tokens(e), ref.tokens(e)) << "component " << c << " edge " << e;
       EXPECT_EQ(lib.peak(e), ref.peak(e)) << "component " << c << " edge " << e;
@@ -157,11 +157,11 @@ std::int64_t expect_same_generation(const SdfGraph& g, const Partition& p,
     if (::testing::Test::HasFailure()) return 0;
   }
   if (!ref_error.empty()) {
-    EXPECT_THROW((void)partitioned_schedule(g, p, options), Error);
+    EXPECT_THROW((void)partitioned_schedule(g, p, options, sdf::feasible_buffers(g)), Error);
     return 0;
   }
-  const Schedule full = partitioned_schedule(g, p, options);
-  EXPECT_EQ(full.period, ref_period);
+  const Schedule full = partitioned_schedule(g, p, options, sdf::feasible_buffers(g));
+  EXPECT_EQ(full.period.flatten(), ref_period);
   EXPECT_EQ(full.buffer_caps, s.caps);
   EXPECT_EQ(full.inputs_per_period, s.t);
   EXPECT_EQ(full.outputs_per_period, ref.fired(g.sinks().front()));
@@ -258,7 +258,7 @@ void expect_same_share(const SdfGraph& g, std::span<const std::int64_t> caps,
   TokenSim ref(g, caps);
   lib.fire(0, stock);
   ref.fire(0, stock);
-  std::vector<NodeId> lib_period;
+  sdf::FiringProgram lib_period;
   std::vector<NodeId> ref_period;
   std::string lib_error = "none";
   std::string ref_error = "none";
@@ -273,7 +273,7 @@ void expect_same_share(const SdfGraph& g, std::span<const std::int64_t> caps,
     ref_error = e.what();
   }
   EXPECT_EQ(lib_error, ref_error);
-  EXPECT_EQ(lib_period, ref_period);
+  EXPECT_EQ(lib_period.flatten(), ref_period);
   for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
     EXPECT_EQ(lib.tokens(e), ref.tokens(e)) << "edge " << e;
     EXPECT_EQ(lib.peak(e), ref.peak(e)) << "edge " << e;
@@ -359,12 +359,12 @@ void reference_sweep(TokenSim& sim, std::span<const NodeId> order,
 /// every module equal. Returns the number of firings appended.
 std::int64_t expect_same_sweep(TokenSim& lib, TokenSim& ref, std::span<const NodeId> order,
                                std::span<const std::int64_t> limit, std::int64_t step_cap) {
-  std::vector<NodeId> lib_out;
+  sdf::FiringProgram lib_out;
   std::vector<NodeId> ref_out;
   const std::int64_t n = lib.sweep(order, limit, step_cap, lib_out);
   reference_sweep(ref, order, limit, step_cap, ref_out);
-  EXPECT_EQ(n, static_cast<std::int64_t>(lib_out.size()));
-  EXPECT_EQ(lib_out, ref_out);
+  EXPECT_EQ(n, lib_out.size());
+  EXPECT_EQ(lib_out.flatten(), ref_out);
   const SdfGraph& g = lib.graph();
   for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {
     EXPECT_EQ(lib.tokens(e), ref.tokens(e)) << "edge " << e;
@@ -517,7 +517,7 @@ TEST(SweepShapes, StepCapMatchesThePlainSweep) {
       std::vector<NodeId> ref_period;
       TokenSim ref(g, caps);
       reference_sweep(ref, chain, limit, reps.total_firings(), ref_period);
-      EXPECT_EQ(kohli_schedule(g, m).period, ref_period);
+      EXPECT_EQ(kohli_schedule(g, m).period.flatten(), ref_period);
     }
   }
   EXPECT_GT(firings, 100'000);

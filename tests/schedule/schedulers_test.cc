@@ -11,6 +11,7 @@
 #include "schedule/scaled.h"
 #include "schedule/schedule.h"
 #include "schedule/validate.h"
+#include "sdf/min_buffer.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "workloads/pipelines.h"
@@ -106,7 +107,7 @@ TEST(Partitioned, ValidOnUniformPipeline) {
   const auto dp = partition::pipeline_optimal_partition(g, 3 * 512);
   PartitionedOptions opts;
   opts.m = 512;
-  const auto s = partitioned_schedule(g, dp.partition, opts);
+  const auto s = partitioned_schedule(g, dp.partition, opts, sdf::feasible_buffers(g));
   expect_valid(g, s, "uniform pipeline");
   EXPECT_EQ(s.inputs_per_period, 512);
 }
@@ -118,7 +119,7 @@ TEST(Partitioned, ValidOnMultiratePipelines) {
     const auto dp = partition::pipeline_optimal_partition(g, 3 * 256);
     PartitionedOptions opts;
     opts.m = 256;
-    const auto s = partitioned_schedule(g, dp.partition, opts);
+    const auto s = partitioned_schedule(g, dp.partition, opts, sdf::feasible_buffers(g));
     expect_valid(g, s, "trial " + std::to_string(trial));
   }
 }
@@ -129,7 +130,7 @@ TEST(Partitioned, ValidOnStreamItApps) {
     const auto p = partition::dag_greedy_gain_partition(app.graph, 3 * m);
     PartitionedOptions opts;
     opts.m = m;
-    const auto s = partitioned_schedule(app.graph, p, opts);
+    const auto s = partitioned_schedule(app.graph, p, opts, sdf::feasible_buffers(app.graph));
     expect_valid(app.graph, s, app.name);
   }
 }
@@ -147,7 +148,7 @@ TEST(Partitioned, RejectsNonWellOrderedPartition) {
   const auto bad = partition::Partition::from_components(g, {{0, 3}, {1}, {2}});
   PartitionedOptions opts;
   opts.m = 64;
-  EXPECT_THROW(partitioned_schedule(g, bad, opts), Error);
+  EXPECT_THROW(partitioned_schedule(g, bad, opts, sdf::feasible_buffers(g)), Error);
 }
 
 TEST(Partitioned, CrossBuffersAreExactBatchTraffic) {
@@ -155,7 +156,7 @@ TEST(Partitioned, CrossBuffersAreExactBatchTraffic) {
   const auto p = partition::Partition::from_components(g, {{0, 1, 2}, {3, 4, 5}});
   PartitionedOptions opts;
   opts.m = 256;
-  const auto s = partitioned_schedule(g, p, opts);
+  const auto s = partitioned_schedule(g, p, opts, sdf::feasible_buffers(g));
   // The one cross edge (2->3) must hold exactly T tokens (gain 1).
   EXPECT_EQ(s.buffer_caps[2], 256);
   // Internal edges keep minimal buffers (1 for homogeneous).
@@ -214,7 +215,9 @@ TEST(Validate, CatchesLyingSchedules) {
   s.outputs_per_period += 1;  // lie about outputs
   EXPECT_FALSE(check_schedule(g, s).ok);
   Schedule s2 = naive_minimal_buffer_schedule(g);
-  s2.period.pop_back();  // drop the sink firing: won't drain
+  std::vector<sdf::NodeId> flat = s2.period.flatten();
+  flat.pop_back();  // drop the sink firing: won't drain
+  s2.period = sdf::FiringProgram(flat);
   EXPECT_FALSE(check_schedule(g, s2).ok);
   Schedule s3 = naive_minimal_buffer_schedule(g);
   s3.period.clear();

@@ -18,7 +18,7 @@ using sdf::TokenSim;
 TEST(SteadyState, DemandDrivenCompletesOneIteration) {
   for (const auto& app : ccs::workloads::streamit_suite()) {
     const auto caps = sdf::feasible_buffers(app.graph);
-    const auto seq = demand_driven_iteration(app.graph, caps);
+    const auto seq = demand_driven_iteration(app.graph, caps).flatten();
     const sdf::RepetitionVector reps(app.graph);
     EXPECT_EQ(static_cast<std::int64_t>(seq.size()), reps.total_firings()) << app.name;
     // Replaying must drain.
@@ -61,7 +61,8 @@ TEST(SteadyState, DemandDrivenThrowsOnImpossibleCaps) {
 TEST(SteadyState, SingleAppearanceShapeAndCaps) {
   const auto g = ccs::workloads::filter_bank(4);
   std::vector<std::int64_t> caps;
-  const auto seq = single_appearance_iteration(g, &caps);
+  const sdf::FiringProgram program = single_appearance_iteration(g, &caps);
+  const auto seq = program.flatten();
   const sdf::RepetitionVector reps(g);
   EXPECT_EQ(static_cast<std::int64_t>(seq.size()), reps.total_firings());
   // Consecutive equal entries: each module appears in exactly one run.
@@ -71,6 +72,14 @@ TEST(SteadyState, SingleAppearanceShapeAndCaps) {
       EXPECT_TRUE(seen.insert(seq[i]).second) << "module reappears at " << i;
     }
   }
+  // ... and each run of q(v) > 1 firings is one block [v] x q(v) (modules
+  // firing once share one block run once).
+  for (const auto& block : program.blocks()) {
+    if (block.repeats == 1) continue;
+    ASSERT_EQ(program.body(block).size(), 1u);
+    EXPECT_EQ(block.repeats, reps.count(program.body(block)[0]));
+  }
+  EXPECT_LT(program.blocks().size(), seq.size());
   // Declared caps make the sequence feasible.
   TokenSim sim(g, caps);
   for (const auto v : seq) sim.fire(v, 1);
@@ -84,7 +93,7 @@ TEST(SteadyState, SingleAppearanceWorksAcrossRandomDags) {
     spec.target_nodes = 20;
     const auto g = series_parallel_dag(spec, rng);
     std::vector<std::int64_t> caps;
-    const auto seq = single_appearance_iteration(g, &caps);
+    const auto seq = single_appearance_iteration(g, &caps).flatten();
     TokenSim sim(g, caps);
     for (const auto v : seq) sim.fire(v, 1);
     EXPECT_TRUE(sim.drained()) << "trial " << trial;

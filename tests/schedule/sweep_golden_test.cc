@@ -44,7 +44,7 @@ class Fnv1a {
 
 void render_schedule(std::ostream& os, const std::string& cell, const Schedule& s) {
   Fnv1a hash;
-  for (const sdf::NodeId v : s.period) hash.add(v);
+  for (const sdf::NodeId v : s.period.flatten()) hash.add(v);
   for (const std::int64_t cap : s.buffer_caps) hash.add(cap);
   os << cell << " period=" << s.period.size() << " in=" << s.inputs_per_period
      << " out=" << s.outputs_per_period << " fnv=" << std::hex << hash.value() << std::dec

@@ -119,14 +119,14 @@ TEST(TokenSim, SweepFiresUntilTheLimitsStopIt) {
   TokenSim sim(g, caps);
   const NodeId order[] = {0, 1, 2};
   const std::int64_t limit[] = {5, kUnbounded, kUnbounded};
-  std::vector<NodeId> out;
+  FiringProgram out;
   EXPECT_EQ(sim.sweep(order, limit, kUnbounded, out), 15);
-  EXPECT_EQ(out.size(), 15u);
+  EXPECT_EQ(out.size(), 15);
   EXPECT_EQ(sim.fired(2), 5);
   EXPECT_TRUE(sim.drained());
   // A second sweep under the same limits has nothing left to fire.
   EXPECT_EQ(sim.sweep(order, limit, kUnbounded, out), 0);
-  EXPECT_EQ(out.size(), 15u);
+  EXPECT_EQ(out.size(), 15);
 }
 
 TEST(TokenSim, SweepStepCapBindsOnlyModulesWithoutALimit) {
@@ -135,10 +135,10 @@ TEST(TokenSim, SweepStepCapBindsOnlyModulesWithoutALimit) {
   TokenSim sim(g, caps);
   const NodeId order[] = {0, 1};
   const std::int64_t limit[] = {4, kUnbounded};
-  std::vector<NodeId> out;
+  FiringProgram out;
   EXPECT_EQ(sim.sweep(order, limit, 2, out), 10);
   // The source fires all 4 at once; the consumer 2 a step.
-  EXPECT_EQ(out, (std::vector<NodeId>{0, 0, 0, 0, 1, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(out.flatten(), (std::vector<NodeId>{0, 0, 0, 0, 1, 1, 1, 1, 1, 1}));
   EXPECT_TRUE(sim.drained());
 }
 
@@ -148,9 +148,9 @@ TEST(TokenSim, SweepRefusesACycleThatNothingStops) {
   TokenSim sim(g, caps);
   const NodeId order[] = {0, 1, 2};
   const std::int64_t limit[] = {kUnbounded, kUnbounded, kUnbounded};
-  std::vector<NodeId> out;
+  FiringProgram out;
   EXPECT_THROW(sim.sweep(order, limit, kUnbounded, out), ScheduleError);
-  EXPECT_LT(out.size(), 100u);
+  EXPECT_LT(out.size(), 100);
 }
 
 TEST(TokenSim, TooSmallCapacityRejected) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 
+#include "../support/plan_sweep_graphs.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "workloads/pipelines.h"
 
 namespace ccs::sdf {
@@ -87,6 +89,49 @@ TEST(Topology, ContractionAcyclicityWellOrdered) {
   // {s,t} in one component and {a}, {b} alone: contracted graph has
   // 0 -> 1 -> 0 (via s->a, a->t), a cycle.
   EXPECT_FALSE(contraction_is_acyclic(g, {0, 1, 2, 0}, 3));
+}
+
+TEST(Topology, ContractionLabelsAgreeWithKahnOnRandomMoves) {
+  // The anneal's moves (to a neighbour's component or a fresh singleton) on
+  // every plan-sweep graph, starting from all singletons: every answer must
+  // equal a full Kahn pass, and most must come without one.
+  Rng rng(4);
+  std::int64_t checks = 0;
+  std::int64_t searches = 0;
+  for (const auto& app : test_support::plan_sweep_graphs(1)) {
+    const SdfGraph& g = app.graph;
+    std::vector<std::int32_t> assignment(static_cast<std::size_t>(g.node_count()));
+    for (NodeId v = 0; v < g.node_count(); ++v) assignment[static_cast<std::size_t>(v)] = v;
+    std::int32_t comps = g.node_count();
+    ContractionLabels labels(g, assignment, comps);
+    std::vector<std::int32_t> targets;
+    for (std::int32_t move = 0; move < 400; ++move) {
+      const auto v = static_cast<NodeId>(rng.uniform(0, g.node_count() - 1));
+      const std::int32_t from = assignment[static_cast<std::size_t>(v)];
+      targets.assign(1, comps);
+      for (const EdgeId e : g.in_edges(v)) {
+        targets.push_back(assignment[static_cast<std::size_t>(g.edge(e).src)]);
+      }
+      for (const EdgeId e : g.out_edges(v)) {
+        targets.push_back(assignment[static_cast<std::size_t>(g.edge(e).dst)]);
+      }
+      const std::int32_t target = rng.pick(targets);
+      if (target == from) continue;
+      const bool fresh = target == comps;
+      assignment[static_cast<std::size_t>(v)] = target;
+      if (fresh) ++comps;
+      const bool kahn = contraction_is_acyclic(g, assignment, comps);
+      ASSERT_EQ(labels.accept(assignment, comps, v, fresh), kahn) << app.name << " move " << move;
+      ++checks;
+      if (!kahn) {
+        assignment[static_cast<std::size_t>(v)] = from;
+        if (fresh) --comps;
+      }
+    }
+    searches += labels.searches();
+  }
+  EXPECT_GT(checks, 5000);
+  EXPECT_LT(searches, checks / 2);
 }
 
 TEST(Topology, PipelineOrderWalksChain) {
