@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   args.add_int_list("t-multipliers", {1}, "comma-separated batch multipliers");
   args.add_int("outputs", 1024, "sink firings per cell");
   args.add_int("threads", 1, "worker threads for the sweep");
-  args.add_int("repetitions", 1, "measurements per cell (engine reuse + rebind)");
+  args.add_int("repetitions", 1, "measurements per cell (each from a fresh cache; all must agree)");
   args.add_double("sim-factor", 4.0, "simulate on sim-factor * M (memory augmentation)");
   args.add_string("cluster-arrivals", "",
                   "comma-separated arrival keys enabling multicore cluster cells");

@@ -507,14 +507,10 @@ session::AdmissionLoad Cluster::current_load() const {
 
 void Cluster::swap_out_tenant(TenantId id, Tenant& t) {
   CCS_EXPECTS(t.stream != nullptr, "tenant is already swapped out");
-  const StreamState state = t.stream->save_state();
-  t.totals = state.totals;
-  t.steps = state.steps;
+  const session::SessionSnapshot snapshot = t.stream->save_state();
+  t.totals = snapshot.totals;
+  t.steps = snapshot.steps;
   t.outputs = t.stream->outputs_produced();
-  session::SessionSnapshot snapshot;
-  snapshot.engine = state.engine;
-  snapshot.totals = state.totals;
-  snapshot.steps = state.steps;
   session::SwapImage image = session::SwapImage::pack(snapshot);
   // The packed image is the session's only copy once the host objects are
   // freed; audit builds prove the codec round-trips this very snapshot
@@ -538,11 +534,7 @@ void Cluster::rehydrate(TenantId id, Tenant& t) {
   t.stream = std::make_unique<Stream>(t.graph, t.partition, session_cache(t.worker),
                                       t.m, std::move(options));
   t.stream->set_cost_model(&cost_model_);
-  StreamState state;
-  state.engine = snapshot.engine;
-  state.totals = snapshot.totals;
-  state.steps = snapshot.steps;
-  t.stream->restore_state(state);
+  t.stream->restore_state(snapshot);
   lifecycle_.on_resident(t.layout_words);
   --lifecycle_.swapped_sessions;
   ++lifecycle_.swap_ins;

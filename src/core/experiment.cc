@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "core/cluster.h"
-#include "iomodel/cache.h"
+#include "core/scheduler.h"
 #include "schedule/schedule.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -39,22 +39,19 @@ std::string fmt_double(double v) {
   return os.str();
 }
 
-}  // namespace
+/// The cache a cell measures on: `cache` grown by `factor` (the paper's
+/// constant-factor memory augmentation, Theorem 5's regime), at least one
+/// block.
+iomodel::CacheConfig augmented(const iomodel::CacheConfig& cache, double factor) {
+  iomodel::CacheConfig out = cache;
+  out.capacity_words = std::max<std::int64_t>(
+      cache.block_words,
+      static_cast<std::int64_t>(std::llround(factor * static_cast<double>(cache.capacity_words))));
+  validate_cache_geometry(out);
+  return out;
+}
 
-struct Experiment::Coordinate {
-  std::string workload;
-  iomodel::CacheConfig cache;
-  std::string strategy;
-  bool is_baseline = false;
-  bool is_online = false;
-  bool is_cluster = false;
-  std::string arrival;
-  std::int32_t tenants = 0;
-  std::int32_t workers = 0;
-  std::string placement;
-  std::string cost_model;
-  std::int64_t t_multiplier = 1;
-};
+}  // namespace
 
 Experiment::Experiment(SweepSpec spec, const workloads::Registry* workload_registry,
                        const partition::Registry* partitioner_registry,
@@ -70,8 +67,8 @@ Experiment::Experiment(SweepSpec spec, const workloads::Registry* workload_regis
       arrivals_(arrival_registry != nullptr ? arrival_registry
                                             : &workloads::ArrivalRegistry::global()) {}
 
-std::vector<Experiment::Coordinate> Experiment::enumerate() const {
-  std::vector<Coordinate> out;
+std::vector<CellResult> Experiment::enumerate() const {
+  std::vector<CellResult> out;
   const std::vector<std::int64_t> t_mults =
       spec_.t_multipliers.empty() ? std::vector<std::int64_t>{1} : spec_.t_multipliers;
   const std::vector<std::int32_t> tenant_counts = spec_.online.tenant_counts.empty()
@@ -93,32 +90,32 @@ std::vector<Experiment::Coordinate> Experiment::enumerate() const {
     for (const iomodel::CacheConfig& cache : spec_.caches) {
       for (const std::string& partitioner : spec_.partitioners) {
         for (const std::int64_t t : t_mults) {
-          Coordinate at;
-          at.workload = workload;
-          at.cache = cache;
-          at.strategy = partitioner;
-          at.t_multiplier = t;
-          out.push_back(std::move(at));
+          CellResult cell;
+          cell.workload = workload;
+          cell.cache = cache;
+          cell.strategy = partitioner;
+          cell.t_multiplier = t;
+          out.push_back(std::move(cell));
         }
       }
       for (const std::string& baseline : spec_.baselines) {
-        Coordinate at;
-        at.workload = workload;
-        at.cache = cache;
-        at.strategy = baseline;
-        at.is_baseline = true;
-        out.push_back(std::move(at));
+        CellResult cell;
+        cell.workload = workload;
+        cell.cache = cache;
+        cell.strategy = baseline;
+        cell.is_baseline = true;
+        out.push_back(std::move(cell));
       }
       for (const std::string& arrival : spec_.online.arrivals) {
         for (const std::int32_t tenants : tenant_counts) {
-          Coordinate at;
-          at.workload = workload;
-          at.cache = cache;
-          at.strategy = spec_.online.online_policy;
-          at.is_online = true;
-          at.arrival = arrival;
-          at.tenants = tenants;
-          out.push_back(std::move(at));
+          CellResult cell;
+          cell.workload = workload;
+          cell.cache = cache;
+          cell.strategy = spec_.online.online_policy;
+          cell.is_online = true;
+          cell.arrival = arrival;
+          cell.tenants = tenants;
+          out.push_back(std::move(cell));
         }
       }
       for (const std::string& arrival : spec_.cluster.arrivals) {
@@ -126,17 +123,17 @@ std::vector<Experiment::Coordinate> Experiment::enumerate() const {
           for (const std::int32_t workers : cluster_worker_counts) {
             for (const std::string& placement : cluster_placements) {
               for (const std::string& cost_model : cluster_cost_models) {
-                Coordinate at;
-                at.workload = workload;
-                at.cache = cache;
-                at.strategy = spec_.cluster.online_policy;
-                at.is_cluster = true;
-                at.arrival = arrival;
-                at.tenants = tenants;
-                at.workers = workers;
-                at.placement = placement;
-                at.cost_model = cost_model;
-                out.push_back(std::move(at));
+                CellResult cell;
+                cell.workload = workload;
+                cell.cache = cache;
+                cell.strategy = spec_.cluster.online_policy;
+                cell.is_cluster = true;
+                cell.arrival = arrival;
+                cell.tenants = tenants;
+                cell.workers = workers;
+                cell.placement = placement;
+                cell.cost_model = cost_model;
+                out.push_back(std::move(cell));
               }
             }
           }
@@ -149,43 +146,30 @@ std::vector<Experiment::Coordinate> Experiment::enumerate() const {
 
 std::size_t Experiment::cell_count() const { return enumerate().size(); }
 
-CellResult Experiment::run_cell(const Coordinate& at) const {
-  CellResult cell;
-  cell.workload = at.workload;
-  cell.cache = at.cache;
-  cell.strategy = at.strategy;
-  cell.is_baseline = at.is_baseline;
-  cell.is_online = at.is_online;
-  cell.is_cluster = at.is_cluster;
-  cell.arrival = at.arrival;
-  cell.tenants = at.tenants;
-  cell.workers = at.workers;
-  cell.placement = at.placement;
-  cell.cost_model = at.cost_model;
-  cell.t_multiplier = at.t_multiplier;
+void Experiment::run_cell(CellResult& cell) const {
   try {
-    if (at.is_online || at.is_cluster) {
-      run_serving_cell(at, cell);
+    if (cell.is_online || cell.is_cluster) {
+      run_serving_cell(cell);
       cell.misses_per_input = cell.run.misses_per_input();
       cell.misses_per_output = cell.run.misses_per_output();
       cell.ok = true;
-      return cell;
+      return;
     }
-    const sdf::SdfGraph graph = workloads_->build(at.workload);
+    const sdf::SdfGraph graph = workloads_->build(cell.workload);
 
     schedule::Schedule sched;
-    if (at.is_baseline) {
+    if (cell.is_baseline) {
       schedule::SchedulerContext ctx;
-      ctx.cache_words = at.cache.capacity_words;
-      ctx.block_words = at.cache.block_words;
-      sched = schedulers_->build(at.strategy, graph, ctx);
-      cell.resolved_strategy = at.strategy;
+      ctx.cache_words = cell.cache.capacity_words;
+      ctx.block_words = cell.cache.block_words;
+      sched = schedulers_->build(cell.strategy, graph, ctx);
+      cell.resolved_strategy = cell.strategy;
     } else {
       PlannerOptions opts;
-      opts.cache = at.cache;
+      opts.cache = cell.cache;
       opts.c_bound = spec_.c_bound;
-      opts.partitioner = at.strategy;
-      opts.t_multiplier = at.t_multiplier;
+      opts.partitioner = cell.strategy;
+      opts.t_multiplier = cell.t_multiplier;
       opts.exact_max_nodes = spec_.exact_max_nodes;
       opts.seed = spec_.seed;
       const Planner planner(graph, opts, partitioners_);
@@ -200,30 +184,18 @@ CellResult Experiment::run_cell(const Coordinate& at) const {
     cell.schedule_name = sched.name;
     cell.buffer_words = sched.total_buffer_words();
 
-    // Measure on the augmentation-factor cache (Theorem 5's regime). The
-    // cell owns its graph, engine, and cache: nothing here is shared with
-    // any other cell, which is what makes the sweep order- and
-    // thread-count-independent.
-    iomodel::CacheConfig sim = at.cache;
-    sim.capacity_words = std::max<std::int64_t>(
-        at.cache.block_words,
-        static_cast<std::int64_t>(std::llround(spec_.sim_capacity_factor *
-                                               static_cast<double>(at.cache.capacity_words))));
-    validate_cache_geometry(sim);
-
-    const std::int64_t rounds = schedule::periods_for_outputs(sched, spec_.target_outputs);
-    iomodel::LruCache cache(sim);
-    runtime::Engine engine(graph, sched.buffer_caps, cache, spec_.engine);
-    const auto measure = [&]() { return engine.run(sched.period, rounds); };
+    // Measure on the augmented cache. Each repetition is one simulate(): a
+    // fresh engine on a fresh cold cache, nothing shared with any other
+    // cell or repetition, which is what makes the sweep order- and
+    // thread-count-independent. Every repetition must reproduce the first
+    // bit-for-bit or the cell is flagged.
+    const iomodel::CacheConfig sim = augmented(cell.cache, spec_.sim_capacity_factor);
+    const auto measure = [&]() {
+      return simulate(graph, sched, sim, spec_.target_outputs, spec_.engine);
+    };
     cell.run = measure();
-    // Further repetitions reuse the constructed engine against a fresh cold
-    // cache (Engine::rebind_cache); every repetition must reproduce the
-    // first bit-for-bit or the cell is flagged.
     for (std::int32_t rep = 1; rep < spec_.repetitions; ++rep) {
-      iomodel::LruCache fresh(sim);
-      engine.rebind_cache(fresh);
-      const runtime::RunResult again = measure();
-      if (again != cell.run) {
+      if (measure() != cell.run) {
         throw Error("repetition " + std::to_string(rep) +
                     " diverged from the first measurement (nondeterministic strategy "
                     "or runtime)");
@@ -236,54 +208,48 @@ CellResult Experiment::run_cell(const Coordinate& at) const {
     cell.ok = false;
     cell.error = e.what();
   }
-  return cell;
 }
 
-void Experiment::run_serving_cell(const Coordinate& at, CellResult& cell) const {
-  const sdf::SdfGraph graph = workloads_->build(at.workload);
+void Experiment::run_serving_cell(CellResult& cell) const {
+  const sdf::SdfGraph graph = workloads_->build(cell.workload);
 
   // Plan once with the "auto" partitioner; every tenant serves this plan.
   PlannerOptions opts;
-  opts.cache = at.cache;
+  opts.cache = cell.cache;
   opts.c_bound = spec_.c_bound;
   opts.partitioner = "auto";
   opts.exact_max_nodes = spec_.exact_max_nodes;
   opts.seed = spec_.seed;
   const Planner planner(graph, opts, partitioners_);
   const Plan plan = planner.plan();
-  cell.resolved_strategy = at.strategy == "auto"
+  cell.resolved_strategy = cell.strategy == "auto"
                                ? schedule::resolve_auto_policy(graph)
-                               : at.strategy;
+                               : cell.strategy;
   cell.components = plan.partition.num_components;
   cell.bandwidth = plan.partition_bandwidth.to_double();
-  cell.schedule_name = (at.is_online ? "online:" : "cluster:") + cell.resolved_strategy;
+  cell.schedule_name = (cell.is_online ? "online:" : "cluster:") + cell.resolved_strategy;
 
   // Each worker's private L1 gets the augmented geometry (same regime as
   // the batch cells), but tenants size their Theta(M) cross buffers for
   // the planned M; the optional shared LLC scales off the L1.
-  iomodel::CacheConfig l1 = at.cache;
-  l1.capacity_words = std::max<std::int64_t>(
-      at.cache.block_words,
-      static_cast<std::int64_t>(std::llround(spec_.sim_capacity_factor *
-                                             static_cast<double>(at.cache.capacity_words))));
-  validate_cache_geometry(l1);
+  const iomodel::CacheConfig l1 = augmented(cell.cache, spec_.sim_capacity_factor);
 
-  const workloads::ArrivalPattern pattern = arrivals_->build(at.arrival);
+  const workloads::ArrivalPattern pattern = arrivals_->build(cell.arrival);
   std::int64_t buffer_words = 0;  // per-tenant budget under the online rule
   const auto measure = [&]() {
     ClusterOptions cluster_opts;
     cluster_opts.l1 = l1;
-    if (at.is_online) {
+    if (cell.is_online) {
       // Online cells timeshare one cache: one worker, no LLC.
       cluster_opts.workers = 1;
       cluster_opts.tenant_policy = spec_.online.tenant_policy;
     } else {
-      cluster_opts.workers = at.workers;
+      cluster_opts.workers = cell.workers;
       cluster_opts.llc_words =
           spec_.cluster.llc_factor > 0 ? spec_.cluster.llc_factor * l1.capacity_words : 0;
       cluster_opts.llc_shards = spec_.cluster.llc_shards;
-      cluster_opts.placement = at.placement;
-      cluster_opts.cost_model = at.cost_model;
+      cluster_opts.placement = cell.placement;
+      cluster_opts.cost_model = cell.cost_model;
       cluster_opts.slo_p99 = spec_.cluster.slo_p99;
       cluster_opts.adaptive = spec_.cluster.adaptive;
       cluster_opts.admission = spec_.cluster.admission;
@@ -293,10 +259,10 @@ void Experiment::run_serving_cell(const Coordinate& at, CellResult& cell) const 
     }
     Cluster cluster(cluster_opts);
     StreamOptions stream_opts;
-    stream_opts.policy = at.strategy;
+    stream_opts.policy = cell.strategy;
     stream_opts.engine = spec_.engine;
 
-    if (at.is_cluster && spec_.cluster.churn_sessions > 0) {
+    if (cell.is_cluster && spec_.cluster.churn_sessions > 0) {
       // Churn mode: the lifecycle trace decides who opens, pushes, and
       // closes; sessions idle between their own bursts (swap-tier fodder).
       workloads::ChurnOptions churn;
@@ -311,7 +277,7 @@ void Experiment::run_serving_cell(const Coordinate& at, CellResult& cell) const 
           case workloads::SessionEvent::Kind::kOpen: {
             const TenantId id =
                 cluster.admit("sess-" + std::to_string(e.session), graph,
-                              plan.partition, stream_opts, at.cache.capacity_words);
+                              plan.partition, stream_opts, cell.cache.capacity_words);
             if (id == kNoTenant) {
               throw Error("churn admission rejected session " +
                           std::to_string(e.session) +
@@ -345,9 +311,9 @@ void Experiment::run_serving_cell(const Coordinate& at, CellResult& cell) const 
       return cluster.report();
     }
 
-    for (std::int32_t t = 0; t < at.tenants; ++t) {
+    for (std::int32_t t = 0; t < cell.tenants; ++t) {
       cluster.admit("tenant-" + std::to_string(t), graph, plan.partition, stream_opts,
-                    at.cache.capacity_words);
+                    cell.cache.capacity_words);
     }
     if (cluster.tenant_count() > 0) {
       buffer_words = 0;
@@ -358,7 +324,7 @@ void Experiment::run_serving_cell(const Coordinate& at, CellResult& cell) const 
     // Deterministic virtual time; the placement policy is consulted at
     // every tick boundary, so migration-happy policies actually migrate
     // (on one worker there is nowhere to go).
-    const std::int64_t ticks = at.is_online ? spec_.online.ticks : spec_.cluster.ticks;
+    const std::int64_t ticks = cell.is_online ? spec_.online.ticks : spec_.cluster.ticks;
     for (std::int64_t tick = 0; tick < ticks; ++tick) {
       const std::int64_t items = pattern(tick);
       for (TenantId t = 0; t < cluster.tenant_count(); ++t) cluster.push(t, items);
@@ -392,7 +358,7 @@ void Experiment::run_serving_cell(const Coordinate& at, CellResult& cell) const 
   cell.run = report.aggregate;
   cell.server_steps = report.steps;
   cell.buffer_words = buffer_words;
-  if (at.is_online) return;  // the cluster columns stay zero for online cells
+  if (cell.is_online) return;  // the cluster columns stay zero for online cells
   cell.cluster_makespan = report.makespan();
   cell.cluster_migrations = report.migrations;
   cell.cluster_auto_migrations = report.auto_migrations;
@@ -439,10 +405,9 @@ ExperimentResult Experiment::run(std::int32_t threads) const {
     }
   }
 
-  const std::vector<Coordinate> grid = enumerate();
   ExperimentResult result;
   result.threads = std::max<std::int32_t>(1, threads);
-  result.cells.resize(grid.size());
+  result.cells = enumerate();
 
   // wall_seconds is diagnostic throughput metadata, never simulated
   // output: every cell's counters are clock-independent (the sweep is
@@ -455,8 +420,8 @@ ExperimentResult Experiment::run(std::int32_t threads) const {
   const auto worker = [&]() {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= grid.size()) break;
-      result.cells[i] = run_cell(grid[i]);
+      if (i >= result.cells.size()) break;
+      run_cell(result.cells[i]);
     }
   };
   if (result.threads == 1) {

@@ -132,10 +132,10 @@ struct SweepSpec {
 
   std::int64_t target_outputs = 1024;  ///< Sink firings per measurement.
 
-  /// Measurements per cell (>= 1). Repetitions reuse the cell's engine via
-  /// Engine::rebind_cache against a fresh cache; all repetitions must agree
-  /// counter-for-counter or the cell is marked failed (a tripwire for
-  /// non-determinism in strategies or the runtime).
+  /// Measurements per cell (>= 1). Each repetition of a batch cell is one
+  /// core::simulate on a fresh cache (a serving cell rebuilds its Cluster);
+  /// all repetitions must agree counter-for-counter or the cell is marked
+  /// failed (a tripwire for non-determinism in strategies or the runtime).
   std::int32_t repetitions = 1;
 
   runtime::EngineOptions engine;       ///< Per-cell engine knobs.
@@ -230,13 +230,13 @@ class Experiment {
   ExperimentResult run(std::int32_t threads = 1) const;
 
  private:
-  struct Coordinate;  // defined in experiment.cc
-
-  std::vector<Coordinate> enumerate() const;
-  CellResult run_cell(const Coordinate& at) const;
+  /// The grid in cell order, each cell with only its coordinates filled.
+  std::vector<CellResult> enumerate() const;
+  /// Fills in the outcome of a cell enumerate() returned.
+  void run_cell(CellResult& cell) const;
   /// Online and cluster cells: both serve tenants on a core::Cluster (one
   /// worker and no LLC for online cells).
-  void run_serving_cell(const Coordinate& at, CellResult& cell) const;
+  void run_serving_cell(CellResult& cell) const;
 
   SweepSpec spec_;
   const workloads::Registry* workloads_;

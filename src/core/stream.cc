@@ -120,15 +120,15 @@ void Stream::migrate_cache(iomodel::CacheSim& cache) {
   cache_ = &cache;
 }
 
-StreamState Stream::save_state() const {
-  StreamState state;
+session::SessionSnapshot Stream::save_state() const {
+  session::SessionSnapshot state;
   state.engine = engine_->save_state();
   state.totals = totals_;
   state.steps = steps_;
   return state;
 }
 
-void Stream::restore_state(const StreamState& state) {
+void Stream::restore_state(const session::SessionSnapshot& state) {
   engine_->restore_state(state.engine);
   totals_ = state.totals;
   steps_ = state.steps;

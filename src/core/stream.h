@@ -41,6 +41,7 @@
 #include "runtime/run_result.h"
 #include "schedule/online.h"
 #include "sdf/graph.h"
+#include "session/swap.h"
 
 namespace ccs::core {
 
@@ -61,19 +62,6 @@ struct StreamOptions {
   /// (schedule::OnlineContext) when the caller already computed it; empty:
   /// the policy computes it if it needs it.
   std::vector<std::int64_t> feasible_buffers;
-};
-
-/// The complete mutable state of a Stream at a quiescent point: the
-/// engine's execution state plus the session-level accumulators. An
-/// OnlinePolicy keeps no cross-step state (it replans from the live
-/// EngineView on every call), so rebuilding the policy from
-/// (graph, partition, m) reproduces identical decisions and nothing of it
-/// needs saving — this struct plus the construction inputs IS the session.
-/// session::SwapImage packs it into a compact byte buffer.
-struct StreamState {
-  runtime::EngineState engine;
-  runtime::RunResult totals;  ///< stats() accumulator.
-  std::int64_t steps = 0;     ///< Progressing step() calls.
 };
 
 /// What one step() did.
@@ -182,14 +170,19 @@ class Stream {
   runtime::FootprintSample footprint_sample() const noexcept;
 
   /// Captures the session's complete mutable state at a quiescent point
-  /// (between steps). The swap tier destroys the Stream afterwards and
-  /// rebuilds it from the same (graph, partition, m, options) later.
-  StreamState save_state() const;
+  /// (between steps): the engine's execution state, the stats() totals and
+  /// the step count. An OnlinePolicy keeps no cross-step state (it replans
+  /// from the live EngineView on every call), so rebuilding the policy from
+  /// (graph, partition, m) reproduces identical decisions and nothing of it
+  /// needs saving -- the snapshot plus the construction inputs IS the
+  /// session. The swap tier packs it into a session::SwapImage, destroys
+  /// the Stream and rebuilds it from the same inputs later.
+  session::SessionSnapshot save_state() const;
 
   /// Restores a save_state() capture into a freshly constructed twin
   /// (same graph, partition, m, and options). No cache traffic; after it,
   /// pushes and steps behave bit-identically to a never-destroyed session.
-  void restore_state(const StreamState& state);
+  void restore_state(const session::SessionSnapshot& state);
 
   const schedule::OnlinePolicy& policy() const noexcept { return *policy_; }
   const sdf::SdfGraph& graph() const noexcept { return graph_; }

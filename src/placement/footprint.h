@@ -7,7 +7,7 @@
 // the partition. The estimator *seeds* each session's footprint with that
 // layout span, then corrects it online from two observed signals:
 //
-//   * per-session miss rates (Engine::snapshot() counters, attributed per
+//   * per-session miss rates (Engine::run() counters, attributed per
 //     tenant by core::Stream) -- a session whose window miss rate is at the
 //     thrash threshold is cycling its whole layout through the cache, so the
 //     live estimate snaps back up to the full span;

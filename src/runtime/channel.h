@@ -24,8 +24,6 @@ class Channel {
   std::int64_t capacity() const noexcept { return capacity_; }
   std::int64_t size() const noexcept { return size_; }
   std::int64_t space() const noexcept { return capacity_ - size_; }
-  bool empty() const noexcept { return size_ == 0; }
-  bool full() const noexcept { return size_ == capacity_; }
 
   /// Appends `count` tokens, writing their slots. Requires space() >= count
   /// (throws ScheduleError otherwise).
@@ -47,13 +45,6 @@ class Channel {
     head_ += count;
     if (head_ >= capacity_) head_ -= capacity_;
     size_ -= count;
-  }
-
-  /// Empties the queue without memory traffic (used between measurement
-  /// phases; the data is dead by construction).
-  void reset() noexcept {
-    head_ = 0;
-    size_ = 0;
   }
 
   /// Ring cursor of the oldest token, in [0, capacity). Together with

@@ -119,28 +119,6 @@ Engine::Engine(const sdf::SdfGraph& g, std::vector<std::int64_t> buffer_caps,
   }
 }
 
-bool Engine::can_fire(sdf::NodeId v) const {
-  CCS_EXPECTS(v >= 0 && v < graph_->node_count(), "node id out of range");
-  if (options_.credit_input && v == source_ && input_credit_ <= 0) return false;
-  bool underflow = false;
-  const auto live = [this](std::int32_t ch) {
-    return channels_[static_cast<std::size_t>(ch)].size();
-  };
-  return first_blocked_port(v, live, underflow) == nullptr;
-}
-
-bool Engine::try_fire(sdf::NodeId v) noexcept {
-  if (v < 0 || v >= graph_->node_count()) return false;
-  if (options_.credit_input && v == source_ && input_credit_ <= 0) return false;
-  bool underflow = false;
-  const auto live = [this](std::int32_t ch) {
-    return channels_[static_cast<std::size_t>(ch)].size();
-  };
-  if (first_blocked_port(v, live, underflow) != nullptr) return false;
-  fire_unchecked(v);
-  return true;
-}
-
 void Engine::push_input(std::int64_t count) {
   CCS_EXPECTS(options_.credit_input,
               "push_input requires EngineOptions::credit_input");
@@ -370,23 +348,6 @@ void Engine::fire_unchecked(sdf::NodeId v) {
   CCS_AUDIT_BLOCK(if ((++audit_tick_ & 63) == 0) audit_invariants(););
 }
 
-RunResult Engine::delta_counters() const {
-  RunResult result;
-  const iomodel::CacheStats& now = cache_->stats();
-  result.cache.accesses = now.accesses - last_stats_.accesses;
-  result.cache.hits = now.hits - last_stats_.hits;
-  result.cache.misses = now.misses - last_stats_.misses;
-  result.cache.writebacks = now.writebacks - last_stats_.writebacks;
-  result.firings = total_firings_ - last_firings_;
-  result.source_firings = source_firings_ - last_source_firings_;
-  result.sink_firings = sink_firings_ - last_sink_firings_;
-  result.state_misses = state_misses_ - last_state_misses_;
-  result.channel_misses = channel_misses_ - last_channel_misses_;
-  result.io_misses = io_misses_ - last_io_misses_;
-  if (options_.per_node_attribution) result.node_misses = node_miss_base_;
-  return result;
-}
-
 void Engine::advance_baselines() {
   last_stats_ = cache_->stats();
   last_firings_ = total_firings_;
@@ -406,7 +367,7 @@ void Engine::audit_invariants() const {
     CCS_CHECK(c.size() <= c.capacity(), "channel holds more tokens than its capacity");
   }
   // Credit plane: consuming credit below zero means a source firing slipped
-  // past the metering gate (can_fire/try_fire/run).
+  // past the metering gate (fire/run).
   CCS_CHECK(input_credit_ >= 0 || input_credit_ == kUnlimitedCredit,
             "external input credit went negative");
   // Firing-plan plane: every plan's port spans must be well-formed windows
@@ -442,8 +403,6 @@ void Engine::audit_invariants() const {
             "classified miss counter went negative");
 }
 
-RunResult Engine::snapshot() const { return delta_counters(); }
-
 FootprintSample Engine::footprint_sample() const noexcept {
   FootprintSample sample;
   sample.layout_words = layout_span().words;
@@ -455,7 +414,19 @@ FootprintSample Engine::footprint_sample() const noexcept {
 
 RunResult Engine::take() {
   CCS_AUDIT_BLOCK(audit_invariants(););
-  RunResult result = delta_counters();
+  RunResult result;
+  const iomodel::CacheStats& now = cache_->stats();
+  result.cache.accesses = now.accesses - last_stats_.accesses;
+  result.cache.hits = now.hits - last_stats_.hits;
+  result.cache.misses = now.misses - last_stats_.misses;
+  result.cache.writebacks = now.writebacks - last_stats_.writebacks;
+  result.firings = total_firings_ - last_firings_;
+  result.source_firings = source_firings_ - last_source_firings_;
+  result.sink_firings = sink_firings_ - last_sink_firings_;
+  result.state_misses = state_misses_ - last_state_misses_;
+  result.channel_misses = channel_misses_ - last_channel_misses_;
+  result.io_misses = io_misses_ - last_io_misses_;
+  if (options_.per_node_attribution) result.node_misses = node_miss_base_;
   advance_baselines();
   return result;
 }
@@ -483,40 +454,6 @@ RunResult Engine::run(const sdf::FiringProgram& program, std::int64_t repeats) {
     }
   }
   return take();
-}
-
-bool Engine::drained() const {
-  return std::all_of(channels_.begin(), channels_.end(),
-                     [](const Channel& c) { return c.empty(); });
-}
-
-void Engine::reset_tokens() {
-  for (Channel& c : channels_) c.reset();
-  fired_.assign(fired_.size(), 0);
-}
-
-void Engine::rebind_cache(iomodel::CacheSim& cache) {
-  CCS_EXPECTS(cache.config().block_words == cache_->config().block_words,
-              "rebind requires the same block size (the memory layout depends on it)");
-  cache_ = &cache;
-  reset_tokens();
-  input_credit_ = 0;
-  external_in_cursor_ = 0;
-  external_out_cursor_ = 0;
-  source_firings_ = 0;
-  sink_firings_ = 0;
-  total_firings_ = 0;
-  last_firings_ = 0;
-  last_source_firings_ = 0;
-  last_sink_firings_ = 0;
-  state_misses_ = 0;
-  channel_misses_ = 0;
-  io_misses_ = 0;
-  last_state_misses_ = 0;
-  last_channel_misses_ = 0;
-  last_io_misses_ = 0;
-  node_miss_base_.assign(node_miss_base_.size(), 0);
-  last_stats_ = cache.stats();
 }
 
 EngineState Engine::save_state() const {

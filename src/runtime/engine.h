@@ -13,20 +13,15 @@
 // these sequential streams cost ~1/B misses per word for *every* scheduler
 // and never interfere with partitioning decisions.
 //
-// Two driving modes:
-//  * Batch: run(program, repeats) fires a sdf::FiringProgram -- blocks of
-//    firings, each body run some number of times -- `repeats` times over,
-//    the classic schedule-then-measure workflow. It is the one entry point
-//    for every plan: a schedule's period, an online step or drain, a
-//    deserialized or hand-built sequence (a flat sequence is a one-block
-//    program). It proves the whole run feasible before the first firing
-//    and then fires in flat order.
-//  * Incremental: try_fire() is a noexcept feasibility-check-and-fire for
-//    online drivers that decide the next firing from live state;
-//    push_input() meters the external input so the source can only fire
-//    against tokens that have actually arrived (EngineOptions::
-//    credit_input), and snapshot()/take() poll the counters accumulated
-//    since the last take without needing a run() boundary.
+// One driving mode: run(program, repeats) fires a sdf::FiringProgram --
+// blocks of firings, each body run some number of times -- `repeats` times
+// over. It is the one entry point for every plan: a schedule's period, an
+// online step or drain, a deserialized or hand-built sequence (a flat
+// sequence is a one-block program). It proves the whole run feasible before
+// the first firing and then fires in flat order. Under EngineOptions::
+// credit_input, push_input() meters the external input so the source can
+// only fire against tokens that have actually arrived. fire() + take() is
+// the per-firing rule run() is tested against.
 //
 // The proof replays each block's body once against token counters only
 // (pure integer arithmetic, no memory traffic) and records, per edge it
@@ -155,20 +150,9 @@ class Engine {
   static constexpr std::int64_t kUnlimitedCredit =
       std::numeric_limits<std::int64_t>::max();
 
-  /// True iff every input has enough tokens, every output enough space, and
-  /// (under credit_input) the source has arrival credit left.
-  bool can_fire(sdf::NodeId v) const;
-
   /// Executes one firing. Throws ScheduleError (before any memory traffic
   /// or token movement) if v cannot fire.
   void fire(sdf::NodeId v);
-
-  /// Feasibility check plus firing in one noexcept call -- the online hot
-  /// path. Returns false (touching nothing: no tokens, no memory traffic,
-  /// no counters) when v cannot fire right now, including an out-of-range
-  /// id, a blocked channel, or an exhausted input credit; true after the
-  /// firing executed. fire() keeps its throwing contract for batch callers.
-  bool try_fire(sdf::NodeId v) noexcept;
 
   /// Grants `count` further source firings' worth of external input
   /// (requires EngineOptions::credit_input). Saturates at kUnlimitedCredit.
@@ -189,10 +173,6 @@ class Engine {
   /// credit -- with no tokens moved and no memory traffic. `repeats == 0`
   /// or an empty program fires nothing and returns take().
   RunResult run(const sdf::FiringProgram& program, std::int64_t repeats = 1);
-
-  /// Counters accumulated since the last take()/run() boundary, without
-  /// resetting the baseline: polling twice returns the same deltas.
-  RunResult snapshot() const;
 
   /// Counters accumulated since the last take()/run() boundary, then
   /// re-anchors the baseline so the next take reports only new work. run()
@@ -221,31 +201,14 @@ class Engine {
     return fired_[static_cast<std::size_t>(v)];
   }
 
-  /// True iff every channel is empty.
-  bool drained() const;
-
-  /// Empties all channels without memory traffic and resets firing counters
-  /// (cache contents and statistics are left untouched).
-  void reset_tokens();
-
-  /// Rebinds the engine to a different cache of the same block size and
-  /// restores the as-constructed execution state: channels empty, firing and
-  /// classified-miss counters zeroed, external IO cursors rewound, and the
-  /// delta baselines re-anchored to the new cache's current statistics. A
-  /// sweep worker can therefore reuse one constructed engine (layout and
-  /// firing plans are preserved) across repeated measurements, each against
-  /// a cold cache, and observe counters identical to a freshly constructed
-  /// engine. `cache` must outlive the engine.
-  void rebind_cache(iomodel::CacheSim& cache);
-
   /// Live migration: rebinds the engine to a different cache of the same
   /// block size WITHOUT touching execution state. Tokens, firing counters,
   /// classified-miss totals, input credit, and external cursors all
   /// survive; only the cache-statistics delta baseline is re-anchored on
   /// the new cache. The new cache does not hold this engine's working set,
   /// so the next firings pay real reload misses -- the multicore migration
-  /// cost core::Cluster models (contrast rebind_cache, which restarts the
-  /// run for sweep reuse). Call between run/take windows, never mid-run.
+  /// cost core::Cluster models. Call between run/take windows, never
+  /// mid-run.
   void migrate_cache(iomodel::CacheSim& cache);
 
   /// Captures the complete mutable execution state. Must be called at a
@@ -265,7 +228,6 @@ class Engine {
 
   const sdf::SdfGraph& graph() const noexcept { return *graph_; }
   iomodel::CacheSim& cache() noexcept { return *cache_; }
-  std::int64_t state_footprint() const noexcept { return state_words_; }
 
   /// Footprint snapshot for adaptive placement: the layout geometry plus the
   /// cache's lifetime counters. On a *dedicated* cache the counters are this
@@ -313,8 +275,8 @@ class Engine {
   /// Shared feasibility scan: returns the first port of v that cannot fire
   /// given per-channel token counts `size_of(channel)`, or nullptr if all
   /// can; sets `underflow` to distinguish the failure direction. The single
-  /// home of the firing-feasibility rule -- can_fire, fire, and run's
-  /// rejection replay all go through it.
+  /// home of the firing-feasibility rule -- fire and run's rejection
+  /// replay both go through it.
   template <typename SizeOf>
   const Port* first_blocked_port(sdf::NodeId v, SizeOf&& size_of, bool& underflow) const {
     const FiringPlan& plan = plans_[static_cast<std::size_t>(v)];
@@ -383,9 +345,6 @@ class Engine {
 
   /// Executes one pre-validated firing.
   void fire_unchecked(sdf::NodeId v);
-
-  /// Assembles the delta-since-baseline counters (shared by snapshot/take).
-  RunResult delta_counters() const;
 
   /// Re-anchors every last_* baseline at the current lifetime counters.
   void advance_baselines();

@@ -40,8 +40,6 @@ void TokenSim::reset(std::span<const std::int64_t> caps) {
   fired_.assign(static_cast<std::size_t>(g.node_count()), 0);
 }
 
-bool TokenSim::can_fire(NodeId v) const { return max_batch(v, 1) >= 1; }
-
 void TokenSim::fire(NodeId v, std::int64_t count) {
   CCS_EXPECTS(count >= 0, "negative firing count");
   if (max_batch(v, count) < count) {

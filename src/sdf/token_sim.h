@@ -39,9 +39,6 @@ class TokenSim {
   /// nothing.
   void reset(std::span<const std::int64_t> caps);
 
-  /// True iff inputs suffice and outputs have space.
-  bool can_fire(NodeId v) const;
-
   /// Largest k such that v can fire k times back to back right now
   /// (bounded by `limit`).
   std::int64_t max_batch(NodeId v, std::int64_t limit) const;

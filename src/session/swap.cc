@@ -261,7 +261,6 @@ void SwapManager::swap_out(SessionKey key, SwapImage image) {
   stored_bytes_ += image.size_bytes();
   if (stored_bytes_ > peak_stored_bytes_) peak_stored_bytes_ = stored_bytes_;
   images_.emplace(key, std::move(image));
-  ++swap_outs_;
 }
 
 SwapImage SwapManager::swap_in(SessionKey key) {
@@ -274,7 +273,6 @@ SwapImage SwapManager::swap_in(SessionKey key) {
   images_.erase(im);
   lru_.push_back(key);
   position_.emplace(key, std::prev(lru_.end()));
-  ++swap_ins_;
   return image;
 }
 

@@ -32,8 +32,9 @@
 namespace ccs::session {
 
 /// The complete mutable state of one streaming session at a quiescent
-/// point (mirrors core::StreamState; defined here so the codec does not
-/// depend on the core layer above it).
+/// point: what core::Stream::save_state() captures and restore_state()
+/// takes back. Defined here, below the core layer, so the codec does not
+/// depend on core.
 struct SessionSnapshot {
   runtime::EngineState engine;
   runtime::RunResult totals;  ///< Session-lifetime accumulated counters.
@@ -142,17 +143,12 @@ class SwapManager {
   std::int64_t stored_bytes() const noexcept { return stored_bytes_; }
   std::int64_t peak_stored_bytes() const noexcept { return peak_stored_bytes_; }
 
-  std::int64_t swap_outs() const noexcept { return swap_outs_; }
-  std::int64_t swap_ins() const noexcept { return swap_ins_; }
-
  private:
   std::list<SessionKey> lru_;  ///< Front = least recently active.
   std::unordered_map<SessionKey, std::list<SessionKey>::iterator> position_;
   std::unordered_map<SessionKey, SwapImage> images_;
   std::int64_t stored_bytes_ = 0;
   std::int64_t peak_stored_bytes_ = 0;
-  std::int64_t swap_outs_ = 0;
-  std::int64_t swap_ins_ = 0;
 };
 
 }  // namespace ccs::session

@@ -94,19 +94,22 @@ TEST(Experiment, ParallelSweepIsCounterIdenticalToSerial) {
   expect_cells_identical(serial, wide);
 }
 
-TEST(Experiment, RepetitionsReuseTheEngineAndAgree) {
-  // repetitions > 1 re-measures each cell through Engine::rebind_cache on a
-  // fresh cache; any divergence fails the cell, so a clean run doubles as a
-  // regression test for the reset hook.
+TEST(Experiment, RepetitionsAgreeWithASingleMeasurement) {
+  // repetitions > 1 re-measures each cell with a fresh simulate(); any
+  // divergence fails the cell, and the cells a clean run reports are the
+  // ones a single measurement reports.
   SweepSpec spec;
   spec.workloads = {"uniform-pipeline"};
   spec.caches = {{512, 8}};
   spec.partitioners = {"auto"};
+  spec.baselines = {"naive"};
   spec.target_outputs = 128;
+  const auto once = Experiment(spec).run(1);
   spec.repetitions = 3;
-  const auto result = Experiment(spec).run(1);
-  ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(result.cells[0].ok) << result.cells[0].error;
+  const auto repeated = Experiment(spec).run(1);
+  ASSERT_EQ(repeated.cells.size(), 2u);
+  for (const CellResult& cell : repeated.cells) EXPECT_TRUE(cell.ok) << cell.error;
+  expect_cells_identical(once, repeated);
 }
 
 TEST(Experiment, BadCellsAreRecordedNotThrown) {

@@ -29,14 +29,16 @@ TEST(Engine, FiringMovesTokens) {
   const auto g = two_stage();
   LruCache cache(CacheConfig{1024, 8});
   Engine engine(g, {4}, cache);
-  EXPECT_TRUE(engine.can_fire(0));
-  EXPECT_FALSE(engine.can_fire(1));  // no input tokens yet
+  EXPECT_EQ(engine.tokens(0), 0);
+  EXPECT_EQ(engine.space(0), 4);
   engine.fire(0);
   EXPECT_EQ(engine.tokens(0), 2);
-  EXPECT_TRUE(engine.can_fire(1));
+  EXPECT_EQ(engine.space(0), 2);
   engine.fire(1);
   EXPECT_EQ(engine.tokens(0), 0);
-  EXPECT_TRUE(engine.drained());
+  EXPECT_EQ(engine.space(0), 4);
+  EXPECT_EQ(engine.fired(0), 1);
+  EXPECT_EQ(engine.fired(1), 1);
 }
 
 TEST(Engine, UnderflowThrowsWithoutSideEffects) {
@@ -243,63 +245,102 @@ TEST(Engine, UndersizedBufferRejectedAtConstruction) {
   EXPECT_THROW(Engine(g, {1}, cache), ScheduleError);
 }
 
-TEST(Engine, ResetTokensDrainsWithoutTraffic) {
+TEST(Engine, MigrateCacheKeepsStateAndReloadsTheWorkingSet) {
   const auto g = two_stage();
-  LruCache cache(CacheConfig{1024, 8});
-  Engine engine(g, {4}, cache);
+  LruCache first(CacheConfig{1024, 8});
+  LruCache second(CacheConfig{1024, 8});
+  Engine engine(g, {4}, first);
   engine.fire(0);
-  const auto accesses = cache.stats().accesses;
-  engine.reset_tokens();
-  EXPECT_TRUE(engine.drained());
-  EXPECT_EQ(engine.fired(0), 0);
-  EXPECT_EQ(cache.stats().accesses, accesses);
+  engine.take();
+  engine.migrate_cache(second);
+  EXPECT_EQ(engine.tokens(0), 2);  // tokens and firing counts survive
+  EXPECT_EQ(engine.fired(0), 1);
+  engine.fire(1);
+  const RunResult r = engine.take();
+  EXPECT_EQ(r.firings, 1);
+  EXPECT_EQ(r.cache.accesses, second.stats().accesses);  // counted on the new cache
+  EXPECT_GT(r.cache.misses, 0);  // the new cache holds none of the working set
+
+  LruCache other_block(CacheConfig{1024, 16});
+  EXPECT_THROW(engine.migrate_cache(other_block), ContractViolation);
 }
 
-TEST(Engine, StateFootprintReported) {
-  const auto g = ccs::workloads::uniform_pipeline(5, 100);
-  LruCache cache(CacheConfig{1024, 8});
-  Engine engine(g, sdf::feasible_buffers(g), cache);
-  EXPECT_EQ(engine.state_footprint(), 500);
-}
-
-TEST(Engine, RebindCacheReproducesAFreshEngineExactly) {
-  // The pool-reuse hook: after rebind_cache to a cold cache, a reused
-  // engine must be indistinguishable counter-for-counter from a newly
-  // constructed one. The pipeline's state (500 words) overflows the
-  // 256-word cache so the sequence has nontrivial miss structure.
-  const auto g = ccs::workloads::uniform_pipeline(5, 100);
-  const auto caps = sdf::feasible_buffers(g);
-  std::vector<NodeId> seq;
-  for (int round = 0; round < 4; ++round) {
-    for (NodeId v = 0; v < g.node_count(); ++v) seq.push_back(v);
-  }
-
-  LruCache first_cache(CacheConfig{256, 8});
-  Engine engine(g, caps, first_cache);
-  const RunResult fresh = engine.run(FiringProgram(seq));
-  EXPECT_GT(fresh.cache.misses, 0);
-
-  LruCache second_cache(CacheConfig{256, 8});
-  engine.rebind_cache(second_cache);
-  EXPECT_TRUE(engine.drained());
-  EXPECT_EQ(engine.fired(0), 0);
-  const RunResult reused = engine.run(FiringProgram(seq));
-
-  // Named fields first for readable failures, then the exhaustive
-  // defaulted operator== (covers counters added later too).
-  EXPECT_EQ(reused.cache.misses, fresh.cache.misses);
-  EXPECT_EQ(reused.cache.writebacks, fresh.cache.writebacks);
-  EXPECT_EQ(reused.state_misses, fresh.state_misses);
-  EXPECT_EQ(reused.node_misses, fresh.node_misses);
-  EXPECT_TRUE(reused == fresh);
-}
-
-TEST(Engine, RebindCacheRequiresMatchingBlockSize) {
+TEST(InputCredit, SourceBlocksAtZeroCreditAndResumesOnPush) {
   const auto g = two_stage();
   LruCache cache(CacheConfig{1024, 8});
-  Engine engine(g, {4}, cache);
-  LruCache other_block(CacheConfig{1024, 16});
-  EXPECT_THROW(engine.rebind_cache(other_block), ContractViolation);
+  EngineOptions opts;
+  opts.credit_input = true;
+  Engine engine(g, {4}, cache, opts);
+
+  EXPECT_EQ(engine.input_credit(), 0);
+  const auto accesses_before = cache.stats().accesses;
+  EXPECT_THROW(engine.fire(0), ScheduleError);
+  EXPECT_EQ(engine.fired(0), 0);
+  EXPECT_EQ(cache.stats().accesses, accesses_before);  // no memory traffic
+
+  engine.push_input(2);
+  EXPECT_EQ(engine.input_credit(), 2);
+  engine.fire(0);
+  EXPECT_EQ(engine.input_credit(), 1);  // one credit per source firing
+  engine.fire(1);                       // non-source modules need no credit
+  engine.fire(0);
+  EXPECT_EQ(engine.input_credit(), 0);
+  engine.fire(1);
+  EXPECT_THROW(engine.fire(0), ScheduleError);  // credit exhausted again
+  EXPECT_EQ(engine.fired(0), 2);
+}
+
+TEST(InputCredit, RunValidatesCreditUpFrontWithoutTokenMovement) {
+  const auto g = two_stage();
+  LruCache cache(CacheConfig{1024, 8});
+  EngineOptions opts;
+  opts.credit_input = true;
+  Engine engine(g, {4}, cache, opts);
+  engine.push_input(1);
+  const std::vector<NodeId> two_sources{0, 1, 0, 1};  // needs credit 2
+  EXPECT_THROW(engine.run(FiringProgram(two_sources)), ScheduleError);
+  EXPECT_EQ(engine.fired(0), 0);  // validation failed before any firing
+  EXPECT_EQ(engine.tokens(0), 0);
+  const std::vector<NodeId> affordable{0, 1};
+  EXPECT_EQ(engine.run(FiringProgram(affordable)).firings, 2);
+}
+
+TEST(InputCredit, UnmeteredEngineIgnoresCreditAndRejectsPush) {
+  const auto g = two_stage();
+  LruCache cache(CacheConfig{1024, 8});
+  Engine engine(g, {4}, cache);  // credit_input off
+  EXPECT_EQ(engine.input_credit(), Engine::kUnlimitedCredit);
+  engine.fire(0);
+  EXPECT_EQ(engine.input_credit(), Engine::kUnlimitedCredit);
+  EXPECT_THROW(engine.push_input(4), ContractViolation);
+}
+
+TEST(InputCredit, PushSaturatesInsteadOfOverflowing) {
+  const auto g = two_stage();
+  LruCache cache(CacheConfig{1024, 8});
+  EngineOptions opts;
+  opts.credit_input = true;
+  Engine engine(g, {4}, cache, opts);
+  engine.push_input(Engine::kUnlimitedCredit);
+  engine.push_input(Engine::kUnlimitedCredit);  // would overflow if added
+  EXPECT_EQ(engine.input_credit(), Engine::kUnlimitedCredit);
+  // Unlimited credit is sticky: source firings no longer consume it.
+  engine.fire(0);
+  EXPECT_EQ(engine.input_credit(), Engine::kUnlimitedCredit);
+  EXPECT_THROW(engine.push_input(-1), ContractViolation);
+}
+
+TEST(SnapshotTake, RunEqualsFireAllPlusTake) {
+  const auto g = ccs::workloads::uniform_pipeline(6, 64);
+  const std::vector<std::int64_t> caps(static_cast<std::size_t>(g.edge_count()), 2);
+  const std::vector<NodeId> period{0, 1, 2, 3, 4, 5};
+  LruCache c1(CacheConfig{512, 8});
+  LruCache c2(CacheConfig{512, 8});
+  Engine via_run(g, caps, c1);
+  Engine via_steps(g, caps, c2);
+  const RunResult from_run = via_run.run(FiringProgram(period));
+  for (const NodeId v : period) via_steps.fire(v);
+  EXPECT_EQ(from_run, via_steps.take());
 }
 
 }  // namespace

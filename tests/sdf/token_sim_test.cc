@@ -21,11 +21,11 @@ TEST(TokenSim, FireMovesTokens) {
   const auto g = two_rate();
   const std::int64_t caps[] = {6};
   TokenSim sim(g, caps);
-  EXPECT_TRUE(sim.can_fire(0));
-  EXPECT_FALSE(sim.can_fire(1));
+  EXPECT_EQ(sim.max_batch(0, 1), 1);
+  EXPECT_EQ(sim.max_batch(1, 1), 0);
   sim.fire(0);
   EXPECT_EQ(sim.tokens(0), 3);
-  EXPECT_TRUE(sim.can_fire(1));
+  EXPECT_EQ(sim.max_batch(1, 1), 1);
   sim.fire(1);
   EXPECT_EQ(sim.tokens(0), 1);
 }

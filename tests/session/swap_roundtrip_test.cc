@@ -57,21 +57,13 @@ Outcome drive(const Scenario& s, std::int64_t rounds, std::int64_t items,
       if (!stream->step().progressed()) break;
     }
     if (roundtrip) {
-      const StreamState state = stream->save_state();
-      session::SessionSnapshot snapshot;
-      snapshot.engine = state.engine;
-      snapshot.totals = state.totals;
-      snapshot.steps = state.steps;
+      const session::SessionSnapshot snapshot = stream->save_state();
       const session::SessionSnapshot back =
           session::SwapImage::pack(snapshot).unpack();
       EXPECT_EQ(snapshot, back);  // the codec itself is lossless
       stream.reset();             // the engine, channels, and policy die here
       stream = std::make_unique<Stream>(s.graph, s.partition, cache, s.m);
-      StreamState restored;
-      restored.engine = back.engine;
-      restored.totals = back.totals;
-      restored.steps = back.steps;
-      stream->restore_state(restored);
+      stream->restore_state(back);
     }
   }
   stream->drain();
