@@ -11,7 +11,6 @@
 
 #include "runtime/engine.h"
 #include "schedule/online.h"
-#include "sdf/min_buffer.h"
 #include "util/contract.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -355,24 +354,14 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   }
   const std::int64_t effective_m = m > 0 ? m : options_.l1.capacity_words;
 
-  // The pipeline rule sizes internal buffers with the graph's feasible
-  // buffers: compute them once for the pricing policy below, the Stream's
-  // and every rehydration's (they travel in the options). No other rule
-  // reads them, and that one applies only to pipelines.
-  if (options.feasible_buffers.empty() && g.is_pipeline()) {
-    options.feasible_buffers = sdf::feasible_buffers(g);
-  }
-  // Price the candidate before building anything: the admission decision
-  // needs its layout footprint, which is a pure function of the graph and
-  // the online policy's buffer capacities.
-  schedule::OnlineContext ctx;
-  ctx.m = effective_m;
-  ctx.feasible_buffers = options.feasible_buffers;
-  const auto pricing_policy =
-      schedule::OnlineRegistry::global().build(options.policy, g, p, ctx);
+  // Bind the session's one policy before anything executes: the admission
+  // decision needs the layout footprint, a pure function of the graph and
+  // the policy's buffer capacities. The engine comes after the decision,
+  // the band and the placement.
+  const bool block_align = options.engine.block_align_buffers;
+  auto stream = std::make_unique<Stream>(g, p, effective_m, std::move(options));
   const std::int64_t layout_words = runtime::layout_footprint_words(
-      g, pricing_policy->buffer_caps(), options_.l1.block_words,
-      options.engine.block_align_buffers);
+      g, stream->policy().buffer_caps(), options_.l1.block_words, block_align);
   if (layout_words > options_.band_words) {
     throw Error("session layout (" + std::to_string(layout_words) +
                 " words) exceeds band_words (" + std::to_string(options_.band_words) +
@@ -419,7 +408,6 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
     }
     band = next_band_++;
   }
-  options.engine.address_base = band * options_.band_words;
 
   const TenantId id = next_id_;
   PlacementRequest request;
@@ -429,18 +417,14 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   request.resident_blocks.assign(static_cast<std::size_t>(pool_.size()), 0);
   const WorkerId home = checked_placement(request);
 
+  stream->attach_engine(session_cache(home), band * options_.band_words);
+  stream->set_cost_model(&cost_model_);
   Tenant t;
   t.name = std::move(name);
+  t.stream = std::move(stream);
   t.worker = home;
   t.band = band;
   t.layout_words = layout_words;
-  t.graph = g;
-  t.partition = p;
-  t.stream_options = options;
-  t.m = effective_m;
-  t.stream = std::make_unique<Stream>(g, p, session_cache(home), effective_m,
-                                      std::move(options));
-  t.stream->set_cost_model(&cost_model_);
   const auto [it, inserted] = tenants_.emplace(id, std::move(t));
   CCS_CHECK(inserted, "tenant id reused");
   ++next_id_;
@@ -506,19 +490,16 @@ session::AdmissionLoad Cluster::current_load() const {
 }
 
 void Cluster::swap_out_tenant(TenantId id, Tenant& t) {
-  CCS_EXPECTS(t.stream != nullptr, "tenant is already swapped out");
+  CCS_EXPECTS(!t.swapped(), "tenant is already swapped out");
   const session::SessionSnapshot snapshot = t.stream->save_state();
-  t.totals = snapshot.totals;
-  t.steps = snapshot.steps;
-  t.outputs = t.stream->outputs_produced();
   session::SwapImage image = session::SwapImage::pack(snapshot);
-  // The packed image is the session's only copy once the host objects are
-  // freed; audit builds prove the codec round-trips this very snapshot
-  // before the originals are destroyed.
+  // The packed image is the only copy of the engine state once the engine
+  // is freed; audit builds prove the codec round-trips this very snapshot
+  // before the original is destroyed.
   CCS_AUDIT(image.unpack() == snapshot,
             "swap image does not round-trip the session snapshot");
   swap_.swap_out(id, std::move(image));
-  t.stream.reset();
+  t.stream->release_engine();
   t.idle = true;  // swapped sessions are idle by construction
   lifecycle_.on_nonresident(t.layout_words);
   ++lifecycle_.swapped_sessions;
@@ -526,14 +507,11 @@ void Cluster::swap_out_tenant(TenantId id, Tenant& t) {
 }
 
 void Cluster::rehydrate(TenantId id, Tenant& t) {
-  CCS_EXPECTS(t.stream == nullptr, "tenant is not swapped out");
+  CCS_EXPECTS(t.swapped(), "tenant is not swapped out");
   const session::SessionSnapshot snapshot = swap_.swap_in(id).unpack();
   // Back onto the worker that last served it -- placement is pinned across
   // a swap, so swap-on and swap-off runs make identical decisions.
-  StreamOptions options = t.stream_options;
-  t.stream = std::make_unique<Stream>(t.graph, t.partition, session_cache(t.worker),
-                                      t.m, std::move(options));
-  t.stream->set_cost_model(&cost_model_);
+  t.stream->attach_engine(session_cache(t.worker), t.band * options_.band_words);
   t.stream->restore_state(snapshot);
   lifecycle_.on_resident(t.layout_words);
   --lifecycle_.swapped_sessions;
@@ -542,13 +520,13 @@ void Cluster::rehydrate(TenantId id, Tenant& t) {
 
 Stream& Cluster::stream(TenantId id) {
   Tenant& t = tenant(id);
-  if (t.stream == nullptr) rehydrate(id, t);
+  if (t.swapped()) rehydrate(id, t);
   return *t.stream;
 }
 
 const Stream& Cluster::stream(TenantId id) const {
   const Tenant& t = tenant(id);
-  if (t.stream == nullptr) {
+  if (t.swapped()) {
     throw Error("tenant " + std::to_string(id) +
                 " is swapped out; use the non-const accessor to rehydrate");
   }
@@ -561,16 +539,16 @@ WorkerId Cluster::worker_of(TenantId id) const { return tenant(id).worker; }
 
 session::SessionState Cluster::state_of(TenantId id) const {
   const Tenant& t = tenant(id);
-  if (t.stream == nullptr) return session::SessionState::kSwapped;
+  if (t.swapped()) return session::SessionState::kSwapped;
   return t.idle ? session::SessionState::kIdle : session::SessionState::kLive;
 }
 
-bool Cluster::swapped(TenantId id) const { return tenant(id).stream == nullptr; }
+bool Cluster::swapped(TenantId id) const { return tenant(id).swapped(); }
 
 void Cluster::swap_out(TenantId id) {
   CCS_EXPECTS(options_.swap, "swap_out requires ClusterOptions::swap");
   Tenant& t = tenant(id);
-  if (t.stream == nullptr) {
+  if (t.swapped()) {
     throw Error("tenant " + std::to_string(id) + " is already swapped out");
   }
   if (!t.idle) {
@@ -584,7 +562,7 @@ std::int64_t Cluster::swap_out_idle() {
   CCS_EXPECTS(options_.swap, "swap_out_idle requires ClusterOptions::swap");
   std::int64_t evicted = 0;
   for (auto& [id, t] : tenants_) {
-    if (t.stream != nullptr && t.idle) {
+    if (!t.swapped() && t.idle) {
       swap_out_tenant(id, t);
       ++evicted;
     }
@@ -596,13 +574,12 @@ void Cluster::close(TenantId id) {
   const auto it = tenants_.find(id);
   if (it == tenants_.end()) throw_unknown_tenant(id);
   Tenant& t = it->second;
-  if (t.stream != nullptr) {
-    retired_ += t.stream->stats();
-    lifecycle_.on_nonresident(t.layout_words);
-  } else {
-    retired_ += t.totals;
+  retired_ += t.stream->stats();
+  if (t.swapped()) {
     --lifecycle_.swapped_sessions;
     ++lifecycle_.closed_swapped;
+  } else {
+    lifecycle_.on_nonresident(t.layout_words);
   }
   Worker& home = workers_[static_cast<std::size_t>(t.worker)];
   home.tenants.erase(std::find(home.tenants.begin(), home.tenants.end(), id));
@@ -616,7 +593,7 @@ void Cluster::close(TenantId id) {
 
 std::int64_t Cluster::push(TenantId id, std::int64_t items) {
   Tenant& t = tenant(id);
-  if (t.stream == nullptr) rehydrate(id, t);
+  if (t.swapped()) rehydrate(id, t);
   const std::int64_t accepted = t.stream->push(items);
   if (accepted > 0) {
     t.idle = false;  // new arrivals may unblock the session
@@ -728,8 +705,7 @@ std::vector<ClusterWorkerStatus> Cluster::worker_statuses() const {
     s.l1_words = options_.l1.capacity_words;
     if (adaptive_active()) {
       for (const TenantId id : worker.tenants) {
-        if (estimator_.tracks(id) && estimator_.hot(id) &&
-            tenants_.at(id).stream != nullptr) {
+        if (estimator_.tracks(id) && estimator_.hot(id) && !tenants_.at(id).swapped()) {
           s.hot_words += estimator_.footprint_words(id);
         }
       }
@@ -772,7 +748,7 @@ std::int64_t Cluster::rebalance() {
   // rehydration.
   std::vector<TenantId> resident;
   for (const auto& [id, t] : tenants_) {
-    if (t.stream != nullptr) resident.push_back(id);
+    if (!t.swapped()) resident.push_back(id);
   }
   for (const TenantId id : resident) {
     const WorkerId target = checked_placement(request_for(id));
@@ -796,7 +772,7 @@ std::int64_t Cluster::adapt() {
 
 void Cluster::observe_footprints() {
   for (const auto& [id, t] : tenants_) {
-    if (t.stream == nullptr) continue;  // swapped: no live traffic to window
+    if (t.swapped()) continue;  // no live traffic to window
     const runtime::FootprintSample sample = t.stream->footprint_sample();
     placement::FootprintObservation o;
     o.accesses = sample.accesses;
@@ -814,7 +790,7 @@ bool Cluster::migration_trigger_fired() {
   const std::int64_t allowance = options_.l1.capacity_words * a.oversub_permille / 1000;
   std::vector<std::int64_t> hot_words(workers_.size(), 0);
   for (const auto& [id, t] : tenants_) {
-    if (t.stream != nullptr && estimator_.hot(id)) {
+    if (!t.swapped() && estimator_.hot(id)) {
       hot_words[static_cast<std::size_t>(t.worker)] += estimator_.footprint_words(id);
     }
   }
@@ -845,7 +821,7 @@ void Cluster::migrate(TenantId id, WorkerId target) {
   if (it == tenants_.end()) throw_unknown_tenant(id);
   CCS_EXPECTS(target >= 0 && target < worker_count(), "worker id out of range");
   Tenant& t = it->second;
-  if (t.stream == nullptr) rehydrate(id, t);  // a move touches live state
+  if (t.swapped()) rehydrate(id, t);  // a move touches live state
   if (t.worker == target) {
     // Counted no-op: nothing reloads, nothing moves, but drivers retrying
     // placement decisions can see how often they asked for one.
@@ -865,7 +841,7 @@ void Cluster::migrate(TenantId id, WorkerId target) {
 
 void Cluster::drain_all() {
   for (auto& [id, t] : tenants_) {
-    if (t.stream == nullptr) rehydrate(id, t);
+    if (t.swapped()) rehydrate(id, t);
     const runtime::RunResult r = t.stream->drain();
     // Drain work executes on the tenant's worker cache; account its cost
     // there so makespan covers the tail work too (it is priced but not a
@@ -895,17 +871,10 @@ ClusterReport Cluster::report() const {
     ClusterTenantReport row;
     row.id = id;
     row.name = t.name;
-    if (t.stream != nullptr) {
-      row.state = t.idle ? session::SessionState::kIdle : session::SessionState::kLive;
-      row.totals = t.stream->stats();
-      row.steps = t.stream->steps();
-      row.outputs = t.stream->outputs_produced();
-    } else {
-      row.state = session::SessionState::kSwapped;
-      row.totals = t.totals;
-      row.steps = t.steps;
-      row.outputs = t.outputs;
-    }
+    row.state = state_of(id);
+    row.totals = t.stream->stats();
+    row.steps = t.stream->steps();
+    row.outputs = t.stream->outputs_produced();
     row.worker = t.worker;
     row.migrations = t.migrations;
     report.aggregate += row.totals;
@@ -932,23 +901,18 @@ namespace {
 /// (a batch's cross inputs leave at its claim, its cross outputs land at its
 /// completion) and the components still mid-batch.
 struct CommittedView final : schedule::EngineView {
-  CommittedView(const runtime::Engine& engine, const std::vector<std::int64_t>& caps,
-                std::int64_t components)
-      : engine(&engine), caps(&caps), committed(caps.size(), 0),
+  CommittedView(const runtime::Engine& engine, std::int64_t edges, std::int64_t components)
+      : engine(&engine), committed(static_cast<std::size_t>(edges), 0),
         running(static_cast<std::size_t>(components), false) {}
 
   std::int64_t tokens(sdf::EdgeId e) const override {
     return committed[static_cast<std::size_t>(e)];
-  }
-  std::int64_t capacity(sdf::EdgeId e) const override {
-    return (*caps)[static_cast<std::size_t>(e)];
   }
   std::int64_t fired(sdf::NodeId v) const override { return engine->fired(v); }
   std::int64_t input_credit() const override { return schedule::kUnlimitedCredit; }
   bool in_flight(std::int64_t c) const override { return running[static_cast<std::size_t>(c)]; }
 
   const runtime::Engine* engine;
-  const std::vector<std::int64_t>* caps;
   std::vector<std::int64_t> committed;  ///< Per edge.
   std::vector<bool> running;            ///< Per component.
 };
@@ -973,7 +937,7 @@ schedule::ParallelResult simulate_parallel_on_pool(const sdf::SdfGraph& g,
   options.model_external_io = false;
   options.per_node_attribution = false;
   runtime::Engine engine(g, policy->buffer_caps(), pool.worker_cache(0), options);
-  CommittedView view(engine, policy->buffer_caps(), policy->num_components());
+  CommittedView view(engine, g.edge_count(), policy->num_components());
   // Adds `delta` to every cross edge leaving (outputs) or entering c.
   const auto move_cross = [&](std::int64_t c, bool outputs, std::int64_t delta) {
     for (sdf::EdgeId e = 0; e < g.edge_count(); ++e) {

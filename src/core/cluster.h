@@ -66,7 +66,13 @@
 // enabled idle sessions serialize to compact session::SwapImages and
 // rehydrate transparently on the next push -- always back onto the worker
 // that last served them, so placement decisions, per-tenant counters, and
-// report JSON are bit-identical between swap-on and swap-off runs.
+// report JSON are bit-identical between swap-on and swap-off runs. A tenant
+// keeps its one Stream from admit() to close(): swap-out packs the session
+// snapshot and releases only the Stream's engine; rehydration attaches a
+// fresh engine on the pinned worker's cache and restores the snapshot. The
+// tenant's graph copy, online policy, counters and cost model stay in host
+// memory throughout, so admission builds each policy once and a swap
+// builds none.
 //
 //   core::ClusterOptions copts;
 //   copts.workers = 4;
@@ -339,9 +345,10 @@ class Cluster {
   }
   std::int32_t worker_count() const noexcept { return pool_.size(); }
 
-  /// The tenant's session (for pushes, polls, or direct stepping).
-  /// Rehydrates a swapped session first; the const overload throws instead
-  /// (a const cluster cannot rebuild the stream).
+  /// The tenant's session (for pushes, polls, or direct stepping): the same
+  /// object from admit() to close(). Rehydrates a swapped session first; the
+  /// const overload throws instead (a const cluster cannot attach the
+  /// engine a swapped session lacks).
   Stream& stream(TenantId id);
   const Stream& stream(TenantId id) const;
 
@@ -421,9 +428,13 @@ class Cluster {
   runtime::WorkerPool& pool() noexcept { return pool_; }
 
  private:
+  /// One open session. The Stream lives from admit() to close(); while
+  /// swapped out it has no engine (its execution state is in the swap tier),
+  /// but its graph, policy, stats(), steps() and outputs_produced() stay
+  /// readable, so report() never rehydrates.
   struct Tenant {
     std::string name;
-    std::unique_ptr<Stream> stream;  ///< Null while swapped out.
+    std::unique_ptr<Stream> stream;
     WorkerId worker = kNoWorker;
     bool idle = false;  ///< Known-blocked until new arrivals.
     double last_miss_rate = 0.0;  ///< Misses per firing of the last progressed
@@ -432,18 +443,7 @@ class Cluster {
     std::int64_t band = 0;          ///< Address-band index.
     std::int64_t layout_words = 0;  ///< Resident footprint (state + rings).
 
-    // Rebuild inputs for rehydration: a Stream is a pure function of
-    // (graph, partition, m, options) plus the mutable state in the swap
-    // image, so keeping these makes the swap tier transparent.
-    sdf::SdfGraph graph;
-    partition::Partition partition;
-    StreamOptions stream_options;  ///< With engine.address_base baked in.
-    std::int64_t m = 0;
-
-    // Report summary cached at swap-out so report() never rehydrates.
-    runtime::RunResult totals;
-    std::int64_t steps = 0;
-    std::int64_t outputs = 0;
+    bool swapped() const noexcept { return !stream->has_engine(); }
   };
 
   /// Per-worker scheduling state. In thread mode each worker's struct is
@@ -471,10 +471,12 @@ class Cluster {
   const Tenant& tenant(TenantId id) const;
   [[noreturn]] void throw_unknown_tenant(TenantId id) const;
 
-  /// Serializes a resident tenant into the swap tier and frees its Stream.
+  /// Serializes a resident tenant into the swap tier and releases its
+  /// Stream's engine.
   void swap_out_tenant(TenantId id, Tenant& t);
 
-  /// Rebuilds a swapped tenant's Stream (on its pinned worker's cache).
+  /// Attaches a fresh engine to a swapped tenant's Stream (on its pinned
+  /// worker's cache, at its band) and restores the swapped state.
   void rehydrate(TenantId id, Tenant& t);
 
   session::AdmissionLoad current_load() const;

@@ -383,6 +383,9 @@ ExperimentResult Experiment::run(std::int32_t threads) const {
         "online or cluster arrival patterns");
   }
   if (spec_.repetitions < 1) throw Error("sweep spec needs repetitions >= 1");
+  if ((!spec_.partitioners.empty() || !spec_.baselines.empty()) && spec_.target_outputs < 1) {
+    throw Error("sweep spec needs target_outputs >= 1 for partitioner and baseline cells");
+  }
   if (!spec_.online.arrivals.empty() && spec_.online.ticks < 1) {
     throw Error("online sweep needs ticks >= 1");
   }

@@ -130,7 +130,9 @@ struct SweepSpec {
   /// memory augmentation; Theorem 5 regime). 1.0 measures at M itself.
   double sim_capacity_factor = 4.0;
 
-  std::int64_t target_outputs = 1024;  ///< Sink firings per measurement.
+  /// Sink firings per batch measurement (>= 1 whenever the spec lists
+  /// partitioners or baselines; serving cells run their arrival patterns).
+  std::int64_t target_outputs = 1024;
 
   /// Measurements per cell (>= 1). Each repetition of a batch cell is one
   /// core::simulate on a fresh cache (a serving cell rebuilds its Cluster);

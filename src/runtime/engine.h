@@ -96,9 +96,9 @@ struct FootprintSample {
 };
 
 /// The complete mutable execution state of an Engine, captured at a
-/// quiescent point (a take()/run() boundary) so an idle session's host
-/// objects can be destroyed and later rebuilt bit-identically — the swap
-/// tier (session::SwappedSession) packs this into a compact byte image.
+/// quiescent point (a take()/run() boundary) so an idle session's engine
+/// can be destroyed and later rebuilt bit-identically — the swap tier
+/// (session::SwapImage) packs this into a compact byte image.
 ///
 /// What is deliberately NOT here: the memory layout and firing plans (pure
 /// functions of graph + buffer_caps + options, recomputed by the Engine

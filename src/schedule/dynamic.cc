@@ -19,7 +19,6 @@ class TokenSimView final : public EngineView {
       : sim_(&sim), credit_(credit) {}
 
   std::int64_t tokens(sdf::EdgeId e) const override { return sim_->tokens(e); }
-  std::int64_t capacity(sdf::EdgeId e) const override { return sim_->capacity(e); }
   std::int64_t fired(sdf::NodeId v) const override { return sim_->fired(v); }
   std::int64_t input_credit() const override { return *credit_; }
 

@@ -31,7 +31,7 @@ void seed(sdf::TokenSim& scratch, const EngineView& view) {
 class PipelineHalfFullPolicy final : public OnlinePolicy {
  public:
   PipelineHalfFullPolicy(const sdf::SdfGraph& g, const partition::Partition& p,
-                         std::int64_t m, std::span<const std::int64_t> feasible)
+                         std::int64_t m)
       : OnlinePolicy("pipeline-half-full", g), reps_(g) {
     CCS_EXPECTS(m > 0, "online policy requires a positive cache size");
     chain_ = sdf::pipeline_order(g);  // throws if not a pipeline
@@ -62,13 +62,7 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     const auto cross_cap = [m](const sdf::Edge& edge) {
       return std::max(m, sdf::edge_min_buffer(edge.out_rate, edge.in_rate) * 2);
     };
-    if (feasible.empty()) {
-      caps_ = sdf::feasible_buffers(g);
-    } else {
-      CCS_EXPECTS(feasible.size() == static_cast<std::size_t>(g.edge_count()),
-                  "one feasible buffer per edge required");
-      caps_.assign(feasible.begin(), feasible.end());
-    }
+    caps_ = sdf::feasible_buffers(g);
     for (const sdf::EdgeId e : cross_) caps_[static_cast<std::size_t>(e)] = cross_cap(g.edge(e));
     // A full cross edge out of the source's component ends its burst. A
     // single component has none, so nothing would stop an unmetered source:
@@ -87,7 +81,9 @@ class PipelineHalfFullPolicy final : public OnlinePolicy {
     // the sink's component runs (its output is always "empty").
     for (std::size_t i = 0; i < cross_.size(); ++i) {
       const sdf::EdgeId e = cross_[i];
-      if (view.tokens(e) * 2 <= view.capacity(e)) return static_cast<std::int64_t>(i);
+      if (view.tokens(e) * 2 <= caps_[static_cast<std::size_t>(e)]) {
+        return static_cast<std::int64_t>(i);
+      }
     }
     return k_ - 1;
   }
@@ -266,10 +262,10 @@ class HomogeneousMBatchPolicy final : public OnlinePolicy {
 
 }  // namespace
 
-std::unique_ptr<OnlinePolicy> make_pipeline_half_full_policy(
-    const sdf::SdfGraph& g, const partition::Partition& p, std::int64_t m,
-    std::span<const std::int64_t> feasible_buffers) {
-  return std::make_unique<PipelineHalfFullPolicy>(g, p, m, feasible_buffers);
+std::unique_ptr<OnlinePolicy> make_pipeline_half_full_policy(const sdf::SdfGraph& g,
+                                                             const partition::Partition& p,
+                                                             std::int64_t m) {
+  return std::make_unique<PipelineHalfFullPolicy>(g, p, m);
 }
 
 std::unique_ptr<OnlinePolicy> make_homogeneous_m_batch_policy(const sdf::SdfGraph& g,
@@ -313,7 +309,7 @@ std::string resolve_auto_policy(const sdf::SdfGraph& g) {
 void register_builtin_online_policies(OnlineRegistry& r) {
   r.add("pipeline-half-full",
         {[](const sdf::SdfGraph& g, const partition::Partition& p, const OnlineContext& ctx) {
-           return make_pipeline_half_full_policy(g, p, ctx.m, ctx.feasible_buffers);
+           return make_pipeline_half_full_policy(g, p, ctx.m);
          },
          [](const sdf::SdfGraph& g) { return g.is_pipeline(); },
          "Section 3 pipeline rule: run the first component whose input cross "

@@ -25,7 +25,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -51,11 +50,9 @@ class EngineView {
  public:
   virtual ~EngineView() = default;
 
-  /// Tokens currently queued on edge e.
+  /// Tokens currently queued on edge e. The driver executes under the
+  /// policy's OnlinePolicy::buffer_caps, so the rules read capacities there.
   virtual std::int64_t tokens(sdf::EdgeId e) const = 0;
-
-  /// Ring capacity of edge e (as dictated by OnlinePolicy::buffer_caps).
-  virtual std::int64_t capacity(sdf::EdgeId e) const = 0;
 
   /// Lifetime firings of module v.
   virtual std::int64_t fired(sdf::NodeId v) const = 0;
@@ -158,11 +155,10 @@ class OnlinePolicy {
 /// its input cross buffer is at least half full and its output cross buffer
 /// at most half full; it runs until one of them blocks. Requires a
 /// well-ordered segmentation of a pipeline graph (throws GraphError /
-/// ccs::Error otherwise). `feasible_buffers` is sdf::feasible_buffers(g), or
-/// empty to compute it here.
-std::unique_ptr<OnlinePolicy> make_pipeline_half_full_policy(
-    const sdf::SdfGraph& g, const partition::Partition& p, std::int64_t m,
-    std::span<const std::int64_t> feasible_buffers = {});
+/// ccs::Error otherwise). Internal buffers get sdf::feasible_buffers(g).
+std::unique_ptr<OnlinePolicy> make_pipeline_half_full_policy(const sdf::SdfGraph& g,
+                                                             const partition::Partition& p,
+                                                             std::int64_t m);
 
 /// The asynchronous homogeneous-dag rule (Section 5 variant): a component is
 /// schedulable when every incoming cross buffer holds M tokens and every
@@ -176,10 +172,6 @@ std::unique_ptr<OnlinePolicy> make_homogeneous_m_batch_policy(const sdf::SdfGrap
 /// rule's Theta(M) buffers amortize against.
 struct OnlineContext {
   std::int64_t m = 64 * 1024;  ///< Cache capacity in words.
-  /// sdf::feasible_buffers of the graph when the caller already has it (a
-  /// rule that sizes internal buffers with it then skips recomputing it);
-  /// empty: the rule computes it if it needs it. Must outlive the build.
-  std::span<const std::int64_t> feasible_buffers;
 };
 
 /// A named online-policy factory.

@@ -20,8 +20,8 @@
 // LIVE and IDLE sessions are *resident*: their Stream (engine + channel
 // rings + counters) occupies host memory and their layout occupies a
 // simulated address band. A SWAPPED session is a compact byte image
-// (session::SwapImage) plus the construction inputs needed to rebuild the
-// Stream; a CLOSED session is a row in an aggregate and nothing else.
+// (session::SwapImage) plus its Stream without an engine (graph, policy,
+// counters); a CLOSED session is a row in an aggregate and nothing else.
 #pragma once
 
 #include <cstdint>

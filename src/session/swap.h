@@ -5,12 +5,13 @@
 // is idle. The swap tier converts an idle session into (a) a SwapImage --
 // a varint-packed byte buffer holding the session's complete mutable state
 // (runtime::EngineState + accumulated RunResult + step count) -- and
-// (b) the construction inputs (graph, partition, M, options) the serving
-// layer already holds. Rehydration rebuilds the Stream (construction
-// issues NO cache traffic) and restores the image; because the online
-// policies replan from live state every step, the rehydrated session's
-// subsequent behaviour is bit-identical to one that was never swapped --
-// the invariant tests/session/swap_roundtrip_test.cc gates.
+// (b) an engine-less core::Stream the serving layer keeps (graph copy,
+// online policy, counters). Swap-out releases only the engine; rehydration
+// attaches a fresh one (construction issues NO cache traffic) and restores
+// the image; because the online policies replan from live state every
+// step, the rehydrated session's subsequent behaviour is bit-identical to
+// one that was never swapped -- the invariant
+// tests/session/swap_roundtrip_test.cc gates.
 //
 // SwapManager is the eviction policy: an LRU over resident sessions
 // (touched on admit and on every accepted push; steps run on worker

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "util/contract.h"
 #include "util/error.h"
 
 namespace ccs::core {
@@ -154,6 +155,42 @@ TEST(Experiment, EmptySpecThrows) {
   no_strategies.workloads = {"uniform-pipeline"};
   no_strategies.caches = {{512, 8}};
   EXPECT_THROW(Experiment(no_strategies).run(1), Error);
+}
+
+TEST(Experiment, NonPositiveOutputTargetIsASpecErrorForBatchCells) {
+  for (const std::int64_t outputs : {std::int64_t{0}, std::int64_t{-5}}) {
+    for (const bool baselines : {false, true}) {
+      SweepSpec spec;
+      spec.workloads = {"uniform-pipeline"};
+      spec.caches = {{512, 8}};
+      if (baselines) {
+        spec.baselines = {"naive"};
+      } else {
+        spec.partitioners = {"auto"};
+      }
+      spec.target_outputs = outputs;
+      try {
+        (void)Experiment(spec).run(1);
+        ADD_FAILURE() << "target_outputs " << outputs << " was accepted";
+      } catch (const ContractViolation& e) {
+        ADD_FAILURE() << "a spec error, not a contract violation: " << e.what();
+      } catch (const Error& e) {
+        EXPECT_STREQ(e.what(),
+                     "sweep spec needs target_outputs >= 1 for partitioner and "
+                     "baseline cells");
+      }
+    }
+  }
+  // Serving cells never read target_outputs, so a serving-only spec stays valid.
+  SweepSpec serving;
+  serving.workloads = {"uniform-pipeline"};
+  serving.caches = {{1024, 8}};
+  serving.online.arrivals = {"steady-16"};
+  serving.online.ticks = 4;
+  serving.target_outputs = 0;
+  const ExperimentResult result = Experiment(serving).run(1);
+  EXPECT_EQ(result.failed_cells(), 0u);
+  EXPECT_FALSE(result.cells.empty());
 }
 
 TEST(Experiment, CsvAndJsonEmission) {

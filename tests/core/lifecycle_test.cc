@@ -466,5 +466,39 @@ TEST(ClusterLifecycle, ConstStreamAccessOfASwappedTenantThrows) {
   EXPECT_FALSE(cluster.swapped(t));
 }
 
+TEST(ClusterLifecycle, SwapKeepsTheTenantsStreamAndPolicy) {
+  ClusterOptions o;
+  o.workers = 2;
+  o.l1 = {2048, 8};
+  o.swap = true;
+  Cluster cluster(o);
+  const Workload w = small_workload(o.l1.capacity_words);
+  cluster.admit("a", w.graph, w.partition);
+  const TenantId t = cluster.admit("t", w.graph, w.partition);
+  cluster.push(t, 32);
+  cluster.run_until_idle();
+  const Stream* const stream = &cluster.stream(t);
+  const schedule::OnlinePolicy* const policy = &cluster.stream(t).policy();
+  const std::int64_t outputs = stream->outputs_produced();
+  const ClusterReport before = cluster.report();
+
+  cluster.swap_out(t);
+  ASSERT_TRUE(cluster.swapped(t));
+  EXPECT_FALSE(stream->has_engine());  // only the engine was freed
+  const ClusterReport swapped = cluster.report();
+  ASSERT_EQ(swapped.tenants.size(), 2u);
+  EXPECT_EQ(swapped.tenants[1].state, session::SessionState::kSwapped);
+  EXPECT_EQ(swapped.tenants[1].totals, before.tenants[1].totals);
+  EXPECT_EQ(swapped.tenants[1].steps, before.tenants[1].steps);
+  EXPECT_EQ(swapped.tenants[1].outputs, outputs);
+
+  cluster.push(t, 32);  // rehydrates
+  EXPECT_FALSE(cluster.swapped(t));
+  EXPECT_EQ(&cluster.stream(t), stream);
+  EXPECT_EQ(&cluster.stream(t).policy(), policy);
+  cluster.run_until_idle();
+  EXPECT_GT(cluster.stream(t).outputs_produced(), outputs);
+}
+
 }  // namespace
 }  // namespace ccs::core

@@ -2,7 +2,10 @@
 // serialize -> destroy -> rebuild -> restore at an arbitrary quiescent
 // point is BIT-IDENTICAL to never having swapped -- counters, outputs, and
 // even the shared cache's own statistics, because rebuilding a Stream
-// issues no cache traffic and restore only rewrites host-side state.
+// issues no cache traffic and restore only rewrites host-side state. The
+// same holds when only the engine dies (release_engine -> attach_engine ->
+// restore on the same Stream, core::Cluster's swap path): the kept policy
+// plans identically from the restored tokens.
 //
 // The suite sweeps random graphs (random pipelines and layered dags) x
 // partial progress (saving mid-burst, with arrivals still queued and
@@ -43,28 +46,42 @@ struct Outcome {
   std::int64_t pending = 0;
 };
 
+/// How a round ends in drive().
+enum class Swap {
+  kNone,            ///< The Stream and its engine survive throughout.
+  kRebuildStream,   ///< Save, pack, unpack, destroy the Stream, build a twin, restore.
+  kReleaseEngine,   ///< Save, pack, unpack, release the engine, attach a new one, restore.
+};
+
 /// Drives one session through `rounds` of (push, a few steps -- deliberately
-/// too few to drain, so queues stay non-empty), then a final drain. With
-/// `roundtrip`, every round ends with save -> pack -> unpack -> destroy ->
-/// rebuild -> restore; without, the same Stream object survives throughout.
+/// too few to drain, so queues stay non-empty), then a final drain; every
+/// round ends as `swap` says.
 Outcome drive(const Scenario& s, std::int64_t rounds, std::int64_t items,
-              std::int64_t steps_per_round, bool roundtrip) {
+              std::int64_t steps_per_round, Swap swap) {
   LruCache cache(s.cache);
   auto stream = std::make_unique<Stream>(s.graph, s.partition, cache, s.m);
+  const schedule::OnlinePolicy* const policy = &stream->policy();
   for (std::int64_t round = 0; round < rounds; ++round) {
     stream->push(items);
     for (std::int64_t k = 0; k < steps_per_round; ++k) {
       if (!stream->step().progressed()) break;
     }
-    if (roundtrip) {
-      const session::SessionSnapshot snapshot = stream->save_state();
-      const session::SessionSnapshot back =
-          session::SwapImage::pack(snapshot).unpack();
-      EXPECT_EQ(snapshot, back);  // the codec itself is lossless
-      stream.reset();             // the engine, channels, and policy die here
+    if (swap == Swap::kNone) continue;
+    const session::SessionSnapshot snapshot = stream->save_state();
+    const session::SessionSnapshot back = session::SwapImage::pack(snapshot).unpack();
+    EXPECT_EQ(snapshot, back);  // the codec itself is lossless
+    if (swap == Swap::kRebuildStream) {
+      stream.reset();  // the engine, channels, and policy die here
       stream = std::make_unique<Stream>(s.graph, s.partition, cache, s.m);
-      stream->restore_state(back);
+    } else {
+      stream->release_engine();  // only the engine and channels die here
+      EXPECT_FALSE(stream->has_engine());
+      EXPECT_EQ(stream->stats(), snapshot.totals);  // readable while released
+      EXPECT_EQ(stream->steps(), snapshot.steps);
+      stream->attach_engine(cache, /*address_base=*/0);
+      EXPECT_EQ(&stream->policy(), policy);  // the same policy plans on
     }
+    stream->restore_state(back);
   }
   stream->drain();
   Outcome out;
@@ -78,13 +95,16 @@ Outcome drive(const Scenario& s, std::int64_t rounds, std::int64_t items,
 
 void expect_bit_identical(const Scenario& s, std::int64_t rounds, std::int64_t items,
                           std::int64_t steps_per_round) {
-  const Outcome plain = drive(s, rounds, items, steps_per_round, false);
-  const Outcome swapped = drive(s, rounds, items, steps_per_round, true);
-  EXPECT_EQ(plain.totals, swapped.totals);
-  EXPECT_EQ(plain.cache, swapped.cache);  // not one extra access from rebuilding
-  EXPECT_EQ(plain.steps, swapped.steps);
-  EXPECT_EQ(plain.outputs, swapped.outputs);
-  EXPECT_EQ(plain.pending, swapped.pending);
+  const Outcome plain = drive(s, rounds, items, steps_per_round, Swap::kNone);
+  for (const Swap swap : {Swap::kRebuildStream, Swap::kReleaseEngine}) {
+    const Outcome swapped = drive(s, rounds, items, steps_per_round, swap);
+    const int mode = static_cast<int>(swap);
+    EXPECT_EQ(plain.totals, swapped.totals) << mode;
+    EXPECT_EQ(plain.cache, swapped.cache) << mode;  // not one extra access
+    EXPECT_EQ(plain.steps, swapped.steps) << mode;
+    EXPECT_EQ(plain.outputs, swapped.outputs) << mode;
+    EXPECT_EQ(plain.pending, swapped.pending) << mode;
+  }
   // The run did real work, so the equality above compares real counters.
   EXPECT_GT(plain.totals.cache.accesses, 0);
   EXPECT_GT(plain.outputs, 0);
