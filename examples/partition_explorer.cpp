@@ -20,12 +20,14 @@
 #include <fstream>
 #include <iostream>
 
+#include "core/planner.h"
 #include "partition/dot.h"
 #include "partition/registry.h"
 #include "sdf/gain.h"
 #include "sdf/serialize.h"
 #include "sdf/validate.h"
 #include "util/args.h"
+#include "util/error.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "workloads/random_dag.h"
@@ -44,6 +46,10 @@ int main(int argc, char** argv) {
   args.add_string("dot", "", "write the best partition as Graphviz DOT to this file");
   try {
     if (!args.parse(argc, argv)) return 0;
+    const std::int64_t m = args.get_int("cache-words");
+    if (m < 1) throw Error("--cache-words must be >= 1");
+    const double c_bound = args.get_double("c-bound");
+    core::validate_word_factor(c_bound, m, "--c-bound");
 
     auto& registry = partition::Registry::global();
     if (args.get_string("partitioner") == "help") {
@@ -72,11 +78,9 @@ int main(int argc, char** argv) {
     if (args.get_flag("dump")) sdf::write_graph(g, std::cout);
     std::cout << "graph: " << g << "\n\n";
 
-    const std::int64_t m = args.get_int("cache-words");
     partition::StrategyContext ctx;
     ctx.cache_words = m;
-    ctx.state_bound =
-        static_cast<std::int64_t>(args.get_double("c-bound") * static_cast<double>(m));
+    ctx.state_bound = static_cast<std::int64_t>(c_bound * static_cast<double>(m));
     ctx.seed = static_cast<std::uint64_t>(args.get_int("seed"));
     const sdf::GainMap gains(g);
 

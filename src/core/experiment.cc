@@ -383,6 +383,11 @@ ExperimentResult Experiment::run(std::int32_t threads) const {
         "online or cluster arrival patterns");
   }
   if (spec_.repetitions < 1) throw Error("sweep spec needs repetitions >= 1");
+  // Every cell measures on the augmented cache.
+  for (const iomodel::CacheConfig& cache : spec_.caches) {
+    validate_word_factor(spec_.sim_capacity_factor, cache.capacity_words,
+                         "sim_capacity_factor");
+  }
   if ((!spec_.partitioners.empty() || !spec_.baselines.empty()) && spec_.target_outputs < 1) {
     throw Error("sweep spec needs target_outputs >= 1 for partitioner and baseline cells");
   }

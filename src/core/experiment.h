@@ -128,6 +128,7 @@ struct SweepSpec {
 
   /// Simulate on sim_capacity_factor * M (the paper's constant-factor
   /// memory augmentation; Theorem 5 regime). 1.0 measures at M itself.
+  /// Experiment::run rejects a factor validate_word_factor rejects.
   double sim_capacity_factor = 4.0;
 
   /// Sink firings per batch measurement (>= 1 whenever the spec lists

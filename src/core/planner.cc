@@ -23,13 +23,25 @@ void validate_cache_geometry(const iomodel::CacheConfig& cache) {
   }
 }
 
+void validate_word_factor(double factor, std::int64_t words, const std::string& what) {
+  // 0x1p63 is 2^63, one past int64's maximum; NaN fails every comparison.
+  const double scaled = factor * static_cast<double>(words);
+  if (!(factor > 0 && scaled >= 1 && scaled < 0x1p63)) {
+    std::ostringstream msg;
+    msg << what << " must be a finite number > 0 that scales " << words
+        << " words to between 1 and 2^63 - 1 words (got " << factor << ")";
+    throw Error(msg.str());
+  }
+}
+
 namespace {
 
-// Runs the session's one-time validation (cache geometry, then the paper's
-// model assumptions) and hands the graph on to the GainMap member, so a
-// Planner that constructed successfully needs no further checks.
+// Runs the session's one-time validation (cache geometry, c_bound, then the
+// paper's model assumptions) and hands the graph on to the GainMap member,
+// so a Planner that constructed successfully needs no further checks.
 const sdf::SdfGraph& validate_session(const sdf::SdfGraph& g, const PlannerOptions& options) {
   validate_cache_geometry(options.cache);
+  validate_word_factor(options.c_bound, options.cache.capacity_words, "c_bound");
   sdf::ValidationOptions validation;
   validation.max_module_state = options.cache.capacity_words;
   sdf::validate_or_throw(g, validation);

@@ -73,9 +73,10 @@ struct StrategyComparison {
 
 /// Planning session for one graph. Construction throws GraphError/RateError
 /// for graphs outside the paper's model, MemoryError for a degenerate cache
-/// geometry; the graph is copied so the session is self-contained (safe to
-/// hand to a sweep-worker thread). Const member functions may be called
-/// concurrently: the lazily cached lower bound is mutex-guarded.
+/// geometry and Error for a c_bound validate_word_factor rejects; the graph
+/// is copied so the session is self-contained (safe to hand to a
+/// sweep-worker thread). Const member functions may be called concurrently:
+/// the lazily cached lower bound is mutex-guarded.
 class Planner {
  public:
   /// `registry` defaults to partition::Registry::global(); pass an isolated
@@ -146,5 +147,12 @@ std::string explain(const sdf::SdfGraph& g, const Plan& plan);
 /// than one block) with a recoverable MemoryError. Every facade entry point
 /// taking a caller-supplied geometry runs this before touching a simulator.
 void validate_cache_geometry(const iomodel::CacheConfig& cache);
+
+/// Rejects a factor that cannot scale `words` words to a word count:
+/// `factor` must be finite and > 0, and factor * words must lie in
+/// [1, 2^63). Throws ccs::Error naming the knob (`what`) otherwise. The
+/// Planner runs it on c_bound (so the state bound is at least one word),
+/// core::Experiment on sim_capacity_factor.
+void validate_word_factor(double factor, std::int64_t words, const std::string& what);
 
 }  // namespace ccs::core

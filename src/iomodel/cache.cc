@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "iomodel/simd.h"
 #include "util/int_math.h"
 
 namespace ccs::iomodel {
@@ -28,32 +27,6 @@ CacheSim::CacheSim(std::int64_t block_words)
                        : -1),
       max_block_(block_words > 0 ? kMaxInt64 / block_words : 0) {
   CCS_EXPECTS(block_words > 0, "block size must be positive");
-}
-
-std::int64_t CacheSim::priced_access_blocks(BlockId first, std::int64_t count,
-                                            AccessMode mode) {
-  // Price the call from its own counter delta. The snapshot is four int64
-  // loads; implementations never touch counters outside their own stats_,
-  // so the delta covers exactly this call.
-  const CacheStats before = stats();
-  do_access_blocks(first, count, mode);
-  CacheStats delta = stats();
-  delta.accesses -= before.accesses;
-  delta.hits -= before.hits;
-  delta.misses -= before.misses;
-  delta.writebacks -= before.writebacks;
-  return costs_.price(delta);
-}
-
-void CacheSim::access_range(Addr addr, std::int64_t count, AccessMode mode) {
-  CCS_EXPECTS(addr >= 0, "negative address");
-  CCS_EXPECTS(count >= 0, "negative access count");
-  CCS_EXPECTS(addr <= kMaxInt64 - count, "range overflows address space");
-  for (std::int64_t i = 0; i < count; ++i) access(addr + i, mode);
-}
-
-void CacheSim::do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
-  for (BlockId b = first, e = first + count; b != e; ++b) access(b * block_words_, mode);
 }
 
 LruCache::LruCache(const CacheConfig& config)
@@ -290,9 +263,7 @@ void LruCache::span_loop(BlockId first, std::int64_t count, bool write,
     }
   };
 
-  // Scalar per-block body on a probed node index: exact hit/miss handling,
-  // shared by the first block, the group tail and the fallback when a probe
-  // group is not all home-slot hits.
+  // Per-block body on a probed node index: exact hit/miss handling.
   const auto visit = [&](BlockId blk, std::int32_t idx) {
     if (idx != kNil) {
       ++hits;
@@ -321,71 +292,15 @@ void LruCache::span_loop(BlockId first, std::int64_t count, bool write,
       if constexpr (kNoteMisses) misses->push_back(blk);
     }
   };
-  const auto scalar_block = [&](BlockId blk) {
-    prefetch(&table_[home_slot(blk + 1)]);  // harmless one-past-the-end probe
-    visit(blk, table_[find_slot(blk)]);
-  };
 
   if constexpr (kRecord) {
     visit(b++, first_idx);
     runs_[static_cast<std::size_t>(run)].bottom = head;
   }
-  constexpr std::int64_t kGroup = simd::kProbeBatch;
-  while (e - b >= kGroup) {
-    if (!batch_hint_) {
-      // Recent groups were not all home-slot hits (a streaming or
-      // collision-heavy phase): a batch probe would be pure overhead on top
-      // of the scalar work. Run scalar, and re-arm batching only when a
-      // whole group hits again.
-      const std::int64_t before = hits;
-      for (std::int64_t i = 0; i < kGroup; ++i) scalar_block(b + i);
-      batch_hint_ = hits - before == kGroup;
-      b += kGroup;
-      continue;
-    }
-    // Probe kGroup consecutive blocks' home slots in one constant-trip,
-    // dependence-free pass (hash multiply, table gather, tag compare): the
-    // stage a one-block loop serializes on its load-to-use chain. Nothing
-    // mutates here, so the probes are independent by construction. An entry
-    // found at its exact home slot is what find_slot() would return without
-    // probing; mapping kNil to the sentinel (whose block is -1, never a
-    // valid id) makes the compare branch-free.
-    std::int32_t idx[simd::kProbeBatch];
-    bool all_home_hit = true;
-    CCS_SIMD_LOOP
-    for (std::int64_t i = 0; i < kGroup; ++i) {
-      const std::int32_t cand = table_[home_slot(b + i)];
-      idx[i] = cand;
-      all_home_hit &=
-          slab_[static_cast<std::size_t>(std::max(cand, 0))].block == b + i;
-    }
-    prefetch(&table_[home_slot(b + kGroup)]);
-    if (all_home_hit) {
-      // Every block hit at its home slot: only the (inherently serial) LRU
-      // relink remains, in the same ascending order as the scalar loop --
-      // probing never mutates, so state and counters stay bit-identical.
-      for (std::int64_t i = 0; i < kGroup; ++i) {
-        const std::int32_t id = idx[i];
-        Node& n = slab_[static_cast<std::size_t>(id)];
-        if (write) n.dirty = true;
-        if (head != id) {
-          slab_[static_cast<std::size_t>(n.prev)].next = n.next;
-          slab_[static_cast<std::size_t>(n.next)].prev = n.prev;
-          n.prev = 0;
-          n.next = head;
-          slab_[static_cast<std::size_t>(head)].prev = id;
-          head = id;
-        }
-        tag(n);
-      }
-      hits += kGroup;
-    } else {
-      for (std::int64_t i = 0; i < kGroup; ++i) scalar_block(b + i);
-      batch_hint_ = false;
-    }
-    b += kGroup;
+  for (; b != e; ++b) {
+    prefetch(&table_[home_slot(b + 1)]);  // harmless one-past-the-end probe
+    visit(b, table_[find_slot(b)]);
   }
-  for (; b != e; ++b) scalar_block(b);
 
   slab_[0].next = head;
   if constexpr (kRecord) {
@@ -586,11 +501,36 @@ void SetAssociativeCache::access(Addr addr, AccessMode mode) {
   }
 }
 
+namespace {
+
+/// Blocks per group in the set-associative bulk sweep. 8 on ISAs with
+/// 256-bit+ vectors (AVX2/AVX-512), 4 elsewhere -- four independent 64-bit
+/// lanes is what 128-bit vectors (SSE2/NEON) or plain scalar unrolling
+/// sustain without spilling. A compile-time choice: the one-block body
+/// handles group tails, so no build differs in any counter.
+#if defined(__AVX512F__) || defined(__AVX2__)
+constexpr int kProbeBatch = 8;
+#else
+constexpr int kProbeBatch = 4;
+#endif
+
+// Marks the way-compare loop as dependence-free so the vectorizer does not
+// give up on it.
+#if defined(__clang__)
+#define CCS_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
+#elif defined(__GNUC__)
+#define CCS_SIMD_LOOP _Pragma("GCC ivdep")
+#else
+#define CCS_SIMD_LOOP
+#endif
+
+}  // namespace
+
 void SetAssociativeCache::do_access_blocks(BlockId first, std::int64_t count,
                                            AccessMode mode) {
   const bool write = mode == AccessMode::kWrite;
   std::int64_t hits = 0;
-  constexpr std::int64_t kGroup = simd::kProbeBatch;
+  constexpr std::int64_t kGroup = kProbeBatch;
   BlockId b = first;
   const BlockId e = first + count;
 
@@ -610,7 +550,7 @@ void SetAssociativeCache::do_access_blocks(BlockId first, std::int64_t count,
       continue;
     }
     const BlockId* tags = tags_.data() + set0 * static_cast<std::size_t>(ways_);
-    std::int32_t hit_way[simd::kProbeBatch];
+    std::int32_t hit_way[kProbeBatch];
     for (std::int64_t i = 0; i < kGroup; ++i) {
       const BlockId* row = tags + i * ways_;
       std::int32_t found = -1;

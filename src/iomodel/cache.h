@@ -14,9 +14,8 @@
 // API -- access_blocks() and the word-range wrapper access_span() -- that
 // costs one simulated access per block with a single virtual dispatch per
 // span. Both entries are inline (most spans are one block, so call overhead
-// matters); only the priced path is out of line. Implementations override
-// do_access_blocks() to run the whole span through their non-virtual
-// per-block fast path; the default falls back to one access() per block.
+// matters). Every implementation provides do_access_blocks() and runs the
+// whole span through its non-virtual per-block fast path.
 // Bulk and per-access paths produce bit-identical CacheStats and
 // replacement state (tests/iomodel/bulk_access_test.cc checks this
 // differentially). LruCache additionally exposes its bulk loop as
@@ -54,43 +53,30 @@ class CacheSim {
 
   /// Touches `count` consecutive blocks starting at `first`: one simulated
   /// access per block, in ascending order. Equivalent to (but much cheaper
-  /// than) calling access(b * B, mode) for each block b. Returns the
-  /// accumulated modeled cost of exactly this call under the attached
-  /// AccessCosts (0 under the all-zero default); because pricing is linear
-  /// in the counters, per-call costs sum to the price of the whole window's
-  /// stats() delta, exactly.
-  std::int64_t access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
+  /// than) calling access(b * B, mode) for each block b.
+  void access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
     CCS_EXPECTS(first >= 0, "negative block id");
     CCS_EXPECTS(count >= 0, "negative block count");
     CCS_EXPECTS(first <= kMaxInt64 - count, "block range overflows");
-    if (count == 0) return 0;
+    if (count == 0) return;
     // Every block in the range must have an addressable first word, so the
     // bulk path and the word-at-a-time reference agree on their domain.
     CCS_EXPECTS(first + count - 1 <= max_block_, "block range exceeds address space");
-    if (costs_.any()) return priced_access_blocks(first, count, mode);
     do_access_blocks(first, count, mode);
-    return 0;
   }
 
   /// Word-range wrapper around access_blocks(): one simulated access per
   /// block overlapping [addr, addr + words). This is how the runtime touches
   /// a contiguous span -- identical misses and recency order to touching
-  /// every word, at O(words/B) simulator work. Returns the call's modeled
-  /// cost, like access_blocks().
-  std::int64_t access_span(Addr addr, std::int64_t words, AccessMode mode) {
+  /// every word, at O(words/B) simulator work.
+  void access_span(Addr addr, std::int64_t words, AccessMode mode) {
     CCS_EXPECTS(addr >= 0, "negative address");
     CCS_EXPECTS(words >= 0, "negative span length");
     CCS_EXPECTS(addr <= kMaxInt64 - words, "span overflows address space");
-    if (words == 0) return 0;
+    if (words == 0) return;
     const BlockId first = block_of(addr);
-    return access_blocks(first, block_of(addr + words - 1) - first + 1, mode);
+    access_blocks(first, block_of(addr + words - 1) - first + 1, mode);
   }
-
-  /// Attaches per-counter cycle costs (latency::CostModel::access_costs());
-  /// subsequent bulk calls return their priced delta. The default all-zero
-  /// costs price every call at 0 and skip the delta bookkeeping entirely.
-  void set_access_costs(const AccessCosts& costs) noexcept { costs_ = costs; }
-  const AccessCosts& access_costs() const noexcept { return costs_; }
 
   /// Evicts everything (dirty blocks count as writebacks). Statistics are
   /// preserved; only contents are dropped.
@@ -109,10 +95,6 @@ class CacheSim {
   /// Geometry this cache was built with.
   virtual const CacheConfig& config() const = 0;
 
-  /// Convenience: touch `count` consecutive words starting at addr (one
-  /// simulated access per *word*, unlike the block-granular span API).
-  void access_range(Addr addr, std::int64_t count, AccessMode mode);
-
  protected:
   /// `block_words` must match config().block_words; the base class caches it
   /// (plus its log2 when it is a power of two) so the span-to-block
@@ -125,20 +107,16 @@ class CacheSim {
   }
 
   /// Bulk implementation hook; called with a validated, non-empty range.
-  /// The default loops access() once per block.
-  virtual void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode);
+  /// Must touch the blocks exactly as one access() per block in ascending
+  /// order would.
+  virtual void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) = 0;
 
  private:
   static constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
 
-  /// access_blocks() under attached costs: prices the call from its own
-  /// counter delta.
-  std::int64_t priced_access_blocks(BlockId first, std::int64_t count, AccessMode mode);
-
   std::int64_t block_words_;
   std::int32_t block_shift_;  // log2(block_words), or -1 if not a power of two
   std::int64_t max_block_;    // kMaxInt64 / block_words_: last block with an addressable word
-  AccessCosts costs_;         // all-zero unless a cost model is attached
 };
 
 /// Fully associative LRU with write-back/write-allocate.
@@ -320,17 +298,9 @@ class LruCache final : public CacheSim {
   std::vector<Run> runs_;
   std::vector<std::int32_t> free_runs_;
 
-  /// Bulk-loop execution hint: whether the last probe group was all
-  /// home-slot hits, i.e. whether attempting the batched group probe is
-  /// likely to pay off. Pure strategy state -- it never changes counters or
-  /// replacement order, only which (bit-identical) loop body runs -- kept
-  /// across calls so a streaming all-miss phase stops paying for doomed
-  /// batch probes after its first group.
-  bool batch_hint_ = true;
-
-  /// Run-recording gate, pure strategy state like batch_hint_: whether a
-  /// span consults and records the memo changes only whether a later rescan
-  /// may take the (bit-identical) splice, never a counter. Recording costs
+  /// Run-recording gate, pure strategy state: whether a span consults and
+  /// records the memo changes only whether a later rescan may take the
+  /// (bit-identical) splice, never a counter. Recording costs
   /// the slow loop a memo probe up front, a tag per block and a leave_run
   /// per member later on, which random spans that never repeat intact
   /// (BM_LruHot's shape) would pay in full. So recording spends one credit,
@@ -356,7 +326,7 @@ class LruCache final : public CacheSim {
 /// (kEmptyTag = -1 marks an empty way; block ids are non-negative, so empty
 /// ways never match without a separate valid-bit check) and a meta plane
 /// packing each way's recency stamp and dirty bit into one word. The bulk
-/// path probes simd::kProbeBatch consecutive sets' tag rows -- one
+/// path probes kProbeBatch consecutive sets' tag rows -- one
 /// contiguous, dependence-free compare sweep -- per group; the single-access
 /// path keeps the classic one-pass early-exit scan, which wins when the
 /// simulator's own memory traffic (not the compare loop) dominates.

@@ -53,30 +53,4 @@ struct CacheStats {
   friend bool operator==(const CacheStats&, const CacheStats&) = default;
 };
 
-/// Integer cycle coefficients over the CacheStats counters -- the collapsed
-/// form of a latency::CostModel, attachable to a CacheSim so its bulk calls
-/// (access_blocks / access_span) return the modeled cost of exactly that
-/// call. Pricing is linear, so summing per-call prices equals pricing a
-/// whole window's counter delta, exactly, in integers.
-struct AccessCosts {
-  std::int64_t access = 0;     ///< Per access (the level's lookup cycles).
-  std::int64_t hit = 0;        ///< Per hit.
-  std::int64_t miss = 0;       ///< Per miss (including modeled deeper levels).
-  std::int64_t writeback = 0;  ///< Per dirty eviction.
-
-  /// True when any coefficient is nonzero (the all-zero default prices
-  /// every call at 0, keeping the bulk hot path delta-free).
-  bool any() const noexcept {
-    return (access | hit | miss | writeback) != 0;
-  }
-
-  /// Price of a counter delta.
-  std::int64_t price(const CacheStats& delta) const noexcept {
-    return access * delta.accesses + hit * delta.hits + miss * delta.misses +
-           writeback * delta.writebacks;
-  }
-
-  friend bool operator==(const AccessCosts&, const AccessCosts&) = default;
-};
-
 }  // namespace ccs::iomodel

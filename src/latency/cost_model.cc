@@ -33,10 +33,10 @@ CostModel::CostModel(std::string key, std::int64_t firing_cycles,
     const LevelCost& l1 = levels.front();
     CCS_EXPECTS(l1.lookup >= 0 && l1.hit >= 0 && l1.miss >= 0 && l1.writeback >= 0,
                 "level costs must be non-negative");
-    access_costs_.access = l1.lookup;
-    access_costs_.hit = l1.hit;
-    access_costs_.miss = l1.miss;
-    access_costs_.writeback = l1.writeback;
+    access_cycles_ = l1.lookup;
+    hit_cycles_ = l1.hit;
+    miss_cycles_ = l1.miss;
+    writeback_cycles_ = l1.writeback;
   }
   // Levels beyond the private L1 are modeled, not measured: each L1 miss is
   // charged the deeper level's lookup + miss service (its own hit/miss
@@ -47,10 +47,10 @@ CostModel::CostModel(std::string key, std::int64_t firing_cycles,
     CCS_EXPECTS(deeper.lookup >= 0 && deeper.hit >= 0 && deeper.miss >= 0 &&
                     deeper.writeback >= 0,
                 "level costs must be non-negative");
-    access_costs_.miss += deeper.lookup + deeper.miss;
-    access_costs_.writeback += deeper.writeback;
+    miss_cycles_ += deeper.lookup + deeper.miss;
+    writeback_cycles_ += deeper.writeback;
   }
-  access_costs_.miss += contention_cycles;
+  miss_cycles_ += contention_cycles;
 }
 
 CostModelRegistry& CostModelRegistry::global() {

@@ -21,10 +21,9 @@
 // histogram percentile -- inside the repeat-run, thread-count, and
 // threads ≡ virtual-time gates.
 //
-// Linearity is the second load-bearing property: pricing a whole window's
-// delta equals summing per-call prices (iomodel::AccessCosts returned by
-// CacheSim::access_blocks), exactly, in integers -- so the bulk-call
-// plumbing and the per-step pricing in core::Stream can never disagree.
+// Linearity is the second load-bearing property: the price of a summed
+// window equals the sum of its steps' prices, exactly, in integers -- so
+// the order and grouping of steps never change a session's total cost.
 //
 // Models are string-keyed (CostModelRegistry):
 //   * "uniform"    -- 1 cycle per firing, zero cache cost. Cost == firings,
@@ -84,29 +83,23 @@ class CostModel {
   /// Registry key this model was built under ("uniform" by default).
   const std::string& key() const noexcept { return key_; }
 
-  /// Cycles a firing's bookkeeping costs regardless of cache traffic.
-  std::int64_t firing_cycles() const noexcept { return firing_cycles_; }
-
-  /// The collapsed per-counter coefficients -- attachable to a CacheSim so
-  /// its bulk calls return per-call costs (iomodel::AccessCosts::price).
-  const iomodel::AccessCosts& access_costs() const noexcept { return access_costs_; }
-
-  /// Prices one window: firing_cycles * firings + access_costs over the
-  /// private-level delta. Linear, so window sums equal per-call sums.
+  /// Prices one window: firing_cycles * firings plus the per-counter
+  /// coefficients over the private-level delta. Linear, so the price of a
+  /// summed window equals the sum of its steps' prices.
   std::int64_t step_cost(std::int64_t firings, const iomodel::CacheStats& delta) const {
-    return firing_cycles_ * firings + access_costs_.price(delta);
-  }
-
-  /// True when cost degenerates to the firing count (the "uniform" model):
-  /// virtual time then advances exactly as before the latency subsystem.
-  bool trivial() const noexcept {
-    return firing_cycles_ == 1 && !access_costs_.any();
+    return firing_cycles_ * firings + access_cycles_ * delta.accesses +
+           hit_cycles_ * delta.hits + miss_cycles_ * delta.misses +
+           writeback_cycles_ * delta.writebacks;
   }
 
  private:
   std::string key_ = "uniform";
-  std::int64_t firing_cycles_ = 1;
-  iomodel::AccessCosts access_costs_;
+  std::int64_t firing_cycles_ = 1;  // per firing, regardless of cache traffic
+  // Collapsed per-counter coefficients (all zero under "uniform").
+  std::int64_t access_cycles_ = 0;     // per access (the L1 lookup)
+  std::int64_t hit_cycles_ = 0;        // per hit
+  std::int64_t miss_cycles_ = 0;       // per miss, deeper levels included
+  std::int64_t writeback_cycles_ = 0;  // per dirty eviction
 };
 
 /// A named cost-model factory.

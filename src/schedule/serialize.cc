@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "util/error.h"
@@ -30,43 +31,66 @@ namespace {
 
 [[noreturn]] void fail(const std::string& msg) { throw ParseError("schedule: " + msg); }
 
+[[noreturn]] void fail(int line, const std::string& msg) {
+  fail("line " + std::to_string(line) + ": " + msg);
+}
+
+/// Parses a whole token as a non-negative integer: "1abc", "-4" and
+/// out-of-range values are errors, not prefixes or wrap-arounds.
+std::int64_t parse_count(const std::string& token, const std::string& what, int line) {
+  try {
+    std::size_t pos = 0;
+    const std::int64_t v = std::stoll(token, &pos);
+    if (pos == token.size() && v >= 0) return v;
+  } catch (const std::exception&) {
+    // Not a number, or out of int64 range: rejected below like junk.
+  }
+  fail(line, "bad " + what + " '" + token + "'");
+}
+
 }  // namespace
 
 Schedule read_schedule(const sdf::SdfGraph& g, std::istream& is) {
   Schedule s;
+  std::set<std::string> seen;
   std::string line;
-  bool saw_period = false;
+  int line_no = 0;
   while (std::getline(is, line)) {
+    ++line_no;
     std::istringstream ls(line);
     std::string kind;
     if (!(ls >> kind)) continue;
+    if (kind != "schedule" && kind != "inputs" && kind != "outputs" && kind != "buffers" &&
+        kind != "period") {
+      fail(line_no, "unknown line '" + kind + "'");
+    }
+    if (!seen.insert(kind).second) fail(line_no, "repeated '" + kind + "' line");
+    std::string token;
     if (kind == "schedule") {
-      if (!(ls >> s.name)) fail("missing name");
+      if (!(ls >> s.name)) fail(line_no, "missing name");
     } else if (kind == "inputs") {
-      if (!(ls >> s.inputs_per_period)) fail("bad inputs count");
+      if (!(ls >> token)) fail(line_no, "missing inputs count");
+      s.inputs_per_period = parse_count(token, "inputs count", line_no);
     } else if (kind == "outputs") {
-      if (!(ls >> s.outputs_per_period)) fail("bad outputs count");
+      if (!(ls >> token)) fail(line_no, "missing outputs count");
+      s.outputs_per_period = parse_count(token, "outputs count", line_no);
     } else if (kind == "buffers") {
-      std::int64_t cap = 0;
-      while (ls >> cap) s.buffer_caps.push_back(cap);
+      while (ls >> token) s.buffer_caps.push_back(parse_count(token, "buffer capacity", line_no));
       if (s.buffer_caps.size() != static_cast<std::size_t>(g.edge_count())) {
         throw Error("schedule has " + std::to_string(s.buffer_caps.size()) +
                     " buffer capacities for a graph with " +
                     std::to_string(g.edge_count()) + " edges");
       }
-    } else if (kind == "period") {
-      std::string name;
-      while (ls >> name) {
-        const sdf::NodeId v = g.find_node(name);
-        if (v == sdf::kInvalidNode) throw Error("unknown module '" + name + "' in period");
+    } else {  // period
+      while (ls >> token) {
+        const sdf::NodeId v = g.find_node(token);
+        if (v == sdf::kInvalidNode) throw Error("unknown module '" + token + "' in period");
         s.period.append(v);
       }
-      saw_period = true;
-    } else {
-      fail("unknown line '" + kind + "'");
     }
+    if (ls >> token) fail(line_no, "trailing junk '" + token + "'");
   }
-  if (!saw_period) fail("missing period line");
+  if (!seen.contains("period")) fail("missing period line");
   if (s.buffer_caps.empty() && g.edge_count() > 0) fail("missing buffers line");
   return s;
 }

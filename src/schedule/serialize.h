@@ -35,8 +35,10 @@ void write_schedule(const sdf::SdfGraph& g, const Schedule& s, std::ostream& os)
 /// Convenience: schedule as text.
 std::string to_text(const sdf::SdfGraph& g, const Schedule& s);
 
-/// Parses a schedule for `g`. Throws ParseError on malformed input and
-/// ccs::Error when names or arities do not match the graph.
+/// Parses a schedule for `g`. Throws ParseError, naming the line, on
+/// malformed input: an unknown or repeated line kind, a count or capacity
+/// that is not one whole non-negative integer token, or trailing tokens.
+/// Throws ccs::Error when names or arities do not match the graph.
 Schedule read_schedule(const sdf::SdfGraph& g, std::istream& is);
 
 /// Convenience: parse from a string.

@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "partition/pipeline_dp.h"
+#include "../support/cluster_invariants.h"
 #include "util/error.h"
 #include "workloads/arrivals.h"
 #include "workloads/pipelines.h"
@@ -77,7 +78,9 @@ ClusterReport serve(const Scenario& s, std::int32_t workers, const std::string& 
     }
   }
   cluster.drain_all();
-  return cluster.report();
+  ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
+  return report;
 }
 
 TEST(Cluster, VirtualTimeRepeatRunsAreCounterIdentical) {
@@ -238,7 +241,9 @@ TEST(Cluster, MigrationPaysRealReloadMisses) {
     cluster.push(id, 64);
     cluster.run_until_idle();
     cluster.drain_all();
-    return cluster.report();
+    ClusterReport report = cluster.report();
+    EXPECT_TRUE(test_support::check_invariants(report));
+    return report;
   };
   const ClusterReport stayed = run(false);
   const ClusterReport moved = run(true);

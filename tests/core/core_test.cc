@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/planner.h"
 #include "schedule/naive.h"
 #include "schedule/validate.h"
+#include "util/contract.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "workloads/pipelines.h"
@@ -253,6 +255,30 @@ TEST(Planner, RejectsZeroCapacityCache) {
   opts.cache.capacity_words = 4;
   opts.cache.block_words = 8;
   EXPECT_THROW(core::Planner(g, opts).plan(), MemoryError);
+}
+
+TEST(Planner, RejectsNonFiniteOrOutOfRangeCBound) {
+  // A NaN, infinite, non-positive, sub-word or int64-overflowing c * M is
+  // an input error at construction, before any double-to-integer cast (a
+  // zero state bound used to fail a partitioner's internal contract).
+  const auto g = ccs::workloads::uniform_pipeline(4, 64);
+  for (const double c : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 0.0, -2.0, 1e300,
+                         1e-300}) {
+    auto opts = small_cache();
+    opts.c_bound = c;
+    try {
+      (void)core::Planner(g, opts);
+      ADD_FAILURE() << "c_bound " << c << " was accepted";
+    } catch (const ContractViolation& e) {
+      ADD_FAILURE() << "an input error, not a contract violation: " << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("c_bound"), std::string::npos) << e.what();
+    }
+  }
+  auto opts = small_cache();
+  opts.c_bound = 0.5;
+  EXPECT_EQ(core::Planner(g, opts).strategy_context().state_bound, 256);
 }
 
 TEST(Simulate, RejectsZeroCapacityCache) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -191,6 +192,30 @@ TEST(Experiment, NonPositiveOutputTargetIsASpecErrorForBatchCells) {
   const ExperimentResult result = Experiment(serving).run(1);
   EXPECT_EQ(result.failed_cells(), 0u);
   EXPECT_FALSE(result.cells.empty());
+}
+
+TEST(Experiment, OutOfRangeSimFactorIsASpecError) {
+  // A NaN or non-positive factor used to clamp the measured cache to one
+  // block and report its misses as a result.
+  for (const double factor : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), 0.0, -2.0, 1e300,
+                              1e-300}) {
+    SweepSpec spec;
+    spec.workloads = {"uniform-pipeline"};
+    spec.caches = {{512, 8}};
+    spec.partitioners = {"auto"};
+    spec.target_outputs = 16;
+    spec.sim_capacity_factor = factor;
+    try {
+      (void)Experiment(spec).run(1);
+      ADD_FAILURE() << "sim_capacity_factor " << factor << " was accepted";
+    } catch (const ContractViolation& e) {
+      ADD_FAILURE() << "a spec error, not a contract violation: " << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("sim_capacity_factor"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Experiment, CsvAndJsonEmission) {

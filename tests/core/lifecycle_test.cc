@@ -12,6 +12,7 @@
 #include "core/cluster.h"
 #include "partition/pipeline_dp.h"
 #include "session/lifecycle.h"
+#include "../support/cluster_invariants.h"
 #include "util/contract.h"
 #include "util/error.h"
 #include "workloads/arrivals.h"
@@ -93,6 +94,7 @@ TEST(ServerLifecycle, ClosedTotalsFoldIntoRetiredAndTheAggregate) {
   cluster.drain_all();
 
   const ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
   EXPECT_EQ(report.retired, a_totals);
   EXPECT_EQ(report.retired_sessions, 1);
   ASSERT_EQ(report.tenants.size(), 1u);
@@ -246,7 +248,9 @@ ClusterReport drive_one_cache(bool swap) {
     }
   }
   cluster.drain_all();
-  return cluster.report();
+  ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
+  return report;
 }
 
 TEST(ServerLifecycle, SwapOnRunIsBitIdenticalToSwapOff) {
@@ -289,6 +293,7 @@ TEST(ClusterLifecycle, CloseRejectsTheIdForeverNamingLiveTenants) {
   EXPECT_EQ(error_of([&] { cluster.close(a); }),
             "unknown tenant id 0; live tenants: 1 'beta'");
   const ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
   EXPECT_EQ(report.retired_sessions, 1);
   EXPECT_GT(report.retired.cache.accesses, 0);
   ASSERT_EQ(report.tenants.size(), 1u);
@@ -357,7 +362,9 @@ ClusterReport drive_cluster(bool swap, const std::string& tenant_policy) {
     }
   }
   cluster.drain_all();
-  return cluster.report();
+  ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
+  return report;
 }
 
 TEST(ClusterLifecycle, SwapOnRunIsBitIdenticalToSwapOff) {
@@ -439,8 +446,9 @@ TEST(ClusterLifecycle, SwapBalanceHoldsAtEveryQuiescentPointOfAChurnTrace) {
       expect_swap_balance(cluster.lifecycle(), where);
     }
     cluster.drain_all();
-    const session::LifecycleCounters& c = cluster.report().lifecycle;
-    expect_swap_balance(c, "report");
+    const ClusterReport report = cluster.report();
+    EXPECT_TRUE(test_support::check_invariants(report)) << workers << " workers";
+    const session::LifecycleCounters& c = report.lifecycle;
     EXPECT_EQ(c.sessions_closed, 96);
     // Both close paths ran: some sessions closed while swapped, some not.
     EXPECT_GT(c.closed_swapped, 0);

@@ -529,6 +529,11 @@ class TextbookSim final : public CacheSim {
   const CacheStats& stats() const override { return lru_.stats(); }
   const CacheConfig& config() const override { return config_; }
 
+ protected:
+  void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) override {
+    for (BlockId b = first, e = first + count; b != e; ++b) access(b * block_words(), mode);
+  }
+
  private:
   CacheConfig config_;
   TextbookLru lru_;
@@ -569,7 +574,6 @@ TEST(FlatLru, RepeatedScansMatchReferencesAcrossCapacities) {
 TEST(BulkAccessContracts, RejectsSignedOverflow) {
   LruCache cache(CacheConfig{256, kBlock});
   const Addr huge = std::numeric_limits<std::int64_t>::max();
-  EXPECT_THROW(cache.access_range(huge - 2, 10, AccessMode::kRead), ContractViolation);
   EXPECT_THROW(cache.access_span(huge - 2, 10, AccessMode::kRead), ContractViolation);
   EXPECT_THROW(cache.access_blocks(huge - 2, 10, AccessMode::kRead), ContractViolation);
   // The last block of the range must still have an addressable first word.
@@ -583,14 +587,12 @@ TEST(BulkAccessContracts, RejectsNegativeArguments) {
   EXPECT_THROW(cache.access_span(0, -4, AccessMode::kRead), ContractViolation);
   EXPECT_THROW(cache.access_blocks(-1, 4, AccessMode::kRead), ContractViolation);
   EXPECT_THROW(cache.access_blocks(0, -4, AccessMode::kRead), ContractViolation);
-  EXPECT_THROW(cache.access_range(0, -1, AccessMode::kRead), ContractViolation);
 }
 
 TEST(BulkAccessContracts, EmptyRangesAreNoOps) {
   LruCache cache(CacheConfig{256, kBlock});
   cache.access_span(40, 0, AccessMode::kRead);
   cache.access_blocks(5, 0, AccessMode::kRead);
-  cache.access_range(40, 0, AccessMode::kRead);
   EXPECT_EQ(cache.stats().accesses, 0);
 }
 

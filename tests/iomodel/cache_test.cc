@@ -75,13 +75,6 @@ TEST(LruCache, FlushWritesBackDirtyAndEmpties) {
   EXPECT_EQ(cache.stats().misses, 3);  // 2 cold + 1 after flush
 }
 
-TEST(LruCache, AccessRangeTouchesEveryWord) {
-  LruCache cache(CacheConfig{1024, 8});
-  cache.access_range(3, 20, AccessMode::kRead);  // words 3..22: blocks 0,1,2
-  EXPECT_EQ(cache.stats().misses, 3);
-  EXPECT_EQ(cache.stats().accesses, 20);
-}
-
 TEST(LruCache, RejectsNegativeAddress) {
   LruCache cache(small_config());
   EXPECT_THROW(cache.access(-1, AccessMode::kRead), ContractViolation);

@@ -1,7 +1,7 @@
 // latency::CostModel and its registry: the uniform strict-extension
 // baseline, the collapsed two-level coefficients, the llc-shared
 // configuration-only contention surcharge, and the linearity contract that
-// lets per-call cache pricing agree with whole-window pricing exactly.
+// makes the sum of step prices equal the price of the summed window.
 
 #include "latency/cost_model.h"
 
@@ -29,8 +29,6 @@ iomodel::CacheStats delta(std::int64_t accesses, std::int64_t hits,
 TEST(CostModel, DefaultIsUniformCostEqualsFirings) {
   const CostModel m;
   EXPECT_EQ(m.key(), "uniform");
-  EXPECT_TRUE(m.trivial());
-  EXPECT_FALSE(m.access_costs().any());
   // Cache traffic is free under uniform: cost is exactly the firing count,
   // which is what keeps pre-latency virtual time bit-identical.
   EXPECT_EQ(m.step_cost(0, delta(100, 60, 40, 10)), 0);
@@ -39,7 +37,6 @@ TEST(CostModel, DefaultIsUniformCostEqualsFirings) {
 
 TEST(CostModel, TwoLevelCollapsesDeeperLevelsIntoMissSurcharge) {
   const CostModel m = CostModelRegistry::global().build("two-level", {});
-  EXPECT_FALSE(m.trivial());
   // L1{lookup 1, hit 1, wb 4}; deeper{lookup 10, miss 20} folds to +30 per
   // L1 miss: 2 firings + 10*1 + 7*1 + 3*30 + 1*4 = 113.
   EXPECT_EQ(m.step_cost(2, delta(10, 7, 3, 1)), 113);
@@ -101,39 +98,31 @@ TEST(CostModel, RejectsNegativeCycleCosts) {
                ContractViolation);
 }
 
-TEST(CostModel, PerCallCachePricesSumToTheWindowPrice) {
-  // The linearity contract end to end: attach a model's coefficients to a
-  // real LruCache, make several bulk calls, and the per-call costs the
-  // cache returns must sum exactly to pricing the whole window's delta.
+TEST(CostModel, StepPricesSumToTheWindowPrice) {
+  // The linearity contract end to end: run a real LruCache through several
+  // steps of bulk calls, and the step prices of the per-step counter deltas
+  // must sum exactly to the price of the whole window's delta.
   const CostModel m = CostModelRegistry::global().build("two-level", {});
   iomodel::LruCache cache({/*capacity_words=*/256, /*block_words=*/8});
-  cache.set_access_costs(m.access_costs());
 
-  const iomodel::CacheStats before = cache.stats();
-  std::int64_t per_call = 0;
+  const auto minus = [](const iomodel::CacheStats& a, const iomodel::CacheStats& b) {
+    return delta(a.accesses - b.accesses, a.hits - b.hits, a.misses - b.misses,
+                 a.writebacks - b.writebacks);
+  };
+  const iomodel::CacheStats start = cache.stats();
+  std::int64_t summed = 0;
   for (std::int64_t round = 0; round < 4; ++round) {
+    const iomodel::CacheStats before = cache.stats();
     // Overlapping strides: some hits, some misses, and capacity evictions.
-    per_call += cache.access_span(round * 128, 512,
-                                  round % 2 == 1 ? iomodel::AccessMode::kWrite
-                                                 : iomodel::AccessMode::kRead);
-    per_call += cache.access_span(0, 64, iomodel::AccessMode::kRead);
+    cache.access_span(round * 128, 512,
+                      round % 2 == 1 ? iomodel::AccessMode::kWrite
+                                     : iomodel::AccessMode::kRead);
+    cache.access_span(0, 64, iomodel::AccessMode::kRead);
+    summed += m.step_cost(round + 1, minus(cache.stats(), before));
   }
-  const iomodel::CacheStats after = cache.stats();
-  const iomodel::CacheStats window = delta(
-      after.accesses - before.accesses, after.hits - before.hits,
-      after.misses - before.misses, after.writebacks - before.writebacks);
-  EXPECT_GT(per_call, 0);
-  EXPECT_EQ(per_call, m.access_costs().price(window));
-  // step_cost adds only the firing term on top of the same linear price.
-  EXPECT_EQ(m.step_cost(6, window), 6 + per_call);
-}
-
-TEST(CostModel, CostFreeCacheReturnsZeroWithoutSnapshotting) {
-  // Without attached costs (the default), bulk calls return 0 -- the
-  // pricing plumbing must be invisible to every pre-latency caller.
-  iomodel::LruCache cache({256, 8});
-  EXPECT_FALSE(cache.access_costs().any());
-  EXPECT_EQ(cache.access_span(0, 512, iomodel::AccessMode::kRead), 0);
+  const iomodel::CacheStats window = minus(cache.stats(), start);
+  EXPECT_GT(window.writebacks, 0);
+  EXPECT_EQ(summed, m.step_cost(1 + 2 + 3 + 4, window));
 }
 
 }  // namespace

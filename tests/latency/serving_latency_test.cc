@@ -11,6 +11,7 @@
 #include "core/planner.h"
 #include "latency/histogram.h"
 #include "session/swap.h"
+#include "../support/cluster_invariants.h"
 #include "workloads/arrivals.h"
 #include "workloads/pipelines.h"
 
@@ -54,7 +55,9 @@ ClusterReport run_scenario(const Scenario& s, ClusterOptions opts,
     if (swap_between_ticks) cluster.swap_out_idle();
   }
   cluster.drain_all();
-  return cluster.report();
+  ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
+  return report;
 }
 
 TEST(ServingLatency, UniformModelCostEqualsFirings) {

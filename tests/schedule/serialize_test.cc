@@ -58,6 +58,64 @@ TEST(ScheduleSerialize, GarbageLineRejected) {
   EXPECT_THROW(from_text(g, "bogus\n"), ParseError);
 }
 
+/// `text` with its line starting "<kind> " replaced by `line`.
+std::string with_line(const std::string& text, const std::string& kind,
+                      const std::string& line) {
+  const std::size_t at = text.find(kind + " ");
+  EXPECT_NE(at, std::string::npos) << kind;
+  return text.substr(0, at) + line + text.substr(text.find('\n', at));
+}
+
+/// Expects a ParseError whose message names line `line_no`.
+void expect_parse_error_at(const sdf::SdfGraph& g, const std::string& text, int line_no) {
+  try {
+    from_text(g, text);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line_no) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+class MalformedSchedule : public ::testing::Test {
+ protected:
+  // Lines: 1 schedule, 2 inputs, 3 outputs, 4 buffers, 5 period.
+  const sdf::SdfGraph g = ccs::workloads::fm_radio(2);
+  const std::string text = to_text(g, naive_minimal_buffer_schedule(g));
+};
+
+TEST_F(MalformedSchedule, WellFormedTextParses) { EXPECT_NO_THROW(from_text(g, text)); }
+
+TEST_F(MalformedSchedule, TrailingTokenAfterNameRejected) {
+  expect_parse_error_at(g, with_line(text, "schedule", "schedule s junk"), 1);
+}
+
+TEST_F(MalformedSchedule, CountWithTrailingJunkRejected) {
+  expect_parse_error_at(g, with_line(text, "inputs", "inputs 1abc"), 2);
+}
+
+TEST_F(MalformedSchedule, NegativeCountAndExtraTokenRejected) {
+  expect_parse_error_at(g, with_line(text, "outputs", "outputs -7 9"), 3);
+  expect_parse_error_at(g, with_line(text, "outputs", "outputs 7 9"), 3);
+  expect_parse_error_at(g, with_line(text, "outputs", "outputs 99999999999999999999"), 3);
+}
+
+TEST_F(MalformedSchedule, NonNumericCapacityRejected) {
+  expect_parse_error_at(g, with_line(text, "buffers", "buffers 1 zz"), 4);
+}
+
+TEST_F(MalformedSchedule, NegativeCapacityRejected) {
+  std::string caps = "buffers -4";
+  for (sdf::EdgeId e = 1; e < g.edge_count(); ++e) caps += " 4";
+  expect_parse_error_at(g, with_line(text, "buffers", caps), 4);
+}
+
+TEST_F(MalformedSchedule, RepeatedPeriodLineRejected) {
+  const std::string period = text.substr(text.find("period "));
+  expect_parse_error_at(g, text + period, 6);
+}
+
 TEST(ParallelJson, CarriesEveryCounterLosslessly) {
   ParallelResult r;
   r.workers = 2;
