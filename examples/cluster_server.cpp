@@ -178,9 +178,7 @@ int main(int argc, char** argv) {
     opts.placement = args.get_string("placement");
     opts.cost_model = args.get_string("cost-model");
     opts.slo_p99 = args.get_int("slo-p99");
-    if (args.get_flag("no-auto-migrate")) {
-      opts.adaptive = placement::never_fire_adaptive();
-    }
+    opts.auto_migrate = !args.get_flag("no-auto-migrate");
     if (args.get_int("max-live-sessions") > 0) {
       opts.admission = "bounded-live";
       opts.budget.max_live_sessions = args.get_int("max-live-sessions");

@@ -314,7 +314,9 @@ void ClusterReport::write_json(std::ostream& os) const {
 Cluster::Cluster(ClusterOptions options, const PlacementRegistry* registry)
     : options_(std::move(options)),
       pool_(runtime::WorkerPoolOptions{options_.workers, options_.l1,
-                                       options_.llc_words, options_.llc_shards}) {
+                                       options_.llc_words, options_.llc_shards}),
+      // The estimator classifies against the cache a session actually runs in.
+      estimator_(options_.l1.capacity_words) {
   const PlacementRegistry& reg =
       registry != nullptr ? *registry : PlacementRegistry::global();
   latency::CostContext cost_ctx;
@@ -336,11 +338,6 @@ Cluster::Cluster(ClusterOptions options, const PlacementRegistry* registry)
     throw Error("band_words must be a positive multiple of the cache block size");
   }
   workers_.resize(static_cast<std::size_t>(pool_.size()));
-  // The estimator classifies against the cache a session actually runs in.
-  if (options_.adaptive.footprint.budget_words == 0) {
-    options_.adaptive.footprint.budget_words = options_.l1.capacity_words;
-  }
-  estimator_ = placement::FootprintEstimator(options_.adaptive.footprint);
   l1_window_base_.resize(static_cast<std::size_t>(pool_.size()));
 }
 
@@ -763,7 +760,7 @@ std::int64_t Cluster::rebalance() {
 std::int64_t Cluster::adapt() {
   if (!policy_->adaptive()) return 0;
   observe_footprints();
-  if (!options_.adaptive.migrate) return 0;
+  if (!options_.auto_migrate) return 0;
   if (!migration_trigger_fired()) return 0;
   const std::int64_t moved = rebalance();
   auto_migrations_ += moved;
@@ -783,11 +780,11 @@ void Cluster::observe_footprints() {
 }
 
 bool Cluster::migration_trigger_fired() {
-  const placement::AdaptiveOptions& a = options_.adaptive;
   bool fired = false;
   // Oversubscription: some worker's resident hot footprints exceed its
   // allowance of the private cache.
-  const std::int64_t allowance = options_.l1.capacity_words * a.oversub_permille / 1000;
+  const std::int64_t allowance =
+      options_.l1.capacity_words * placement::kOversubPermille / 1000;
   std::vector<std::int64_t> hot_words(workers_.size(), 0);
   for (const auto& [id, t] : tenants_) {
     if (!t.swapped() && estimator_.hot(id)) {
@@ -808,8 +805,8 @@ bool Cluster::migration_trigger_fired() {
     const std::int64_t misses = now.misses - base.misses;
     base = now;  // every adaptation point starts a fresh window
     if (!workers_[static_cast<std::size_t>(w)].tenants.empty() &&
-        accesses >= a.min_window_accesses &&
-        misses * 1000 >= a.thrash_miss_permille * accesses) {
+        accesses >= placement::kWorkerMinWindowAccesses &&
+        misses * 1000 >= placement::kWorkerThrashMissPermille * accesses) {
       fired = true;
     }
   }

@@ -33,8 +33,8 @@
 //                       thrash, the cluster consults placement *on its own*
 //                       at the next quiescent run entry and sheds hot
 //                       sessions to workers with headroom. With migration
-//                       disabled (ClusterOptions::adaptive.migrate = false)
-//                       it is decision-for-decision identical to "affinity"
+//                       disabled (ClusterOptions::auto_migrate = false) it
+//                       is decision-for-decision identical to "affinity"
 //                       -- the differential-test baseline.
 //
 // Execution supports two modes through ONE code path (worker_step):
@@ -154,7 +154,7 @@ struct PlacementRequest {
   std::int64_t footprint_words = 0;
 
   /// True when the session is classified hot (recently active, cacheable).
-  /// Always false when migration thresholds are disabled, which is what
+  /// Always false with ClusterOptions::auto_migrate off, which is what
   /// makes never-fire adaptive placement identical to "affinity".
   bool hot = false;
 };
@@ -217,9 +217,12 @@ struct ClusterOptions {
   /// the one resident), ties to the lowest id.
   std::string tenant_policy = "round-robin";
 
-  /// Automatic-migration triggers for adaptive placement keys; ignored by
-  /// static policies. footprint.budget_words defaults to the L1 capacity.
-  placement::AdaptiveOptions adaptive;
+  /// Adaptive placement's automatic migration triggers
+  /// (placement::kOversubPermille, kWorkerThrashMissPermille); ignored by
+  /// static policies. false = the triggers never fire and every session
+  /// stays cold, which makes "adaptive" decision-for-decision identical to
+  /// "affinity" (the differential-test baseline).
+  bool auto_migrate = true;
 
   /// session::AdmissionRegistry key governing admit() ("unbounded" keeps
   /// the pre-lifecycle behaviour), plus the budget it enforces.
@@ -405,7 +408,8 @@ class Cluster {
   /// run_until_idle/run_threads entry; exposed for drivers that step rounds
   /// by hand). Refreshes the footprint estimator from per-tenant counters
   /// and worker residency, evaluates the migration triggers
-  /// (ClusterOptions::adaptive), and rebalances only when one fires.
+  /// (placement::kOversubPermille and the worker thrash window), and
+  /// rebalances only when one fires.
   /// Returns migrations made; always 0 under a non-adaptive policy or with
   /// migration disabled.
   std::int64_t adapt();
@@ -493,7 +497,7 @@ class Cluster {
 
   /// True when footprint signals should be filled in and triggers can fire.
   bool adaptive_active() const noexcept {
-    return policy_->adaptive() && options_.adaptive.migrate;
+    return policy_->adaptive() && options_.auto_migrate;
   }
 
   /// Feeds every tenant's attributed counters and residency to the

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -39,14 +40,18 @@ std::string fmt_double(double v) {
   return os.str();
 }
 
-/// The cache a cell measures on: `cache` grown by `factor` (the paper's
-/// constant-factor memory augmentation, Theorem 5's regime), at least one
-/// block.
-iomodel::CacheConfig augmented(const iomodel::CacheConfig& cache, double factor) {
-  iomodel::CacheConfig out = cache;
-  out.capacity_words = std::max<std::int64_t>(
+/// Capacity of the cache a cell measures on: `cache` grown by `factor` (the
+/// paper's constant-factor memory augmentation, Theorem 5's regime), at
+/// least one block.
+std::int64_t augmented_words(const iomodel::CacheConfig& cache, double factor) {
+  return std::max<std::int64_t>(
       cache.block_words,
       static_cast<std::int64_t>(std::llround(factor * static_cast<double>(cache.capacity_words))));
+}
+
+iomodel::CacheConfig augmented(const iomodel::CacheConfig& cache, double factor) {
+  iomodel::CacheConfig out = cache;
+  out.capacity_words = augmented_words(cache, factor);
   validate_cache_geometry(out);
   return out;
 }
@@ -111,7 +116,7 @@ std::vector<CellResult> Experiment::enumerate() const {
           CellResult cell;
           cell.workload = workload;
           cell.cache = cache;
-          cell.strategy = spec_.online.online_policy;
+          cell.strategy = "auto";
           cell.is_online = true;
           cell.arrival = arrival;
           cell.tenants = tenants;
@@ -126,7 +131,7 @@ std::vector<CellResult> Experiment::enumerate() const {
                 CellResult cell;
                 cell.workload = workload;
                 cell.cache = cache;
-                cell.strategy = spec_.cluster.online_policy;
+                cell.strategy = "auto";
                 cell.is_cluster = true;
                 cell.arrival = arrival;
                 cell.tenants = tenants;
@@ -170,7 +175,6 @@ void Experiment::run_cell(CellResult& cell) const {
       opts.c_bound = spec_.c_bound;
       opts.partitioner = cell.strategy;
       opts.t_multiplier = cell.t_multiplier;
-      opts.exact_max_nodes = spec_.exact_max_nodes;
       opts.seed = spec_.seed;
       const Planner planner(graph, opts, partitioners_);
       Plan plan = planner.plan();
@@ -191,7 +195,7 @@ void Experiment::run_cell(CellResult& cell) const {
     // bit-for-bit or the cell is flagged.
     const iomodel::CacheConfig sim = augmented(cell.cache, spec_.sim_capacity_factor);
     const auto measure = [&]() {
-      return simulate(graph, sched, sim, spec_.target_outputs, spec_.engine);
+      return simulate(graph, sched, sim, spec_.target_outputs);
     };
     cell.run = measure();
     for (std::int32_t rep = 1; rep < spec_.repetitions; ++rep) {
@@ -218,13 +222,10 @@ void Experiment::run_serving_cell(CellResult& cell) const {
   opts.cache = cell.cache;
   opts.c_bound = spec_.c_bound;
   opts.partitioner = "auto";
-  opts.exact_max_nodes = spec_.exact_max_nodes;
   opts.seed = spec_.seed;
   const Planner planner(graph, opts, partitioners_);
   const Plan plan = planner.plan();
-  cell.resolved_strategy = cell.strategy == "auto"
-                               ? schedule::resolve_auto_policy(graph)
-                               : cell.strategy;
+  cell.resolved_strategy = schedule::resolve_auto_policy(graph);
   cell.components = plan.partition.num_components;
   cell.bandwidth = plan.partition_bandwidth.to_double();
   cell.schedule_name = (cell.is_online ? "online:" : "cluster:") + cell.resolved_strategy;
@@ -251,16 +252,13 @@ void Experiment::run_serving_cell(CellResult& cell) const {
       cluster_opts.placement = cell.placement;
       cluster_opts.cost_model = cell.cost_model;
       cluster_opts.slo_p99 = spec_.cluster.slo_p99;
-      cluster_opts.adaptive = spec_.cluster.adaptive;
       cluster_opts.admission = spec_.cluster.admission;
       cluster_opts.budget.max_live_sessions = spec_.cluster.max_live_sessions;
       cluster_opts.swap = spec_.cluster.swap;
       cluster_opts.band_words = spec_.cluster.band_words;
     }
     Cluster cluster(cluster_opts);
-    StreamOptions stream_opts;
-    stream_opts.policy = cell.strategy;
-    stream_opts.engine = spec_.engine;
+    const StreamOptions stream_opts;  // the "auto" online policy
 
     if (cell.is_cluster && spec_.cluster.churn_sessions > 0) {
       // Churn mode: the lifecycle trace decides who opens, pushes, and
@@ -268,8 +266,6 @@ void Experiment::run_serving_cell(CellResult& cell) const {
       workloads::ChurnOptions churn;
       churn.sessions = spec_.cluster.churn_sessions;
       churn.max_concurrent = spec_.cluster.churn_max_live;
-      churn.pushes_per_session = spec_.cluster.churn_pushes;
-      churn.items_per_push = spec_.cluster.churn_items;
       churn.seed = spec_.seed;
       std::unordered_map<std::int64_t, TenantId> live_ids;
       for (const workloads::SessionEvent& e : workloads::churn_trace(churn)) {
@@ -399,17 +395,24 @@ ExperimentResult Experiment::run(std::int32_t threads) const {
     if (spec_.cluster.llc_factor < 0) {
       throw Error("cluster sweep needs llc_factor >= 0");
     }
+    // Each cluster cell's LLC is llc_factor times its augmented L1, which
+    // the sim_capacity_factor check above keeps at >= 1 word.
+    for (const iomodel::CacheConfig& cache : spec_.caches) {
+      const std::int64_t l1_words = augmented_words(cache, spec_.sim_capacity_factor);
+      if (spec_.cluster.llc_factor > std::numeric_limits<std::int64_t>::max() / l1_words) {
+        throw Error("cluster sweep needs llc_factor * the augmented L1 (" +
+                    std::to_string(l1_words) + " words) to fit in int64 (llc_factor " +
+                    std::to_string(spec_.cluster.llc_factor) + ")");
+      }
+    }
     if (spec_.cluster.llc_shards < 1 || !is_pow2(spec_.cluster.llc_shards)) {
       throw Error("cluster sweep needs llc_shards to be a power of two >= 1");
     }
     if (spec_.cluster.churn_sessions < 0) {
       throw Error("cluster sweep needs churn_sessions >= 0");
     }
-    if (spec_.cluster.churn_sessions > 0 &&
-        (spec_.cluster.churn_max_live < 1 || spec_.cluster.churn_pushes < 1 ||
-         spec_.cluster.churn_items < 1)) {
-      throw Error("churn sweep needs churn_max_live, churn_pushes, and "
-                  "churn_items all >= 1");
+    if (spec_.cluster.churn_sessions > 0 && spec_.cluster.churn_max_live < 1) {
+      throw Error("churn sweep needs churn_max_live >= 1");
     }
   }
 

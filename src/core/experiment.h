@@ -31,8 +31,6 @@
 #include "core/planner.h"
 #include "iomodel/types.h"
 #include "partition/registry.h"
-#include "placement/footprint.h"
-#include "runtime/engine.h"
 #include "runtime/run_result.h"
 #include "schedule/registry.h"
 #include "workloads/arrivals.h"
@@ -42,32 +40,31 @@ namespace ccs::core {
 
 /// The online-serving slice of a sweep: arrival patterns x tenant counts,
 /// each cell a multi-tenant scenario on a 1-worker, no-LLC core::Cluster
-/// (N identical tenants of the workload on one shared cache, fed by the
-/// pattern for `ticks` ticks, then drained). Empty `arrivals` disables
-/// online cells.
+/// (N identical tenants of the workload on one shared cache, each on the
+/// "auto" online policy, fed by the pattern for `ticks` ticks, then
+/// drained). Empty `arrivals` disables online cells.
 struct OnlineSweep {
   std::vector<std::string> arrivals;        ///< workloads::ArrivalRegistry keys.
   std::vector<std::int32_t> tenant_counts{1};
   std::string tenant_policy = "round-robin";  ///< ClusterOptions::tenant_policy.
-  std::string online_policy = "auto";         ///< schedule::OnlineRegistry key.
   std::int64_t ticks = 128;                   ///< Pushes per tenant.
 };
 
 /// The multicore slice of a sweep: arrival patterns x tenant counts x
 /// worker counts x placement policies, each cell a core::Cluster scenario
-/// (N identical tenants of the workload sharded over W workers, fed by the
-/// pattern for `ticks` ticks in deterministic virtual time with a
-/// rebalance() at every tick boundary, then drained). Empty `arrivals`
-/// disables cluster cells.
+/// (N identical tenants of the workload on the "auto" online policy,
+/// sharded over W workers, fed by the pattern for `ticks` ticks in
+/// deterministic virtual time with a rebalance() at every tick boundary,
+/// then drained). Empty `arrivals` disables cluster cells.
 struct ClusterSweep {
   std::vector<std::string> arrivals;          ///< workloads::ArrivalRegistry keys.
   std::vector<std::int32_t> tenant_counts{2};
   std::vector<std::int32_t> worker_counts{2};
   std::vector<std::string> placements{"round-robin"};  ///< PlacementRegistry keys.
-  std::string online_policy = "auto";         ///< schedule::OnlineRegistry key.
 
   /// Shared-LLC capacity as a multiple of the (augmented) per-worker L1;
-  /// 0 runs the workers on independent flat caches.
+  /// 0 runs the workers on independent flat caches. Experiment::run rejects
+  /// a factor whose LLC does not fit in int64.
   std::int64_t llc_factor = 8;
 
   /// Shared-LLC lock stripes for every cluster cell: a power of two >= 1.
@@ -83,21 +80,15 @@ struct ClusterSweep {
   std::vector<std::string> cost_models;
   std::int64_t slo_p99 = 0;
 
-  /// Trigger thresholds for "adaptive" placement cells (ignored by the
-  /// static keys), so a sweep can put adaptive-with-migration-disabled next
-  /// to "affinity" in the same grid and diff the rows.
-  placement::AdaptiveOptions adaptive;
-
   /// Churn lifecycle axis: 0 (the default) keeps the steady tick loop
   /// above. > 0 replaces it -- every cluster cell drives a
   /// workloads::churn_trace of that many logical sessions (open / bursty
   /// push / close, at most churn_max_live open at once), exercising
   /// admission control and -- with `swap` -- the idle-session swap tier.
+  /// Each session gets workloads::ChurnOptions' default bursts.
   /// `tenant_counts` is ignored for churn cells (the trace decides).
   std::int64_t churn_sessions = 0;
   std::int64_t churn_max_live = 8;    ///< Concurrent-open bound of the trace.
-  std::int64_t churn_pushes = 4;      ///< Bursts per session.
-  std::int64_t churn_items = 64;      ///< Arrivals per burst.
 
   /// Lifecycle knobs forwarded to every cluster cell's ClusterOptions
   /// (meaningful with or without churn).
@@ -123,7 +114,6 @@ struct SweepSpec {
   std::vector<std::int64_t> t_multipliers{1};
 
   double c_bound = 3.0;                ///< Planner state bound (c * M).
-  std::int32_t exact_max_nodes = 20;   ///< Gate for "auto"/plan_all exact.
   std::uint64_t seed = 1;              ///< For randomized partitioners.
 
   /// Simulate on sim_capacity_factor * M (the paper's constant-factor
@@ -140,8 +130,6 @@ struct SweepSpec {
   /// all repetitions must agree counter-for-counter or the cell is marked
   /// failed (a tripwire for non-determinism in strategies or the runtime).
   std::int32_t repetitions = 1;
-
-  runtime::EngineOptions engine;       ///< Per-cell engine knobs.
 };
 
 /// One evaluated grid cell. Coordinate fields are always filled; result

@@ -62,14 +62,13 @@ partition::StrategyContext Planner::strategy_context() const {
   ctx.cache_words = options_.cache.capacity_words;
   ctx.state_bound = static_cast<std::int64_t>(
       options_.c_bound * static_cast<double>(options_.cache.capacity_words));
-  ctx.exact_max_nodes = options_.exact_max_nodes;
   ctx.seed = options_.seed;
   return ctx;
 }
 
 std::string Planner::resolve_auto() const {
   if (graph_.is_pipeline()) return "pipeline-dp";
-  if (graph_.node_count() <= options_.exact_max_nodes) return "exact";
+  if (graph_.node_count() <= partition::kExactMaxNodes) return "exact";
   return "dag-refined";
 }
 
@@ -134,7 +133,7 @@ std::optional<Rational> Planner::lower_bound_bandwidth() const {
     // pipelines the DP is polynomial; for dags the exact solver bails out
     // (nullopt) above the node budget rather than going exponential.
     lower_bound_bw_ = analysis::dag_min_bandwidth_3m(graph_, options_.cache.capacity_words,
-                                                     options_.exact_max_nodes);
+                                                     partition::kExactMaxNodes);
     lower_bound_computed_ = true;
   }
   return lower_bound_bw_;

@@ -44,10 +44,10 @@ struct PlannerOptions {
   iomodel::CacheConfig cache;          ///< M (words) and B (words/block).
   double c_bound = 3.0;                ///< Components hold at most c*M state.
   std::string partitioner = "auto";    ///< partition::Registry key, or "auto"
-                                       ///< (DP for pipelines, exact for small
-                                       ///< dags, refined greedy otherwise).
+                                       ///< (DP for pipelines, exact for dags
+                                       ///< up to partition::kExactMaxNodes
+                                       ///< nodes, refined greedy otherwise).
   std::int64_t t_multiplier = 1;       ///< Batch scaling beyond the legal minimum.
-  std::int32_t exact_max_nodes = 20;   ///< "auto" switches off exact above this.
   std::uint64_t seed = 1;              ///< For randomized partitioners (anneal).
 };
 

@@ -104,15 +104,15 @@ void register_builtin_partitioners(Registry& r) {
            // An explicit request always attempts the graph; the budget gate
            // below only keeps plan_all()/auto from walking into exponential
            // blowups uninvited.
-           exact.max_nodes = std::max(ctx.exact_max_nodes, g.node_count());
+           exact.max_nodes = std::max(kExactMaxNodes, g.node_count());
            const auto result = dag_exact_partition(g, exact);
            if (!result.has_value()) {
              throw Error("exact partitioner exceeded its budget; use a heuristic partitioner");
            }
            return result->partition;
          },
-         [](const sdf::SdfGraph& g, const StrategyContext& ctx) {
-           return g.node_count() <= ctx.exact_max_nodes;
+         [](const sdf::SdfGraph& g, const StrategyContext&) {
+           return g.node_count() <= kExactMaxNodes;
          },
          "exponential ideal DP (small graphs only)"});
 }

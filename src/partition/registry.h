@@ -21,12 +21,16 @@
 
 namespace ccs::partition {
 
+/// Budget gate for exponential strategies: "auto" and plan_all() use the
+/// exact partitioner (and the planner its exact lower bound) only on graphs
+/// with at most this many nodes.
+inline constexpr std::int32_t kExactMaxNodes = 20;
+
 /// Everything a partitioner strategy may consult, derived from the planner's
 /// options (state_bound = c_bound * cache_words).
 struct StrategyContext {
   std::int64_t cache_words = 0;       ///< M (words).
   std::int64_t state_bound = 0;       ///< c * M: component state ceiling.
-  std::int32_t exact_max_nodes = 20;  ///< Budget gate for exponential strategies.
   std::uint64_t seed = 1;             ///< For randomized strategies (annealing).
 };
 

@@ -7,18 +7,9 @@
 
 namespace ccs::placement {
 
-FootprintEstimator::FootprintEstimator(FootprintConfig config) : config_(config) {
-  if (config_.budget_words < 0) throw Error("footprint budget must be non-negative");
-  if (config_.min_window_accesses < 1) {
-    throw Error("footprint estimator needs min_window_accesses >= 1");
-  }
-  if (config_.cold_windows < 1) throw Error("footprint estimator needs cold_windows >= 1");
-  if (config_.express_permille < 0) {
-    throw Error("footprint thresholds must be non-negative");
-  }
-  if (config_.thrash_miss_permille < 0 || config_.thrash_miss_permille > 1000) {
-    throw Error("thrash threshold is a miss rate per mille: it must lie in [0, 1000]");
-  }
+FootprintEstimator::FootprintEstimator(std::int64_t budget_words)
+    : budget_words_(budget_words) {
+  if (budget_words_ < 0) throw Error("footprint budget must be non-negative");
 }
 
 void FootprintEstimator::add_session(std::int32_t id, std::int64_t layout_words,
@@ -61,14 +52,14 @@ void FootprintEstimator::observe(std::int32_t s, const FootprintObservation& o) 
   session.last_accesses = o.accesses;
   session.last_misses = o.misses;
 
-  if (window_accesses < config_.min_window_accesses) {
-    if (++session.quiet >= config_.cold_windows) session.active = false;
+  if (window_accesses < kMinWindowAccesses) {
+    if (++session.quiet >= kColdWindows) session.active = false;
     return;
   }
   session.quiet = 0;
   session.active = true;
   session.miss_permille = window_misses * 1000 / window_accesses;
-  if (session.miss_permille >= config_.thrash_miss_permille) {
+  if (session.miss_permille >= kThrashMissPermille) {
     // Cycling the whole span through the cache: nothing stays resident long
     // enough for the residency probe to mean anything.
     session.live = session.layout;
@@ -85,8 +76,8 @@ std::int64_t FootprintEstimator::footprint_words(std::int32_t s) const {
 }
 
 bool FootprintEstimator::express(std::int32_t s) const {
-  if (config_.budget_words <= 0) return false;
-  return session(s).live * 1000 > config_.express_permille * config_.budget_words;
+  if (budget_words_ <= 0) return false;
+  return session(s).live * 1000 > kExpressPermille * budget_words_;
 }
 
 bool FootprintEstimator::hot(std::int32_t s) const {

@@ -37,30 +37,25 @@
 
 namespace ccs::placement {
 
-/// Classifier and correction knobs. Rates are expressed per mille so the
-/// whole estimator stays in exact integer arithmetic.
-struct FootprintConfig {
-  /// Private-cache words a session is classified against (a worker's L1
-  /// capacity). 0 disables the express classification.
-  std::int64_t budget_words = 0;
+// Classifier and correction thresholds. Rates are expressed per mille so
+// the whole estimator stays in exact integer arithmetic.
 
-  /// Observation windows with fewer attributed accesses than this count as
-  /// quiet: they update nothing and push the session toward cold.
-  std::int64_t min_window_accesses = 64;
+/// Observation windows with fewer attributed accesses than this count as
+/// quiet: they update nothing and push the session toward cold.
+inline constexpr std::int64_t kMinWindowAccesses = 64;
 
-  /// Consecutive quiet windows before an active session demotes to cold.
-  std::int64_t cold_windows = 2;
+/// Consecutive quiet windows before an active session demotes to cold.
+inline constexpr std::int64_t kColdWindows = 2;
 
-  /// A session whose live footprint exceeds budget_words * this / 1000 is
-  /// "express": too big to keep resident, so it never counts as hot
-  /// pressure (gem-forge's bypass for streams too big to cache).
-  std::int64_t express_permille = 2000;
+/// A session whose live footprint exceeds budget_words * this / 1000 is
+/// "express": too big to keep resident, so it never counts as hot pressure
+/// (gem-forge's bypass for streams too big to cache).
+inline constexpr std::int64_t kExpressPermille = 2000;
 
-  /// Window miss rate (misses * 1000 / accesses) at or above which the
-  /// session is treated as cycling its entire layout: the live estimate
-  /// snaps to the full span instead of trusting residency.
-  std::int64_t thrash_miss_permille = 500;
-};
+/// Window miss rate (misses * 1000 / accesses) at or above which the session
+/// is treated as cycling its entire layout: the live estimate snaps to the
+/// full span instead of trusting residency.
+inline constexpr std::int64_t kThrashMissPermille = 500;
 
 /// One counter observation for one session, polled at a quiescent point.
 /// Counters are lifetime totals; the estimator windows them internally.
@@ -77,7 +72,9 @@ struct FootprintObservation {
 /// identical estimates.
 class FootprintEstimator {
  public:
-  explicit FootprintEstimator(FootprintConfig config = {});
+  /// `budget_words` is the private-cache capacity a session is classified
+  /// against (a worker's L1); 0 disables the express classification.
+  explicit FootprintEstimator(std::int64_t budget_words);
 
   /// Registers session `session`, which must not be registered already.
   /// `layout_words` is the gain-analysis seed (state + channel rings, the
@@ -100,7 +97,7 @@ class FootprintEstimator {
   }
 
   /// Feeds one counter window. Quiet windows (fewer than
-  /// min_window_accesses new accesses) only age the session toward cold;
+  /// kMinWindowAccesses new accesses) only age the session toward cold;
   /// active windows re-classify it and correct the live estimate:
   /// thrash-rate windows snap it to the full layout span, otherwise it
   /// follows observed residency (floored at state_words, capped at the
@@ -114,15 +111,13 @@ class FootprintEstimator {
   /// footprints are what placement charges against a worker's L1 budget.
   bool hot(std::int32_t session) const;
 
-  /// Active but too big for the budget (see FootprintConfig::
-  /// express_permille); thrashes wherever it runs.
+  /// Active but too big for the budget (see kExpressPermille); thrashes
+  /// wherever it runs.
   bool express(std::int32_t session) const;
 
   /// Last active window's miss rate per mille (0 before the first active
   /// window).
   std::int64_t window_miss_permille(std::int32_t session) const;
-
-  const FootprintConfig& config() const noexcept { return config_; }
 
  private:
   struct Session {
@@ -139,44 +134,26 @@ class FootprintEstimator {
   const Session& session(std::int32_t s) const;
   Session& session(std::int32_t s);
 
-  FootprintConfig config_;
+  std::int64_t budget_words_;
   std::unordered_map<std::int32_t, Session> sessions_;
 };
 
-/// Automatic-migration triggers for the cluster's "adaptive" placement key.
-/// The estimator classifies; these thresholds decide when classification
-/// turns into migration.
-struct AdaptiveOptions {
-  /// Master switch. false = thresholds never fire: the adaptive policy is
-  /// consulted with every session cold, which makes it decision-for-
-  /// decision identical to the "affinity" key (the differential-test
-  /// baseline).
-  bool migrate = true;
+// Automatic-migration triggers for the cluster's "adaptive" placement key.
+// The estimator classifies; these thresholds decide when classification
+// turns into migration (core::ClusterOptions::auto_migrate switches them
+// off).
 
-  /// A worker is oversubscribed when the sum of its resident hot sessions'
-  /// footprints exceeds l1_words * this / 1000.
-  std::int64_t oversub_permille = 1000;
+/// A worker is oversubscribed when the sum of its resident hot sessions'
+/// footprints exceeds l1_words * this / 1000.
+inline constexpr std::int64_t kOversubPermille = 1000;
 
-  /// A worker whose private-L1 window miss rate reaches this is thrashing:
-  /// under the inclusive hierarchy every private miss is a shared-LLC
-  /// probe, so this is equally the worker's LLC pressure-delta signal.
-  std::int64_t thrash_miss_permille = 850;
+/// A worker whose private-L1 window miss rate reaches this is thrashing:
+/// under the inclusive hierarchy every private miss is a shared-LLC probe,
+/// so this is equally the worker's LLC pressure-delta signal.
+inline constexpr std::int64_t kWorkerThrashMissPermille = 850;
 
-  /// Per-worker windows with fewer L1 accesses than this never signal
-  /// thrash (avoids classifying warm-up traffic).
-  std::int64_t min_window_accesses = 128;
-
-  /// Estimator knobs. budget_words is filled by the cluster from its
-  /// per-worker L1 capacity when left at 0.
-  FootprintConfig footprint;
-};
-
-/// The differential-test baseline: adaptive placement whose migration
-/// thresholds never fire (bit-identical to the "affinity" key).
-inline AdaptiveOptions never_fire_adaptive() {
-  AdaptiveOptions options;
-  options.migrate = false;
-  return options;
-}
+/// Per-worker windows with fewer L1 accesses than this never signal thrash
+/// (avoids classifying warm-up traffic).
+inline constexpr std::int64_t kWorkerMinWindowAccesses = 128;
 
 }  // namespace ccs::placement

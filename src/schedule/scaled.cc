@@ -9,13 +9,12 @@
 
 namespace ccs::schedule {
 
-std::int64_t choose_scale_factor(const sdf::SdfGraph& g, std::int64_t m,
-                                 std::int64_t max_scale) {
+std::int64_t choose_scale_factor(const sdf::SdfGraph& g, std::int64_t m) {
   CCS_EXPECTS(m > 0, "cache size must be positive");
   const sdf::RepetitionVector reps(g);
   // Per unit of scale, module v's working set grows by the one-iteration
   // traffic of its incident edges; its fixed part is its state.
-  std::int64_t best = max_scale;
+  std::int64_t best = kMaxScale;
   for (sdf::NodeId v = 0; v < g.node_count(); ++v) {
     std::int64_t per_scale = 0;
     for (const sdf::EdgeId e : g.in_edges(v)) per_scale += reps.edge_tokens(e);
@@ -32,11 +31,11 @@ std::int64_t choose_scale_factor(const sdf::SdfGraph& g, std::int64_t m,
   if (total_tokens > 0) {
     best = std::min(best, std::max<std::int64_t>((m / 2) / total_tokens, 1));
   }
-  return std::clamp<std::int64_t>(best, 1, max_scale);
+  return std::clamp<std::int64_t>(best, 1, kMaxScale);
 }
 
-Schedule scaled_schedule(const sdf::SdfGraph& g, std::int64_t m, std::int64_t max_scale) {
-  const std::int64_t s = choose_scale_factor(g, m, max_scale);
+Schedule scaled_schedule(const sdf::SdfGraph& g, std::int64_t m) {
+  const std::int64_t s = choose_scale_factor(g, m);
   const sdf::RepetitionVector reps(g);
   const auto topo = sdf::topological_sort(g);
 

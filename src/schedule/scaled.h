@@ -17,15 +17,15 @@
 
 namespace ccs::schedule {
 
-/// Builds the scaled schedule for cache size `m` (words). `max_scale` caps
-/// the search (the optimum is found by direct maximization; the cap guards
-/// against degenerate graphs with near-zero buffer cost).
-Schedule scaled_schedule(const sdf::SdfGraph& g, std::int64_t m,
-                         std::int64_t max_scale = 1 << 20);
+/// Cap on the scale factor. The optimum is found by direct maximization;
+/// the cap guards against degenerate graphs with near-zero buffer cost.
+inline constexpr std::int64_t kMaxScale = std::int64_t{1} << 20;
 
-/// The scale factor the schedule above would choose (exposed for tests and
-/// the E8 ablation).
-std::int64_t choose_scale_factor(const sdf::SdfGraph& g, std::int64_t m,
-                                 std::int64_t max_scale = 1 << 20);
+/// Builds the scaled schedule for cache size `m` (words).
+Schedule scaled_schedule(const sdf::SdfGraph& g, std::int64_t m);
+
+/// The scale factor the schedule above would choose, in [1, kMaxScale]
+/// (exposed for tests and the E8 ablation).
+std::int64_t choose_scale_factor(const sdf::SdfGraph& g, std::int64_t m);
 
 }  // namespace ccs::schedule

@@ -1,7 +1,7 @@
 // Adaptive footprint-driven placement -- the differential-test harness.
 //
 // The acceptance properties this file pins:
-//  * "adaptive" with migration disabled (never-fire thresholds) is
+//  * "adaptive" with migration disabled (ClusterOptions::auto_migrate off) is
 //    decision-for-decision identical to "affinity": per-tenant counters,
 //    placements, migrations, LLC statistics, rounds, makespan -- across
 //    several arrival patterns (the differential baseline);
@@ -16,6 +16,7 @@
 //  * Cluster::migrate edge cases: a move to the current worker is a counted
 //    no-op, an unknown tenant id throws ccs::Error naming the live tenants,
 //    and rebalance() on an empty cluster returns 0;
+//  * every end-of-run report obeys the ClusterReport conservation laws;
 //  * placement::FootprintEstimator's seed/correct/classify arithmetic.
 
 #include "core/cluster.h"
@@ -27,6 +28,7 @@
 
 #include "partition/pipeline_dp.h"
 #include "placement/footprint.h"
+#include "../support/cluster_invariants.h"
 #include "util/error.h"
 #include "workloads/arrivals.h"
 #include "workloads/pipelines.h"
@@ -86,7 +88,9 @@ ClusterReport serve(const Scenario& s, ClusterOptions opts,
     }
   }
   cluster.drain_all();
-  return cluster.report();
+  ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
+  return report;
 }
 
 void expect_identical_reports(const ClusterReport& a, const ClusterReport& b,
@@ -116,7 +120,7 @@ TEST(AdaptivePlacement, NeverFireThresholdsAreBitIdenticalToAffinity) {
   };
   for (const auto& [name, pattern] : patterns) {
     ClusterOptions adaptive = cluster_options(2, "adaptive");
-    adaptive.adaptive = placement::never_fire_adaptive();
+    adaptive.auto_migrate = false;
     const ClusterReport a = serve(s, adaptive, pattern, 6);
     const ClusterReport b = serve(s, cluster_options(2, "affinity"), pattern, 6);
     expect_identical_reports(a, b, name);
@@ -206,6 +210,7 @@ TEST(AdaptivePlacement, OversubscribedWorkerShedsHotSessions) {
   }
   cluster.drain_all();
   const ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
   EXPECT_GT(report.auto_migrations, 0);
   // The two heavy sessions must not share a worker once adaptation settles.
   EXPECT_NE(report.tenants[0].worker, report.tenants[2].worker);
@@ -214,9 +219,9 @@ TEST(AdaptivePlacement, OversubscribedWorkerShedsHotSessions) {
 TEST(AdaptivePlacement, MigrationsConserveDataflowCounters) {
   const Scenario s = oversubscribed_scenario();
   const auto pattern = workloads::steady_arrivals(48);
-  const auto run = [&](placement::AdaptiveOptions adaptive) {
+  const auto run = [&](bool auto_migrate) {
     ClusterOptions opts = tiny_l1_options("adaptive");
-    opts.adaptive = adaptive;
+    opts.auto_migrate = auto_migrate;
     Cluster cluster(std::move(opts));
     for (std::size_t i = 0; i < s.tenants.size(); ++i) {
       cluster.admit(s.tenants[i].first, s.tenants[i].second, s.partitions[i], {}, 1024);
@@ -228,11 +233,13 @@ TEST(AdaptivePlacement, MigrationsConserveDataflowCounters) {
       cluster.run_until_idle();
     }
     cluster.drain_all();
-    return cluster.report();
+    ClusterReport report = cluster.report();
+    EXPECT_TRUE(test_support::check_invariants(report));
+    return report;
   };
 
-  const ClusterReport pinned = run(placement::never_fire_adaptive());
-  const ClusterReport adapted = run(placement::AdaptiveOptions{});
+  const ClusterReport pinned = run(false);
+  const ClusterReport adapted = run(true);
   ASSERT_EQ(pinned.tenants.size(), adapted.tenants.size());
   EXPECT_EQ(pinned.migrations, 0);
   EXPECT_GT(adapted.auto_migrations, 0);
@@ -264,6 +271,7 @@ TEST(AdaptivePlacement, MigrateToCurrentWorkerIsACountedNoop) {
   cluster.migrate(0, home);
   cluster.migrate(0, home);
   const ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
   EXPECT_EQ(report.migrations, 0);
   EXPECT_EQ(report.tenants[0].migrations, 0);
   EXPECT_EQ(report.migration_noops, 2);
@@ -294,16 +302,16 @@ TEST(AdaptivePlacement, RebalanceOnEmptyClusterReturnsZero) {
     Cluster cluster(cluster_options(2, placement));
     EXPECT_EQ(cluster.rebalance(), 0) << placement;
     EXPECT_EQ(cluster.adapt(), 0) << placement;  // quiescent and empty: no-op
-    EXPECT_EQ(cluster.report().migrations, 0) << placement;
+    const ClusterReport report = cluster.report();
+    EXPECT_TRUE(test_support::check_invariants(report)) << placement;
+    EXPECT_EQ(report.migrations, 0) << placement;
   }
 }
 
 // -- the estimator's arithmetic ----------------------------------------------
 
 TEST(FootprintEstimator, SeedsFromLayoutAndStaysColdUntilActive) {
-  placement::FootprintConfig config;
-  config.budget_words = 4096;
-  placement::FootprintEstimator est(config);
+  placement::FootprintEstimator est(/*budget_words=*/4096);
   const std::int32_t s = 0;
   est.add_session(s, /*layout_words=*/1000, /*state_words=*/300);
   EXPECT_EQ(est.footprint_words(s), 1000);  // the gain-analysis seed
@@ -312,10 +320,7 @@ TEST(FootprintEstimator, SeedsFromLayoutAndStaysColdUntilActive) {
 }
 
 TEST(FootprintEstimator, ActiveWindowFollowsResidencyWithinBounds) {
-  placement::FootprintConfig config;
-  config.budget_words = 4096;
-  config.min_window_accesses = 64;
-  placement::FootprintEstimator est(config);
+  placement::FootprintEstimator est(4096);
   const std::int32_t s = 0;
   est.add_session(s, 1000, 300);
 
@@ -342,15 +347,12 @@ TEST(FootprintEstimator, ActiveWindowFollowsResidencyWithinBounds) {
 }
 
 TEST(FootprintEstimator, ThrashWindowSnapsBackToTheFullLayout) {
-  placement::FootprintConfig config;
-  config.budget_words = 4096;
-  config.thrash_miss_permille = 500;
-  placement::FootprintEstimator est(config);
+  placement::FootprintEstimator est(4096);
   const std::int32_t s = 0;
   est.add_session(s, 1000, 300);
   placement::FootprintObservation o;
   o.accesses = 1000;
-  o.misses = 700;        // 700 permille >= the thrash threshold
+  o.misses = 700;        // 700 permille >= kThrashMissPermille (500)
   o.resident_words = 64; // residency lies when the session cycles its span
   est.observe(s, o);
   EXPECT_EQ(est.footprint_words(s), 1000);
@@ -358,11 +360,7 @@ TEST(FootprintEstimator, ThrashWindowSnapsBackToTheFullLayout) {
 }
 
 TEST(FootprintEstimator, QuietWindowsDemoteToColdAfterTheConfiguredCount) {
-  placement::FootprintConfig config;
-  config.budget_words = 4096;
-  config.min_window_accesses = 64;
-  config.cold_windows = 2;
-  placement::FootprintEstimator est(config);
+  placement::FootprintEstimator est(4096);
   const std::int32_t s = 0;
   est.add_session(s, 1000, 300);
   placement::FootprintObservation o;
@@ -371,17 +369,15 @@ TEST(FootprintEstimator, QuietWindowsDemoteToColdAfterTheConfiguredCount) {
   o.resident_words = 640;
   est.observe(s, o);
   ASSERT_TRUE(est.hot(s));
-  est.observe(s, o);  // no new accesses: quiet window 1 of 2
+  est.observe(s, o);  // no new accesses: quiet window 1 of kColdWindows (2)
   EXPECT_TRUE(est.hot(s));
   est.observe(s, o);  // quiet window 2 of 2: demoted
   EXPECT_FALSE(est.hot(s));
 }
 
 TEST(FootprintEstimator, ExpressSessionsAreNeverHot) {
-  placement::FootprintConfig config;
-  config.budget_words = 1000;
-  config.express_permille = 2000;  // express beyond 2x the budget
-  placement::FootprintEstimator est(config);
+  // kExpressPermille (2000): express beyond 2x the budget.
+  placement::FootprintEstimator est(/*budget_words=*/1000);
   const std::int32_t s = 0;
   est.add_session(s, /*layout_words=*/5000, /*state_words=*/100);
   placement::FootprintObservation o;
@@ -394,9 +390,7 @@ TEST(FootprintEstimator, ExpressSessionsAreNeverHot) {
 }
 
 TEST(FootprintEstimator, RemovingASessionReclaimsItsEntry) {
-  placement::FootprintConfig config;
-  config.budget_words = 4096;
-  placement::FootprintEstimator est(config);
+  placement::FootprintEstimator est(4096);
   // Churn: sessions come and go under ever-growing ids, a few live at once.
   for (std::int32_t id = 0; id < 1000; ++id) {
     est.add_session(id, 1000, 300);
@@ -416,12 +410,7 @@ TEST(FootprintEstimator, RemovingASessionReclaimsItsEntry) {
 }
 
 TEST(FootprintEstimator, RejectsNonsenseConfigurations) {
-  placement::FootprintConfig bad;
-  bad.budget_words = -1;
-  EXPECT_THROW(placement::FootprintEstimator{bad}, Error);
-  placement::FootprintConfig est_bad;
-  est_bad.thrash_miss_permille = 2000;  // a miss rate cannot exceed 1000
-  EXPECT_THROW(placement::FootprintEstimator{est_bad}, Error);
+  EXPECT_THROW(placement::FootprintEstimator{-1}, Error);  // a negative budget
 }
 
 }  // namespace

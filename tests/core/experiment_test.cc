@@ -218,6 +218,25 @@ TEST(Experiment, OutOfRangeSimFactorIsASpecError) {
   }
 }
 
+TEST(Experiment, LlcFactorThatOverflowsTheLlcIsASpecError) {
+  // The LLC is llc_factor times the augmented L1 (4 * 256 = 1024 words
+  // here); a product past int64 used to wrap and measure on garbage.
+  SweepSpec spec;
+  spec.workloads = {"uniform-pipeline"};
+  spec.caches = {{256, 8}};
+  spec.cluster.arrivals = {"steady-16"};
+  spec.cluster.ticks = 2;
+  spec.cluster.llc_factor = std::numeric_limits<std::int64_t>::max() / 1024 + 1;
+  try {
+    (void)Experiment(spec).run(1);
+    ADD_FAILURE() << "llc_factor " << spec.cluster.llc_factor << " was accepted";
+  } catch (const ContractViolation& e) {
+    ADD_FAILURE() << "a spec error, not a contract violation: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("llc_factor"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Experiment, CsvAndJsonEmission) {
   SweepSpec spec;
   spec.workloads = {"uniform-pipeline"};

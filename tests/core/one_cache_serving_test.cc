@@ -5,7 +5,8 @@
 // The acceptance properties: a 2+ tenant run is deterministic under both
 // tenant policies (repeat runs are counter-identical), and per-tenant
 // RunResults sum to the worker cache's own counters (every access belongs
-// to exactly one tenant's step). The suite keeps the name "Server" it had
+// to exactly one tenant's step). Every end-of-run report also obeys the
+// ClusterReport conservation laws. The suite keeps the name "Server" it had
 // when a separate class implemented this configuration.
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "core/cluster.h"
 #include "partition/pipeline_dp.h"
+#include "../support/cluster_invariants.h"
 #include "util/error.h"
 #include "workloads/arrivals.h"
 #include "workloads/pipelines.h"
@@ -49,7 +51,9 @@ ClusterReport run_two_tenant_scenario(const std::string& tenant_policy) {
     cluster.run_until_idle();
   }
   cluster.drain_all();
-  return cluster.report();
+  ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report)) << tenant_policy;
+  return report;
 }
 
 TEST(Server, PerTenantResultsSumToSharedCacheAggregate) {
@@ -117,6 +121,7 @@ TEST(Server, TenantsProgressIndependentlyOfEachOther) {
   cluster.run_until_idle();
   cluster.drain_all();
   const ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
   EXPECT_EQ(report.tenants[static_cast<std::size_t>(fed)].outputs, 128);
   EXPECT_EQ(report.tenants[static_cast<std::size_t>(starved)].outputs, 0);
   EXPECT_EQ(report.tenants[static_cast<std::size_t>(starved)].totals.firings, 0);
@@ -138,7 +143,9 @@ TEST(Server, SharedCacheInterferenceRaisesMissesOverSoloRuns) {
       cluster.run_until_idle();
     }
     cluster.drain_all();
-    return cluster.report().tenants[0].totals;
+    const ClusterReport report = cluster.report();
+    EXPECT_TRUE(test_support::check_invariants(report)) << second_tenant;
+    return report.tenants[0].totals;
   };
 
   const runtime::RunResult solo = run_with(false);
@@ -173,6 +180,7 @@ TEST(Server, DrainedTenantUnderMissAwareDoesNotStarveOthers) {
   }
   cluster.drain_all();
   const ClusterReport report = cluster.report();
+  EXPECT_TRUE(test_support::check_invariants(report));
   EXPECT_EQ(report.tenants[static_cast<std::size_t>(drained)].outputs, 32);
   EXPECT_EQ(report.tenants[static_cast<std::size_t>(fed_b)].outputs, 32 + 6 * 48);
   EXPECT_EQ(report.tenants[static_cast<std::size_t>(fed_c)].outputs, 32 + 6 * 48);
@@ -198,6 +206,7 @@ TEST(Server, PerTenantSumsEqualSharedAggregateUnderBurstyArrivals) {
     }
     cluster.drain_all();
     const ClusterReport report = cluster.report();
+    EXPECT_TRUE(test_support::check_invariants(report)) << policy;
     runtime::RunResult sum;
     for (const auto& t : report.tenants) sum += t.totals;
     EXPECT_EQ(sum.cache, report.workers[0].l1) << policy;

@@ -62,7 +62,6 @@ TEST(PartitionRegistry, ApplicabilityGatesPipelineAndExactStrategies) {
   const auto dag = workloads::fm_radio(10);  // 25 nodes, not a pipeline
 
   auto ctx = ctx_for(1024);
-  ctx.exact_max_nodes = 20;
   const auto pipeline_keys = r.applicable_keys(pipeline, ctx);
   EXPECT_EQ(pipeline_keys.size(), r.keys().size());  // everything applies
 
